@@ -127,28 +127,32 @@ let run_ablation () =
    artifact names depending on the machine's timezone. *)
 let today () = Obs.Clock.utc_date (Obs.Clock.now ())
 
-(* Run one registered experiment, returning its JSON node. Wall time is
-   measured around the document build (all the numeric work happens
-   there; rendering is negligible) by the experiment's span — the same
-   number lands in the nuop-bench/1 "seconds" field and, under --trace /
-   NUOP_TRACE, in the trace. *)
-let experiment_json cfg (e : Core.Registry.entry) =
-  let doc, seconds =
-    Obs.Span.timed
-      ~attrs:[ ("experiment", e.Core.Registry.name) ]
-      "bench.experiment"
-      (fun () -> e.Core.Registry.run cfg)
-  in
-  Core.Report.to_json ~name:e.Core.Registry.name
-    ~description:e.Core.Registry.description ~seconds doc
+(* Run one registered experiment under its span, returning the document
+   and its wall time. Wall time is measured around the document build
+   (all the numeric work happens there; rendering is negligible) — the
+   same number lands in the nuop-bench/1 "seconds" field and, under
+   --trace / NUOP_TRACE, in the trace. *)
+let run_experiment cfg (e : Core.Registry.entry) =
+  Obs.Span.timed ~attrs:[ ("experiment", e.name) ] "bench.experiment" (fun () -> e.run cfg)
 
-let artifact cfg ~scale entries =
+let print_report (e : Core.Registry.entry) (doc, seconds) =
+  Core.Report.print doc;
+  Printf.printf "\n[%s done in %.1f s]\n%!" e.name seconds
+
+(* One experiment's JSON node; with [~echo] its text report also goes to
+   stdout, exactly as the text run prints it. *)
+let experiment_json ~echo cfg (e : Core.Registry.entry) =
+  let ((doc, seconds) as run) = run_experiment cfg e in
+  if echo then print_report e run;
+  Core.Report.to_json ~name:e.name ~description:e.description ~seconds doc
+
+let artifact cfg ~scale ~echo entries =
   Core.Json.Obj
     [
       ("schema", Core.Json.String "nuop-bench/1");
       ("date", Core.Json.String (today ()));
       ("scale", Core.Json.String scale);
-      ("experiments", Core.Json.List (List.map (experiment_json cfg) entries));
+      ("experiments", Core.Json.List (List.map (experiment_json ~echo cfg) entries));
     ]
 
 let write_json ~out json =
@@ -446,19 +450,14 @@ let () =
     in
     run_cached cfg file entries
   | _ ->
-    let run_and_print (e : Core.Registry.entry) =
-      let doc, seconds =
-        Obs.Span.timed
-          ~attrs:[ ("experiment", e.name) ]
-          "bench.experiment"
-          (fun () -> e.run cfg)
-      in
-      Core.Report.print doc;
-      Printf.printf "\n[%s done in %.1f s]\n%!" e.name seconds
-    in
+    (* a JSON artifact written to a file leaves stdout to the text
+       reports, so one run gives both *)
+    let echo = out <> None in
+    let run_and_print e = print_report e (run_experiment cfg e) in
     let run_one name =
       match Core.Registry.find name with
-      | Some e -> if json then write_json ~out (experiment_json cfg e) else run_and_print e
+      | Some e ->
+        if json then write_json ~out (experiment_json ~echo cfg e) else run_and_print e
       | None ->
         (match name with
         | "micro" ->
@@ -478,7 +477,9 @@ let () =
                   path;
               Some path
           in
-          write_json ~out (artifact cfg ~scale experiments)
+          let json = artifact cfg ~scale ~echo:true experiments in
+          run_ablation ();
+          write_json ~out json
         | "all" ->
           List.iter run_and_print experiments;
           run_ablation ()
@@ -500,7 +501,7 @@ let () =
           exit 1)
     in
     (match names with
-    | [] when json -> write_json ~out (artifact cfg ~scale experiments)
+    | [] when json -> write_json ~out (artifact cfg ~scale ~echo experiments)
     | [] ->
       Printf.printf
         "NuOp reproduction bench harness: running ALL experiments at %s scale.\n\

@@ -55,41 +55,33 @@ let overall_fidelity d = d.fd *. d.fh
 
 (* Best F_d achievable with a fixed number of layers. *)
 let optimize_layers ?(options = default_options) gate_type ~layers ~target =
-  let template = Template.create gate_type ~layers in
-  let dim = Template.param_count template in
-  if dim = 0 then
-    (* zero layers, no free angles can only happen for arity mismatch;
-       param_count is >= 6, so this is unreachable *)
-    ([||], Template.fidelity template [||] ~target)
-  else begin
-    let rng = Rng.create (options.seed + (1000 * layers)) in
-    let run =
-      (* near-zero first start: almost-identity single-qubit layers — the
-         right basin for near-identity targets (small-angle QFT phases)
-         and structured interactions; offset 0.1 avoids the exact-zero
-         saddle of the template objective.
+  let dim = Template.param_count (Template.create gate_type ~layers) in
+  let rng = Rng.create (options.seed + (1000 * layers)) in
+  let run =
+    (* near-zero first start: almost-identity single-qubit layers — the
+       right basin for near-identity targets (small-angle QFT phases)
+       and structured interactions; offset 0.1 avoids the exact-zero
+       saddle of the template objective.
 
-         The starts run on the Domain pool; each start allocates a
-         private template because the workspace scratch matrices are
-         reused across objective evaluations and must not be shared
-         between domains.  [rng] is private to this call, so the result
-         is identical at every pool size. *)
-      Optimize.Multistart.run_parallel
-        ~first_start:(Array.make dim 0.1)
-        ~rng ~starts:options.starts ~dim ~lo:(-.Float.pi) ~hi:Float.pi
-        ~target:(1.0 -. options.convergence_fd)
-        ~optimize:(fun x0 ->
-          let template = Template.create gate_type ~layers in
-          let objective params = Template.infidelity template params ~target in
-          Optimize.Bfgs.minimize
-            ~options:{ options.bfgs with f_tol = 1.0 -. options.convergence_fd }
-            objective x0)
-        ~value:(fun (r : Optimize.Bfgs.result) -> r.f)
-        ()
-    in
-    let best = run.best in
-    (best.x, 1.0 -. best.f)
-  end
+       The starts run on the Domain pool; each start allocates a
+       private template because the workspace scratch matrices are
+       reused across objective evaluations and must not be shared
+       between domains.  [rng] is private to this call, so the result
+       is identical at every pool size. *)
+    Optimize.Multistart.run_parallel
+      ~first_start:(Array.make dim 0.1)
+      ~rng ~starts:options.starts ~dim ~lo:(-.Float.pi) ~hi:Float.pi
+      ~target:(1.0 -. options.convergence_fd)
+      ~optimize:(fun x0 ->
+        let template = Template.create gate_type ~layers in
+        let objective params = Template.infidelity template params ~target in
+        Optimize.Bfgs.minimize
+          ~options:{ options.bfgs with f_tol = 1.0 -. options.convergence_fd }
+          objective x0)
+      ~value:(fun (r : Optimize.Bfgs.result) -> r.f)
+      ()
+  in
+  (run.best.x, 1.0 -. run.best.f)
 
 (* The per-layer fidelity curve: best (params, F_d) for i = 0, 1, ...
    until F_d converges to 1 or max_layers is reached.  Both decomposition

@@ -13,7 +13,9 @@
 
    Evaluation is allocation-free: all scratch matrices live in the
    workspace and are reused across objective evaluations (BFGS calls this
-   tens of thousands of times per decomposition). *)
+   tens of thousands of times per decomposition), each local layer's
+   kron is stored entry by entry, and the products take Mat's unrolled
+   4x4 path.  [fidelity] boxes only the trace and its result. *)
 
 open Linalg
 
@@ -54,9 +56,13 @@ let layers t = t.layers
 
 let param_count t = (6 * (t.layers + 1)) + (t.layers * t.gate_params)
 
-(* Write U3(a,b,l) (x) U3(a',b',l') into [dst] (4x4) without allocating.
-   U3 convention matches Oneq.u3. *)
-let write_local_layer dst a b l a' b' l' =
+(* Write U3(a,b,l) (x) U3(a',b',l') into [dst] (4x4) without allocating,
+   reading the six angles from [params] at [base].  U3 convention matches
+   Oneq.u3.  Entry (2*iu+iv, 2*ju+jv) of the kron is u[iu,ju] * v[iv,jv],
+   stored directly as (ur vr - ui vi, ur vi + ui vr). *)
+let write_local_layer dst params base =
+  let a = params.(base) and b = params.(base + 1) and l = params.(base + 2) in
+  let a' = params.(base + 3) and b' = params.(base + 4) and l' = params.(base + 5) in
   let d = Mat.unsafe_data dst in
   (* first qubit U3 entries *)
   let ca = Float.cos (a /. 2.0) and sa = Float.sin (a /. 2.0) in
@@ -70,26 +76,42 @@ let write_local_layer dst a b l a' b' l' =
   let v01r = -.sa' *. Float.cos l' and v01i = -.sa' *. Float.sin l' in
   let v10r = sa' *. Float.cos b' and v10i = sa' *. Float.sin b' in
   let v11r = ca' *. Float.cos (b' +. l') and v11i = ca' *. Float.sin (b' +. l') in
-  (* kron: dst[(2*iu+iv)*4 + (2*ju+jv)] = u[iu,ju] * v[iv,jv] *)
-  let set i j re im =
-    let k = 2 * ((i * 4) + j) in
-    d.(k) <- re;
-    d.(k + 1) <- im
-  in
-  let uu = [| (u00r, u00i); (u01r, u01i); (u10r, u10i); (u11r, u11i) |] in
-  let vv = [| (v00r, v00i); (v01r, v01i); (v10r, v10i); (v11r, v11i) |] in
-  for iu = 0 to 1 do
-    for ju = 0 to 1 do
-      let ur, ui = uu.((iu * 2) + ju) in
-      for iv = 0 to 1 do
-        for jv = 0 to 1 do
-          let vr, vi = vv.((iv * 2) + jv) in
-          set ((2 * iu) + iv) ((2 * ju) + jv) ((ur *. vr) -. (ui *. vi))
-            ((ur *. vi) +. (ui *. vr))
-        done
-      done
-    done
-  done
+  (* row 0: (iu, iv) = (0, 0) *)
+  d.(0) <- (u00r *. v00r) -. (u00i *. v00i);
+  d.(1) <- (u00r *. v00i) +. (u00i *. v00r);
+  d.(2) <- (u00r *. v01r) -. (u00i *. v01i);
+  d.(3) <- (u00r *. v01i) +. (u00i *. v01r);
+  d.(4) <- (u01r *. v00r) -. (u01i *. v00i);
+  d.(5) <- (u01r *. v00i) +. (u01i *. v00r);
+  d.(6) <- (u01r *. v01r) -. (u01i *. v01i);
+  d.(7) <- (u01r *. v01i) +. (u01i *. v01r);
+  (* row 1: (iu, iv) = (0, 1) *)
+  d.(8) <- (u00r *. v10r) -. (u00i *. v10i);
+  d.(9) <- (u00r *. v10i) +. (u00i *. v10r);
+  d.(10) <- (u00r *. v11r) -. (u00i *. v11i);
+  d.(11) <- (u00r *. v11i) +. (u00i *. v11r);
+  d.(12) <- (u01r *. v10r) -. (u01i *. v10i);
+  d.(13) <- (u01r *. v10i) +. (u01i *. v10r);
+  d.(14) <- (u01r *. v11r) -. (u01i *. v11i);
+  d.(15) <- (u01r *. v11i) +. (u01i *. v11r);
+  (* row 2: (iu, iv) = (1, 0) *)
+  d.(16) <- (u10r *. v00r) -. (u10i *. v00i);
+  d.(17) <- (u10r *. v00i) +. (u10i *. v00r);
+  d.(18) <- (u10r *. v01r) -. (u10i *. v01i);
+  d.(19) <- (u10r *. v01i) +. (u10i *. v01r);
+  d.(20) <- (u11r *. v00r) -. (u11i *. v00i);
+  d.(21) <- (u11r *. v00i) +. (u11i *. v00r);
+  d.(22) <- (u11r *. v01r) -. (u11i *. v01i);
+  d.(23) <- (u11r *. v01i) +. (u11i *. v01r);
+  (* row 3: (iu, iv) = (1, 1) *)
+  d.(24) <- (u10r *. v10r) -. (u10i *. v10i);
+  d.(25) <- (u10r *. v10i) +. (u10i *. v10r);
+  d.(26) <- (u10r *. v11r) -. (u10i *. v11i);
+  d.(27) <- (u10r *. v11i) +. (u10i *. v11r);
+  d.(28) <- (u11r *. v10r) -. (u11i *. v10i);
+  d.(29) <- (u11r *. v10i) +. (u11i *. v10r);
+  d.(30) <- (u11r *. v11r) -. (u11i *. v11i);
+  d.(31) <- (u11r *. v11i) +. (u11i *. v11r)
 
 (* Write the family gate instance for layer [k] into [dst]. *)
 let write_gate t dst params k =
@@ -136,8 +158,7 @@ let write_gate t dst params k =
    accumulator: valid only until the next [evaluate] call. *)
 let evaluate t params =
   assert (Array.length params = param_count t);
-  write_local_layer t.acc params.(0) params.(1) params.(2) params.(3) params.(4)
-    params.(5);
+  write_local_layer t.acc params 0;
   for k = 1 to t.layers do
     (* apply gate k *)
     let gmat =
@@ -149,11 +170,7 @@ let evaluate t params =
     in
     Mat.mul_into ~dst:t.tmp gmat t.acc;
     (* apply local layer k *)
-    let base = 6 * k in
-    write_local_layer t.local params.(base) params.(base + 1) params.(base + 2)
-      params.(base + 3)
-      params.(base + 4)
-      params.(base + 5);
+    write_local_layer t.local params (6 * k);
     Mat.mul_into ~dst:t.acc t.local t.tmp
   done;
   t.acc

@@ -3,7 +3,8 @@
     A template with [i] layers alternates arbitrary single-qubit rotation
     pairs (6 angles each) with the target hardware two-qubit gate; for a
     continuous family each gate layer carries its own free angles.
-    Evaluation reuses workspace scratch matrices and never allocates. *)
+    {!evaluate} reuses workspace scratch matrices and never allocates;
+    {!fidelity} allocates only its boxed trace and result (5 words). *)
 
 open Linalg
 

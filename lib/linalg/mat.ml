@@ -96,27 +96,102 @@ let scale_real s a =
   Array.iteri (fun k av -> m.d.(k) <- s *. av) a.d;
   m
 
-(* c <- a * b, writing into a caller-provided buffer (no allocation). *)
+(* The 4x4 product, unrolled: [b]'s 32 floats are loaded once and each
+   entry is summed in the generic loop's exact order, starting from
+   [0.0 +.] (which turns a -0.0 first term into +0.0, as the loop does),
+   so results are bit-identical to the generic path.  All three arrays
+   belong to 4x4 matrices and hold exactly 32 floats, which makes the
+   unchecked accesses safe. *)
+external ( .!() ) : float array -> int -> float = "%array_unsafe_get"
+external ( .!()<- ) : float array -> int -> float -> unit = "%array_unsafe_set"
+
+let mul4_into d a b =
+  let b00r = b.!(0) and b00i = b.!(1) and b01r = b.!(2) and b01i = b.!(3) in
+  let b02r = b.!(4) and b02i = b.!(5) and b03r = b.!(6) and b03i = b.!(7) in
+  let b10r = b.!(8) and b10i = b.!(9) and b11r = b.!(10) and b11i = b.!(11) in
+  let b12r = b.!(12) and b12i = b.!(13) and b13r = b.!(14) and b13i = b.!(15) in
+  let b20r = b.!(16) and b20i = b.!(17) and b21r = b.!(18) and b21i = b.!(19) in
+  let b22r = b.!(20) and b22i = b.!(21) and b23r = b.!(22) and b23i = b.!(23) in
+  let b30r = b.!(24) and b30i = b.!(25) and b31r = b.!(26) and b31i = b.!(27) in
+  let b32r = b.!(28) and b32i = b.!(29) and b33r = b.!(30) and b33i = b.!(31) in
+  for i = 0 to 3 do
+    let r = 8 * i in
+    let a0r = a.!(r) and a0i = a.!(r + 1) and a1r = a.!(r + 2) and a1i = a.!(r + 3) in
+    let a2r = a.!(r + 4) and a2i = a.!(r + 5) and a3r = a.!(r + 6) and a3i = a.!(r + 7) in
+    d.!(r) <-
+      0.0
+      +. ((a0r *. b00r) -. (a0i *. b00i))
+      +. ((a1r *. b10r) -. (a1i *. b10i))
+      +. ((a2r *. b20r) -. (a2i *. b20i))
+      +. ((a3r *. b30r) -. (a3i *. b30i));
+    d.!(r + 1) <-
+      0.0
+      +. ((a0r *. b00i) +. (a0i *. b00r))
+      +. ((a1r *. b10i) +. (a1i *. b10r))
+      +. ((a2r *. b20i) +. (a2i *. b20r))
+      +. ((a3r *. b30i) +. (a3i *. b30r));
+    d.!(r + 2) <-
+      0.0
+      +. ((a0r *. b01r) -. (a0i *. b01i))
+      +. ((a1r *. b11r) -. (a1i *. b11i))
+      +. ((a2r *. b21r) -. (a2i *. b21i))
+      +. ((a3r *. b31r) -. (a3i *. b31i));
+    d.!(r + 3) <-
+      0.0
+      +. ((a0r *. b01i) +. (a0i *. b01r))
+      +. ((a1r *. b11i) +. (a1i *. b11r))
+      +. ((a2r *. b21i) +. (a2i *. b21r))
+      +. ((a3r *. b31i) +. (a3i *. b31r));
+    d.!(r + 4) <-
+      0.0
+      +. ((a0r *. b02r) -. (a0i *. b02i))
+      +. ((a1r *. b12r) -. (a1i *. b12i))
+      +. ((a2r *. b22r) -. (a2i *. b22i))
+      +. ((a3r *. b32r) -. (a3i *. b32i));
+    d.!(r + 5) <-
+      0.0
+      +. ((a0r *. b02i) +. (a0i *. b02r))
+      +. ((a1r *. b12i) +. (a1i *. b12r))
+      +. ((a2r *. b22i) +. (a2i *. b22r))
+      +. ((a3r *. b32i) +. (a3i *. b32r));
+    d.!(r + 6) <-
+      0.0
+      +. ((a0r *. b03r) -. (a0i *. b03i))
+      +. ((a1r *. b13r) -. (a1i *. b13i))
+      +. ((a2r *. b23r) -. (a2i *. b23i))
+      +. ((a3r *. b33r) -. (a3i *. b33i));
+    d.!(r + 7) <-
+      0.0
+      +. ((a0r *. b03i) +. (a0i *. b03r))
+      +. ((a1r *. b13i) +. (a1i *. b13r))
+      +. ((a2r *. b23i) +. (a2i *. b23r))
+      +. ((a3r *. b33i) +. (a3i *. b33r))
+  done
+
+(* c <- a * b, writing into a caller-provided buffer (no allocation).
+   4x4 operands take the unrolled path; any other shape the loop. *)
 let mul_into ~dst a b =
   assert (a.cols = b.rows);
   assert (dst.rows = a.rows && dst.cols = b.cols);
   assert (dst.d != a.d && dst.d != b.d);
   let n = a.rows and p = a.cols and q = b.cols in
-  for i = 0 to n - 1 do
-    for j = 0 to q - 1 do
-      let acc_re = ref 0.0 and acc_im = ref 0.0 in
-      for k = 0 to p - 1 do
-        let ka = 2 * ((i * p) + k) and kb = 2 * ((k * q) + j) in
-        let ar = a.d.(ka) and ai = a.d.(ka + 1) in
-        let br = b.d.(kb) and bi = b.d.(kb + 1) in
-        acc_re := !acc_re +. ((ar *. br) -. (ai *. bi));
-        acc_im := !acc_im +. ((ar *. bi) +. (ai *. br))
-      done;
-      let kd = 2 * ((i * q) + j) in
-      dst.d.(kd) <- !acc_re;
-      dst.d.(kd + 1) <- !acc_im
+  if n = 4 && p = 4 && q = 4 then mul4_into dst.d a.d b.d
+  else
+    for i = 0 to n - 1 do
+      for j = 0 to q - 1 do
+        let acc_re = ref 0.0 and acc_im = ref 0.0 in
+        for k = 0 to p - 1 do
+          let ka = 2 * ((i * p) + k) and kb = 2 * ((k * q) + j) in
+          let ar = a.d.(ka) and ai = a.d.(ka + 1) in
+          let br = b.d.(kb) and bi = b.d.(kb + 1) in
+          acc_re := !acc_re +. ((ar *. br) -. (ai *. bi));
+          acc_im := !acc_im +. ((ar *. bi) +. (ai *. br))
+        done;
+        let kd = 2 * ((i * q) + j) in
+        dst.d.(kd) <- !acc_re;
+        dst.d.(kd + 1) <- !acc_im
+      done
     done
-  done
 
 let mul a b =
   let dst = create a.rows b.cols in

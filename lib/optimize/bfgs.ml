@@ -31,13 +31,13 @@ type result = {
 }
 
 (* h <- (I - rho s y^T) h (I - rho y s^T) + rho s s^T, the standard BFGS
-   inverse-Hessian update, done in place on a dense n x n float matrix. *)
-let update_inverse_hessian h s y n =
+   inverse-Hessian update, done in place on a dense n x n float matrix;
+   [hy] is caller-owned scratch for H y. *)
+let update_inverse_hessian h s y ~hy n =
   let rho_denom = Grad.dot y s in
   if rho_denom > 1e-12 then begin
     let rho = 1.0 /. rho_denom in
     (* hy = H y *)
-    let hy = Array.make n 0.0 in
     for i = 0 to n - 1 do
       let acc = ref 0.0 in
       for j = 0 to n - 1 do
@@ -57,6 +57,10 @@ let update_inverse_hessian h s y n =
     done
   end
 
+(* Every buffer an iteration touches is allocated here, once per call, so
+   an iteration allocates no arrays: only the line search's result record
+   and the floats boxed across calls into Grad and Line_search, a fixed
+   handful of words whatever the dimension. *)
 let minimize ?(options = default_options) f x0 =
   let n = Array.length x0 in
   let x = Array.copy x0 in
@@ -65,8 +69,11 @@ let minimize ?(options = default_options) f x0 =
     incr evals;
     f z
   in
+  let h = options.fd_step in
+  let g = Array.make n 0.0 and g_new = Array.make n 0.0 in
+  let xp = Array.make n 0.0 and trial = Array.make n 0.0 and hy = Array.make n 0.0 in
   let fx = ref (f_counted x) in
-  let g = ref (Grad.central ~h:options.fd_step f_counted x) in
+  Grad.central ~h f_counted x ~g ~xp;
   (* inverse Hessian approximation, initialized to the identity *)
   let hinv = Array.make (n * n) 0.0 in
   for i = 0 to n - 1 do
@@ -84,7 +91,7 @@ let minimize ?(options = default_options) f x0 =
          outcome := Target_reached;
          raise Exit
        end;
-       let gnorm = Grad.norm !g in
+       let gnorm = Grad.norm g in
        if gnorm <= options.grad_tol then begin
          outcome := Converged;
          raise Exit
@@ -93,11 +100,11 @@ let minimize ?(options = default_options) f x0 =
        for i = 0 to n - 1 do
          let acc = ref 0.0 in
          for j = 0 to n - 1 do
-           acc := !acc +. (hinv.((i * n) + j) *. !g.(j))
+           acc := !acc +. (hinv.((i * n) + j) *. g.(j))
          done;
          d.(i) <- -. !acc
        done;
-       let slope = Grad.dot !g d in
+       let slope = Grad.dot g d in
        (* If numerical error made d a non-descent direction, restart from
           steepest descent. *)
        let slope =
@@ -106,13 +113,13 @@ let minimize ?(options = default_options) f x0 =
              for j = 0 to n - 1 do
                hinv.((i * n) + j) <- (if i = j then 1.0 else 0.0)
              done;
-             d.(i) <- -. !g.(i)
+             d.(i) <- -.g.(i)
            done;
            -.(gnorm *. gnorm)
          end
          else slope
        in
-       let ls = Line_search.search f_counted x d ~f0:!fx ~slope in
+       let ls = Line_search.search f_counted x d ~f0:!fx ~slope ~trial in
        if ls.step <= 0.0 || ls.f_new >= !fx then begin
          (* the line search found no decrease at all *)
          outcome := Stagnated;
@@ -135,12 +142,12 @@ let minimize ?(options = default_options) f x0 =
          outcome := Stagnated;
          raise Exit
        end;
-       let g_new = Grad.central ~h:options.fd_step f_counted x in
+       Grad.central ~h f_counted x ~g:g_new ~xp;
        for i = 0 to n - 1 do
-         y.(i) <- g_new.(i) -. !g.(i)
+         y.(i) <- g_new.(i) -. g.(i);
+         g.(i) <- g_new.(i)
        done;
-       g := g_new;
-       update_inverse_hessian hinv s y n
+       update_inverse_hessian hinv s y ~hy n
      done
    with Exit -> ());
   { x; f = !fx; iterations = !iter; evaluations = !evals; outcome = !outcome }

@@ -27,4 +27,5 @@ type result = {
 
 val minimize : ?options:options -> (float array -> float) -> float array -> result
 (** [minimize f x0] minimizes [f] starting from [x0]. [x0] is not
-    mutated. *)
+    mutated.  Gradient, probe, trial and scratch buffers are allocated
+    once per call; iterations allocate no arrays. *)

@@ -4,12 +4,10 @@
    and cheap, so central differences with a fixed step are accurate and
    simpler than analytic differentiation through the template product. *)
 
-let default_step = 1e-7
-
-let central ?(h = default_step) f x =
+let central ~h f x ~g ~xp =
   let n = Array.length x in
-  let g = Array.make n 0.0 in
-  let xp = Array.copy x in
+  assert (Array.length g = n && Array.length xp = n);
+  Array.blit x 0 xp 0 n;
   for i = 0 to n - 1 do
     let xi = x.(i) in
     xp.(i) <- xi +. h;
@@ -18,29 +16,19 @@ let central ?(h = default_step) f x =
     let fm = f xp in
     xp.(i) <- xi;
     g.(i) <- (fp -. fm) /. (2.0 *. h)
-  done;
-  g
-
-let forward ?(h = default_step) f x =
-  let n = Array.length x in
-  let f0 = f x in
-  let g = Array.make n 0.0 in
-  let xp = Array.copy x in
-  for i = 0 to n - 1 do
-    let xi = x.(i) in
-    xp.(i) <- xi +. h;
-    g.(i) <- (f xp -. f0) /. h;
-    xp.(i) <- xi
-  done;
-  g
+  done
 
 let norm g =
   let acc = ref 0.0 in
-  Array.iter (fun v -> acc := !acc +. (v *. v)) g;
+  for i = 0 to Array.length g - 1 do
+    acc := !acc +. (g.(i) *. g.(i))
+  done;
   Float.sqrt !acc
 
 let dot a b =
   assert (Array.length a = Array.length b);
   let acc = ref 0.0 in
-  Array.iteri (fun i av -> acc := !acc +. (av *. b.(i))) a;
+  for i = 0 to Array.length a - 1 do
+    acc := !acc +. (a.(i) *. b.(i))
+  done;
   !acc

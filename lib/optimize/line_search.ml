@@ -10,40 +10,40 @@ let default_c1 = 1e-4
 let default_shrink = 0.5
 let default_max_trials = 40
 
-(* [search f x d ~f0 ~slope] finds t with
-   f(x + t d) <= f0 + c1 * t * slope, where slope = grad . d < 0. *)
+(* [search f x d ~f0 ~slope ~trial] finds t with
+   f(x + t d) <= f0 + c1 * t * slope, where slope = grad . d < 0.  The
+   trial points are written into the caller's [trial] buffer, so no
+   array is allocated. *)
 let search ?(c1 = default_c1) ?(shrink = default_shrink)
-    ?(max_trials = default_max_trials) ?(t0 = 1.0) f x d ~f0 ~slope =
+    ?(max_trials = default_max_trials) ?(t0 = 1.0) f x d ~f0 ~slope ~trial =
   let n = Array.length x in
-  assert (Array.length d = n);
-  let trial = Array.make n 0.0 in
-  let eval t =
+  assert (Array.length d = n && Array.length trial = n);
+  let t = ref t0 and k = ref 0 and accepted = ref false in
+  let best_step = ref 0.0 and best_f = ref f0 in
+  while (not !accepted) && !k < max_trials do
     for i = 0 to n - 1 do
-      trial.(i) <- x.(i) +. (t *. d.(i))
+      trial.(i) <- x.(i) +. (!t *. d.(i))
     done;
-    f trial
-  in
-  let rec loop t k evals best =
-    if k >= max_trials then best
-    else begin
-      let ft = eval t in
-      let evals = evals + 1 in
-      if ft <= f0 +. (c1 *. t *. slope) && Float.is_finite ft then
-        { step = t; f_new = ft; evals }
-      else begin
-        (* quadratic interpolation for the next trial, clamped to the
-           geometric shrink to guarantee progress *)
-        let t_quad =
-          let denom = 2.0 *. (ft -. f0 -. (slope *. t)) in
-          if denom > 1e-300 then -.slope *. t *. t /. denom else t *. shrink
-        in
-        let t' = Float.max (t *. 0.1) (Float.min t_quad (t *. shrink)) in
-        let best =
-          if Float.is_finite ft && ft < best.f_new then { step = t; f_new = ft; evals }
-          else { best with evals }
-        in
-        loop t' (k + 1) evals best
-      end
+    let ft = f trial in
+    incr k;
+    if ft <= f0 +. (c1 *. !t *. slope) && Float.is_finite ft then begin
+      best_step := !t;
+      best_f := ft;
+      accepted := true
     end
-  in
-  loop t0 0 0 { step = 0.0; f_new = f0; evals = 0 }
+    else begin
+      (* quadratic interpolation for the next trial, clamped to the
+         geometric shrink to guarantee progress *)
+      let t_quad =
+        let denom = 2.0 *. (ft -. f0 -. (slope *. !t)) in
+        if denom > 1e-300 then -.slope *. !t *. !t /. denom else !t *. shrink
+      in
+      let t' = Float.max (!t *. 0.1) (Float.min t_quad (!t *. shrink)) in
+      if Float.is_finite ft && ft < !best_f then begin
+        best_step := !t;
+        best_f := ft
+      end;
+      t := t'
+    end
+  done;
+  { step = !best_step; f_new = !best_f; evals = !k }

@@ -20,8 +20,11 @@ val search :
   float array ->
   f0:float ->
   slope:float ->
+  trial:float array ->
   result
-(** [search f x d ~f0 ~slope] finds a step [t] along direction [d] from
-    [x] satisfying the Armijo condition
+(** [search f x d ~f0 ~slope ~trial] finds a step [t] along direction [d]
+    from [x] satisfying the Armijo condition
     [f(x + t d) <= f0 + c1 t slope].  [slope] must be the directional
-    derivative [grad f(x) . d] (negative for a descent direction). *)
+    derivative [grad f(x) . d] (negative for a descent direction).  Trial
+    points are written into [trial] (same length as [x], not aliasing
+    it), so no array is allocated. *)

@@ -8,29 +8,13 @@
 
 type 'a run = { best : 'a; best_f : float; starts_used : int }
 
-let run ?first_start ~rng ~starts ~dim ~lo ~hi ~target ~optimize ~value () =
-  assert (starts >= 1);
-  let sample () = Array.init dim (fun _ -> Linalg.Rng.uniform rng lo hi) in
-  let x0 = match first_start with Some x -> x | None -> sample () in
-  let first = optimize x0 in
-  let rec loop k best best_f =
-    if best_f <= target || k >= starts then { best; best_f; starts_used = k }
-    else begin
-      let r = optimize (sample ()) in
-      let f = value r in
-      if f < best_f then loop (k + 1) r f else loop (k + 1) best best_f
-    end
-  in
-  loop 1 first (value first)
-
-(* Parallel variant: draw every start point up front (same rng draw order
-   as the sequential loop), optimize them on the Domain pool, then replay
-   the sequential best/early-stop scan over the results.  Because start
-   k's point never depends on the outcome of start k-1, the returned
-   record — best, best_f AND starts_used — is bit-for-bit identical to
-   [run] whenever the caller's [rng] is private to this call (NuOp
-   creates a fresh seeded generator per layer count, so its results are
-   unchanged by the pool size).
+(* Draw every start point up front, optimize them on the Domain pool,
+   then run the sequential best/early-stop scan over the results.
+   Because start k's point never depends on the outcome of start k-1,
+   the returned record — best, best_f AND starts_used — is bit-for-bit
+   the same at every pool size whenever the caller's [rng] is private to
+   this call (NuOp creates a fresh seeded generator per layer count, so
+   its results are unchanged by the pool size).
 
    [optimize] may execute concurrently on several domains: it must not
    touch unsynchronized shared mutable state (NuOp allocates a private
@@ -49,30 +33,23 @@ let run_parallel ?first_start ?domains ~rng ~starts ~dim ~lo ~hi ~target ~optimi
     | Some d -> d
     | None -> Concurrent.Domain_pool.default_domains ()
   in
-  if pool <= 1 || Concurrent.Domain_pool.inside_pool () then begin
-    (* sequential fallback: keep the early stop lazy so unneeded starts
-       are never optimized (the points they would have used are already
-       drawn, so laziness cannot change any result) *)
-    let rec loop k best best_f =
-      if best_f <= target || k >= starts then { best; best_f; starts_used = k }
-      else begin
-        let r = optimize points.(k) in
-        let f = value r in
-        if f < best_f then loop (k + 1) r f else loop (k + 1) best best_f
-      end
-    in
-    let first = optimize points.(0) in
-    loop 1 first (value first)
-  end
-  else begin
-    let results = Concurrent.Domain_pool.map_array ~domains:pool optimize points in
-    let rec scan k best best_f =
-      if best_f <= target || k >= starts then { best; best_f; starts_used = k }
-      else begin
-        let r = results.(k) in
-        let f = value r in
-        if f < best_f then scan (k + 1) r f else scan (k + 1) best best_f
-      end
-    in
-    scan 1 results.(0) (value results.(0))
-  end
+  (* at pool size 1 (or inside a pool worker) the starts are optimized
+     lazily, so starts past the early stop never run; their points are
+     already drawn, so laziness cannot change any result *)
+  let result =
+    if pool <= 1 || Concurrent.Domain_pool.inside_pool () then fun k -> optimize points.(k)
+    else begin
+      let results = Concurrent.Domain_pool.map_array ~domains:pool optimize points in
+      fun k -> results.(k)
+    end
+  in
+  let rec scan k best best_f =
+    if best_f <= target || k >= starts then { best; best_f; starts_used = k }
+    else begin
+      let r = result k in
+      let f = value r in
+      if f < best_f then scan (k + 1) r f else scan (k + 1) best best_f
+    end
+  in
+  let first = result 0 in
+  scan 1 first (value first)

@@ -6,25 +6,6 @@ type 'a run = {
   starts_used : int;  (** starts actually executed (early stop counts) *)
 }
 
-val run :
-  ?first_start:float array ->
-  rng:Linalg.Rng.t ->
-  starts:int ->
-  dim:int ->
-  lo:float ->
-  hi:float ->
-  target:float ->
-  optimize:(float array -> 'a) ->
-  value:('a -> float) ->
-  unit ->
-  'a run
-(** [run ~rng ~starts ~dim ~lo ~hi ~target ~optimize ~value ()] draws up
-    to [starts] uniform starting points in [lo, hi]^dim, runs [optimize]
-    on each and keeps the result minimizing [value]; stops as soon as the
-    value reaches [target].  [first_start] overrides the first point
-    (NuOp seeds it with the all-zeros template, which is exact for
-    near-identity targets). *)
-
 val run_parallel :
   ?first_start:float array ->
   ?domains:int ->
@@ -38,12 +19,18 @@ val run_parallel :
   value:('a -> float) ->
   unit ->
   'a run
-(** Like {!run}, but the starts are optimized on the Domain pool
-    ([domains] defaults to {!Concurrent.Domain_pool.default_domains}).
-    All start points are drawn from [rng] up front in the sequential
-    order, and the best/early-stop selection replays the sequential scan
-    over the completed results — so when [rng] is private to the call the
-    returned record is bit-for-bit identical to {!run} at any pool size.
-    [optimize] must be safe to call concurrently from several domains.
-    At pool size 1 (or from inside a pool worker) it degrades to the lazy
-    sequential loop, skipping starts past the early stop. *)
+(** [run_parallel ~rng ~starts ~dim ~lo ~hi ~target ~optimize ~value ()]
+    draws up to [starts] uniform starting points in [lo, hi]^dim, runs
+    [optimize] on each and keeps the result minimizing [value]; the scan
+    stops at the first start whose value reaches [target].
+    [first_start] overrides the first point (NuOp seeds it with a
+    near-zero template, which is exact for near-identity targets).
+
+    The starts are optimized on the Domain pool ([domains] defaults to
+    {!Concurrent.Domain_pool.default_domains}).  All start points are
+    drawn from [rng] up front in order, and the best/early-stop selection
+    scans the completed results in start order — so when [rng] is
+    private to the call the returned record is bit-for-bit identical at
+    any pool size.  [optimize] must be safe to call concurrently from
+    several domains.  At pool size 1 (or from inside a pool worker) it is
+    a lazy sequential loop that skips starts past the early stop. *)

@@ -39,7 +39,10 @@ let close ?(eps = 1e-9) x y = Float.abs (x -. y) <= eps
 
 (* ---------- Mat: algebra against schoolbook references ---------- *)
 
-(* the definition of the product, with none of mul's loop blocking *)
+(* the definition of the product, on boxed entries: the same float
+   operations in the same order as mul's generic loop (each term by
+   Complex.mul, summed by Complex.add from zero), so any shape-specific
+   kernel must match it bit for bit *)
 let mul_reference a b =
   Mat.init (Mat.rows a) (Mat.cols b) (fun i j ->
       let acc = ref Complex.zero in
@@ -48,17 +51,64 @@ let mul_reference a b =
       done;
       !acc)
 
+let signed_zero rng = if Rng.bool rng then 0.0 else -0.0
+
+(* A 4x4 pair with exact signed zeros: each entry component is +-0.0
+   with probability 1/4.  In half the pairs, row i of a is zeros signed
+   against column j of b so that every term of one part of entry (i, j)
+   is -0.0 — the one case where the sum's start shows: from the first
+   term it stays -0.0, from 0.0 (the generic loop) it is +0.0. *)
+let signed_zero_pair rng =
+  let component () =
+    if Rng.int rng 4 = 0 then signed_zero rng else Rng.uniform rng (-1.0) 1.0
+  in
+  let mat4 () =
+    Mat.init 4 4 (fun _ _ -> { Complex.re = component (); im = component () })
+  in
+  let a = mat4 () and b = mat4 () in
+  if Rng.bool rng then begin
+    let i = Rng.int rng 4 and j = Rng.int rng 4 and real_part = Rng.bool rng in
+    let zero_signed x = Float.copy_sign 0.0 x in
+    for k = 0 to 3 do
+      let bk = Mat.get b k j in
+      (* real: ar br = -0, ai bi = +0; imaginary: ar bi = ai br = -0 *)
+      let re, im =
+        if real_part then (zero_signed (-.bk.re), zero_signed bk.im)
+        else (zero_signed (-.bk.im), zero_signed (-.bk.re))
+      in
+      Mat.set a i k { Complex.re; im }
+    done
+  end;
+  (a, b)
+
+let same_bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+let bit_identical a b =
+  List.for_all2
+    (List.for_all2 (fun (x : Complex.t) (y : Complex.t) ->
+         same_bits x.re y.re && same_bits x.im y.im))
+    (Mat.to_lists a) (Mat.to_lists b)
+
 let mat =
   [
     test "mul matches the schoolbook product" ~count:25
       (arb ~print:pm2 mat_pair)
       (fun (a, b) -> Mat.equal ~eps:1e-10 (Mat.mul a b) (mul_reference a b));
+    (* both go through the same kernel, so at n = 4 this compares the
+       unrolled path with itself; the property below pins that path *)
     test "mul_into agrees with mul" ~count:25
       (arb ~print:pm2 mat_pair)
       (fun (a, b) ->
         let dst = Mat.create (Mat.rows a) (Mat.cols b) in
         Mat.mul_into ~dst a b;
         Mat.equal ~eps:0.0 dst (Mat.mul a b));
+    test "4x4 mul and mul_into equal the reference bit for bit" ~count:200
+      (arb ~print:pm2 signed_zero_pair)
+      (fun (a, b) ->
+        let reference = mul_reference a b in
+        let dst = Mat.create 4 4 in
+        Mat.mul_into ~dst a b;
+        bit_identical (Mat.mul a b) reference && bit_identical dst reference);
     test "hs_inner is trace(A^dag B)" ~count:25
       (arb ~print:pm2 mat_pair)
       (fun (a, b) ->
@@ -198,6 +248,22 @@ let fast_nuop =
    against the target, through hs_inner *)
 let fidelity_of u target = Complex.norm (Mat.hs_inner u target) /. 4.0
 
+(* L_i G_i ... G_1 L_0 as explicit matrices: each local layer from
+   Oneq.u3 and Mat.kron, each gate from Gate_type.instantiate at the
+   angles stored after the 6(i+1) single-qubit ones *)
+let template_reference gate_type ~layers params =
+  let pc = Gates.Gate_type.param_count gate_type in
+  let local k =
+    let p j = params.((6 * k) + j) in
+    Mat.kron (Gates.Oneq.u3 (p 0) (p 1) (p 2)) (Gates.Oneq.u3 (p 3) (p 4) (p 5))
+  in
+  let u = ref (local 0) in
+  for k = 1 to layers do
+    let angles = Array.sub params ((6 * (layers + 1)) + ((k - 1) * pc)) pc in
+    u := Mat.mul (local k) (Mat.mul (Gates.Gate_type.instantiate gate_type angles) !u)
+  done;
+  !u
+
 let decompose =
   [
     test "kak reconstructs the target" ~count:5
@@ -268,6 +334,29 @@ let decompose =
           Array.init (Decompose.Template.param_count t) (fun i -> angles.(i))
         in
         Mat.is_unitary ~eps:1e-8 (Decompose.Template.evaluate t params));
+    (* unitarity and F_d = 1 against the template's own output cannot
+       see a transposed kron or a misplaced gate angle; this can *)
+    test "template evaluation is the explicit layer product" ~count:10
+      (arb
+         ~print:(fun angles ->
+           String.concat " " (Array.to_list (Array.map (Printf.sprintf "%.17g") angles)))
+         (G.array_of ~len:(G.return 54) G.angle))
+      (fun angles ->
+        List.for_all
+          (fun gate_type ->
+            List.for_all
+              (fun layers ->
+                let t = Decompose.Template.create gate_type ~layers in
+                let params =
+                  Array.sub angles 0 (Decompose.Template.param_count t)
+                in
+                Mat.max_abs_entry
+                  (Mat.sub
+                     (Decompose.Template.evaluate t params)
+                     (template_reference gate_type ~layers params))
+                <= 1e-12)
+              [ 0; 1; 2; 3; 4; 5; 6 ])
+          Gates.Gate_type.[ s1; s3; swap_type; Fsim_family; Xy_family; Cphase_family ]);
   ]
 
 (* ---------- Sim: three simulators, one answer ---------- *)

@@ -15,7 +15,9 @@
 
 val mat : (string * (unit -> unit)) list
 (** Algebraic laws of {!Linalg.Mat}: [mul] vs the schoolbook triple
-    loop, [mul_into] vs [mul], [hs_inner] vs [trace(A^dag B)], kron
+    loop, [mul_into] vs [mul], the unrolled 4x4 product bit for bit
+    against the generic loop's operation order (signed zeros included),
+    [hs_inner] vs [trace(A^dag B)], kron
     mixed product, multiplicative determinants, [solve] round trips,
     Haar-sample unitarity. *)
 
@@ -30,8 +32,10 @@ val optimize : (string * (unit -> unit)) list
 
 val decompose : (string * (unit -> unit)) list
 (** NuOp vs KAK vs the Cirq-like baseline: reconstruction, fidelity
-    recomputed from the implemented unitary, the SBM lower bound, and
-    agreement on single-gate-expressible targets. *)
+    recomputed from the implemented unitary, the SBM lower bound,
+    agreement on single-gate-expressible targets, and template
+    evaluation against the explicit product of U3 krons and
+    instantiated gates for fixed types and every family at 0-6 layers. *)
 
 val sim : (string * (unit -> unit)) list
 (** State-vector vs density vs trajectory simulators on the same ideal

@@ -61,6 +61,48 @@ let test_template_family_gate_angles () =
   Alcotest.(check (array (float 0.0))) "layer 2" [| 20.0; 21.0 |]
     (Decompose.Template.gate_angles t params 2)
 
+(* minor words per call of [f], after one warm-up call *)
+let minor_words_per_call ~n f =
+  f ();
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+(* The objective BFGS calls tens of thousands of times per decomposition
+   must not allocate: [evaluate] and a 4x4 product allocate nothing, and
+   [fidelity] may box only its result and the Hilbert-Schmidt sum (a
+   boxed-tuple kron once cost 301 words per call here). *)
+let test_template_fidelity_allocation () =
+  let rng = Rng.create 17 in
+  let target = Qr.haar_special_unitary rng 4 in
+  List.iter
+    (fun gate_type ->
+      let t = Decompose.Template.create gate_type ~layers:3 in
+      let params =
+        Array.init (Decompose.Template.param_count t) (fun _ ->
+            Rng.uniform rng (-.Float.pi) Float.pi)
+      in
+      let name = Gates.Gate_type.name gate_type in
+      Alcotest.(check (float 0.0))
+        (name ^ ": words per evaluate call")
+        0.0
+        (minor_words_per_call ~n:1000 (fun () ->
+             ignore (Sys.opaque_identity (Decompose.Template.evaluate t params))));
+      let words =
+        minor_words_per_call ~n:1000 (fun () ->
+            ignore (Sys.opaque_identity (Decompose.Template.fidelity t params ~target)))
+      in
+      check_bool (Printf.sprintf "%s: %.1f words per fidelity call <= 8" name words) true
+        (words <= 8.0))
+    [ Gates.Gate_type.s1; Gates.Gate_type.Fsim_family ];
+  let a = Qr.haar_unitary rng 4 and b = Qr.haar_unitary rng 4 in
+  let dst = Mat.create 4 4 in
+  Alcotest.(check (float 0.0))
+    "4x4 mul_into words per call" 0.0
+    (minor_words_per_call ~n:1000 (fun () -> Mat.mul_into ~dst a b))
+
 (* ---------- Weyl ---------- *)
 
 let test_weyl_known_counts () =
@@ -644,6 +686,7 @@ let () =
           Alcotest.test_case "0 layers = locals" `Quick test_template_zero_layers_local;
           Alcotest.test_case "self fidelity" `Quick test_template_fidelity_self;
           Alcotest.test_case "family angles" `Quick test_template_family_gate_angles;
+          Alcotest.test_case "fidelity allocation" `Quick test_template_fidelity_allocation;
         ] );
       ( "weyl",
         [
