@@ -147,16 +147,16 @@ let experiment_json ~echo cfg (e : Core.Registry.entry) =
   Core.Report.to_json ~name:e.name ~description:e.description ~seconds doc
 
 let artifact cfg ~scale ~echo entries =
-  Core.Json.Obj
+  Njson.Obj
     [
-      ("schema", Core.Json.String "nuop-bench/1");
-      ("date", Core.Json.String (today ()));
-      ("scale", Core.Json.String scale);
-      ("experiments", Core.Json.List (List.map (experiment_json ~echo cfg) entries));
+      ("schema", Njson.String "nuop-bench/1");
+      ("date", Njson.String (today ()));
+      ("scale", Njson.String scale);
+      ("experiments", Njson.List (List.map (experiment_json ~echo cfg) entries));
     ]
 
 let write_json ~out json =
-  let s = Core.Json.to_string json ^ "\n" in
+  let s = Njson.to_string json ^ "\n" in
   match out with
   | None -> print_string s
   | Some file ->
@@ -173,21 +173,21 @@ let verify_json file =
   let s = really_input_string ic len in
   close_in ic;
   let json =
-    match Core.Json.of_string_result s with
+    match Njson.of_string_result s with
     | Ok j -> j
     | Error msg ->
       Obs.Log.error "%s: JSON parse error: %s" file msg;
       exit 1
   in
   let entries =
-    Option.bind (Core.Json.member "experiments" json) Core.Json.to_list
+    Option.bind (Njson.member "experiments" json) Njson.to_list
     |> Option.value ~default:[]
   in
   let found =
     List.filter_map
       (fun e ->
-        match Core.Json.member "name" e with
-        | Some (Core.Json.String n) -> Some n
+        match Njson.member "name" e with
+        | Some (Njson.String n) -> Some n
         | _ -> None)
       entries
   in
@@ -247,9 +247,10 @@ let run_cached cfg file entries =
   in
   print_newline ();
   Printf.printf "Warm-vs-cold wall time (cache file %s):\n" file;
-  Core.Report.table
-    ~header:[ "experiment"; "cold (s)"; "warm (s)"; "speedup"; "identical" ]
-    rows
+  print_string
+    (Core.Report.block_to_string
+       (Core.Report.Table
+          { header = [ "experiment"; "cold (s)"; "warm (s)"; "speedup"; "identical" ]; rows }))
 
 (* ---------- serve-load: closed-loop load generator ---------- *)
 
@@ -266,14 +267,14 @@ let run_cached cfg file entries =
    ratio is the service-side evidence for the shared warm cache. *)
 
 let serve_load_line i =
-  Core.Json.to_string ~indent:0
-    (Core.Json.Obj
+  Njson.to_string ~indent:0
+    (Njson.Obj
        [
-         ("id", Core.Json.Int i);
-         ("op", Core.Json.String "compile");
-         ("app", Core.Json.String "qaoa");
-         ("qubits", Core.Json.Int 4);
-         ("seed", Core.Json.Int (3000 + i));
+         ("id", Njson.Int i);
+         ("op", Njson.String "compile");
+         ("app", Njson.String "qaoa");
+         ("qubits", Njson.Int 4);
+         ("seed", Njson.Int (3000 + i));
        ])
 
 let percentile sorted p =
@@ -302,8 +303,8 @@ let serve_load_phase ~requests ~clients config =
         ~reply:(fun line ->
           latencies.(i) <- Service.Deadline.now_ms () -. start;
           let ok =
-            match Core.Json.of_string_result line with
-            | Ok j -> Core.Json.member "ok" j = Some (Core.Json.Bool true)
+            match Njson.of_string_result line with
+            | Ok j -> Njson.member "ok" j = Some (Njson.Bool true)
             | Error _ -> false
           in
           Mutex.lock lock;
@@ -363,12 +364,17 @@ let run_serve_load ~requests ~clients ~workers =
       string_of_int err;
     ]
   in
-  Core.Report.table
-    ~header:[ "phase"; "req/s"; "p50 (ms)"; "p95 (ms)"; "p99 (ms)"; "errors" ]
-    [
-      row "cold" cold_tp cold_p50 cold_p95 cold_p99 cold_err;
-      row "warm" warm_tp warm_p50 warm_p95 warm_p99 warm_err;
-    ];
+  print_string
+    (Core.Report.block_to_string
+       (Core.Report.Table
+          {
+            header = [ "phase"; "req/s"; "p50 (ms)"; "p95 (ms)"; "p99 (ms)"; "errors" ];
+            rows =
+              [
+                row "cold" cold_tp cold_p50 cold_p95 cold_p99 cold_err;
+                row "warm" warm_tp warm_p50 warm_p95 warm_p99 warm_err;
+              ];
+          }));
   Printf.printf "warm/cold throughput: %.1fx\n%!"
     (if cold_tp > 0.0 then warm_tp /. cold_tp else 0.0)
 

@@ -560,7 +560,28 @@ let weyl_cmd =
     (Cmd.info "weyl" ~doc:"Weyl-chamber analysis of a two-qubit unitary")
     Term.(const run $ target $ seed)
 
-(* ---------- experiment ---------- *)
+(* ---------- experiment / design ---------- *)
+
+let json_arg =
+  Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as JSON instead of text.")
+
+let output_arg =
+  Arg.(
+    value & opt (some string) None
+    & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Write the report to $(docv).")
+
+(* The one report emitter: text or (with --json) the nuop-bench JSON
+   node, to stdout or (with -o) to a file. *)
+let emit_report ~json ~output ~name ~description doc =
+  let s =
+    if json then Njson.to_string (Core.Report.to_json ~name ~description doc) ^ "\n"
+    else Core.Report.render_text doc
+  in
+  match output with
+  | None ->
+    print_string s;
+    flush stdout
+  | Some file -> Out_channel.with_open_text file (fun oc -> output_string oc s)
 
 let experiment_cmd =
   let name_arg =
@@ -572,42 +593,17 @@ let experiment_cmd =
                (String.concat ", " Core.Registry.names)))
   in
   let paper = Arg.(value & flag & info [ "paper" ] ~doc:"Paper-scale sample counts.") in
-  let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as JSON instead of text.")
-  in
-  let output =
-    Arg.(
-      value & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Write the report to $(docv).")
-  in
   let run name paper json output =
     let cfg = if paper then Core.Config.paper else Core.Config.quick in
     (* case-insensitive lookup; a miss raises Invalid_argument listing
        every known experiment (caught by the entry point below) *)
     let e = Core.Registry.find_exn name in
-    let doc = e.Core.Registry.run cfg in
-    let s =
-      if json then
-        Core.Json.to_string
-          (Core.Report.to_json ~name:e.Core.Registry.name
-             ~description:e.Core.Registry.description doc)
-        ^ "\n"
-      else Core.Report.render_text doc
-    in
-    match output with
-    | None ->
-      print_string s;
-      flush stdout
-    | Some file ->
-      let oc = open_out file in
-      output_string oc s;
-      close_out oc
+    emit_report ~json ~output ~name:e.Core.Registry.name
+      ~description:e.Core.Registry.description (e.Core.Registry.run cfg)
   in
   Cmd.v
     (Cmd.info "experiment" ~doc:"Run one of the paper's table/figure reproductions")
-    Term.(const run $ name_arg $ paper $ json $ output)
-
-(* ---------- design ---------- *)
+    Term.(const run $ name_arg $ paper $ json_arg $ output_arg)
 
 let design_cmd =
   let paper = Arg.(value & flag & info [ "paper" ] ~doc:"Paper-scale sample counts.") in
@@ -622,40 +618,18 @@ let design_cmd =
       value & opt int 54
       & info [ "qubits" ] ~docv:"N" ~doc:"Device size for the calibration-cost model.")
   in
-  let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as JSON instead of text.")
-  in
-  let output =
-    Arg.(
-      value & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Write the report to $(docv).")
-  in
   let run paper smoke qubits json output =
     let cfg = if paper then Core.Config.paper else Core.Config.quick in
-    let doc = Core.Design.doc ~cfg ~n_qubits:qubits ~smoke () in
-    let s =
-      if json then
-        Core.Json.to_string
-          (Core.Report.to_json ~name:"design"
-             ~description:"searched instruction sets (Pareto frontier)" doc)
-        ^ "\n"
-      else Core.Report.render_text doc
-    in
-    match output with
-    | None ->
-      print_string s;
-      flush stdout
-    | Some file ->
-      let oc = open_out file in
-      output_string oc s;
-      close_out oc
+    emit_report ~json ~output ~name:"design"
+      ~description:"searched instruction sets (Pareto frontier)"
+      (Core.Design.doc ~cfg ~n_qubits:qubits ~smoke ())
   in
   Cmd.v
     (Cmd.info "design"
        ~doc:
          "Search a candidate gate-type pool for the expressivity-vs-calibration \
           Pareto frontier of instruction sets")
-    Term.(const run $ paper $ smoke $ qubits $ json $ output)
+    Term.(const run $ paper $ smoke $ qubits $ json_arg $ output_arg)
 
 (* ---------- trace ---------- *)
 

@@ -91,9 +91,7 @@ let run stack ctx =
     "pass_manager.run"
     (fun () -> List.map (fun pass -> run_pass pass ctx) stack)
 
-let total_time metrics = List.fold_left (fun acc m -> acc +. m.time_s) 0.0 metrics
-
-(* ---------- rendering (header + rows for Core.Report.table) ---------- *)
+(* ---------- rendering (header + rows for a Core.Report table) ---------- *)
 
 let header = [ "pass"; "time"; "1Q"; "2Q"; "SWAPs"; "depth"; "duration"; "cache h/m" ]
 

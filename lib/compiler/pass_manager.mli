@@ -27,10 +27,8 @@ val run : Pass.t list -> Pass.Context.t -> pass_metrics list
 (** Run the stack in order, mutating the context; one metrics record per
     pass. *)
 
-val total_time : pass_metrics list -> float
-
-(** Rendering helpers: a header and rows for [Core.Report.table] (also
-    used by the CLI's [compile --trace-passes]). *)
+(** Rendering helpers: a header and rows for a [Core.Report] table block
+    (also used by the CLI's [compile --trace-passes]). *)
 
 val header : string list
 val rows : pass_metrics list -> string list list

@@ -251,5 +251,3 @@ let doc ?(cfg = Config.default) () =
   ablation_pass_stack b cfg rng;
   ablation_coloring b;
   Report.Builder.doc b
-
-let run ?cfg () = Report.print (doc ?cfg ())

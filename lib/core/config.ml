@@ -68,17 +68,3 @@ let paper =
   }
 
 let default = quick
-
-let scale_between a b t =
-  (* linear interpolation helper for CLI --scale *)
-  let lerp x y = x + int_of_float (t *. float_of_int (y - x)) in
-  {
-    a with
-    qv_count = lerp a.qv_count b.qv_count;
-    qaoa_count = lerp a.qaoa_count b.qaoa_count;
-    fig6_unitaries = lerp a.fig6_unitaries b.fig6_unitaries;
-    fig8_grid = lerp a.fig8_grid b.fig8_grid;
-    fig8_qv = lerp a.fig8_qv b.fig8_qv;
-    fig8_qaoa = lerp a.fig8_qaoa b.fig8_qaoa;
-    trajectories = lerp a.trajectories b.trajectories;
-  }

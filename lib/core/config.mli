@@ -24,4 +24,3 @@ type t = {
 val quick : t
 val paper : t
 val default : t
-val scale_between : t -> t -> float -> t

@@ -143,5 +143,3 @@ let doc ?(cfg = Config.default) ?(n_qubits = 54) ?(smoke = false) () =
     | None -> ())
   | None -> ());
   Report.Builder.doc b
-
-let run ?cfg () = Report.print (doc ?cfg ())

@@ -5,5 +5,3 @@
 val doc : ?cfg:Config.t -> ?n_qubits:int -> ?smoke:bool -> unit -> Report.doc
 (** [smoke] shrinks the pool/samples/search to a seconds-long run for
     the CI alias (default false; default device: 54 qubits). *)
-
-val run : ?cfg:Config.t -> unit -> unit

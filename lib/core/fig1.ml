@@ -9,14 +9,12 @@ let doc ?cfg:(_ = Config.default) () =
     ~header:[ "framework block"; "implementation" ]
     [
       [ "QC applications (QV/QAOA/FH/QFT)"; "apps.Qv / Qaoa / Fermi_hubbard / Qft" ];
-      [ "candidate instruction sets (Table II)"; "compiler.Isa" ];
+      [ "candidate instruction sets (Table II)"; "isa.Set / Score / Search" ];
       [ "NuOp compilation pass"; "decompose.Nuop (+ Cache, Template)" ];
       [ "device models + calibration data"; "device.Aspen8 / Sycamore / Calibration" ];
       [ "realistic noise simulation"; "sim.Noisy / Density / Trajectory" ];
-      [ "calibration model (Sec IX)"; "calibration.Model / Sweep / Drift" ];
+      [ "calibration model (Sec IX)"; "calibration.Model / Drift, isa.Cost" ];
       [ "metrics (HOP / XED / XEB / success)"; "metrics.*" ];
       [ "design guidance output"; "core.Fig9 / Fig10 / Fig11" ];
     ];
   Report.Builder.doc b
-
-let run ?cfg () = Report.print (doc ?cfg ())

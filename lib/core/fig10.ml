@@ -191,5 +191,3 @@ let doc ?(cfg = Config.default) () =
      cross-type variation (e) the G1-G6 gains shrink; in (f) G7 consistently\n\
      beats S2 with the gap widening at higher error rates.\n";
   Report.Builder.doc b
-
-let run ?cfg () = Report.print (doc ?cfg ())

@@ -11,17 +11,20 @@ open Linalg
 let panel_a b =
   Report.Builder.subheading b "(a) calibration circuits vs #gate types and device size";
   let rows =
-    List.map
-      (fun r ->
-        [
-          string_of_int r.Calibration.Sweep.n_qubits;
-          string_of_int r.Calibration.Sweep.n_pairs;
-          string_of_int r.Calibration.Sweep.n_types;
-          Printf.sprintf "%.2e" (float_of_int r.Calibration.Sweep.circuits);
-        ])
-      (Calibration.Sweep.run
-         ~type_counts:[ 1; 2; 4; 6; 8; 10 ]
-         ())
+    List.concat_map
+      (fun n_qubits ->
+        let topology = Isa.Cost.grid_topology n_qubits in
+        List.map
+          (fun n_types ->
+            let cost = Isa.Cost.of_type_count ~topology n_types in
+            [
+              string_of_int n_qubits;
+              string_of_int cost.Isa.Cost.n_pairs;
+              string_of_int n_types;
+              Printf.sprintf "%.2e" (float_of_int cost.Isa.Cost.circuits);
+            ])
+          [ 1; 2; 4; 6; 8; 10 ])
+      [ 8; 54; 100; 500; 1000 ]
   in
   Report.Builder.table b ~header:[ "qubits"; "pairs"; "types"; "circuits" ] rows;
   let m = Calibration.Model.default in
@@ -85,5 +88,3 @@ let doc ?(cfg = Config.default) () =
   panel_a b;
   panel_b b cfg;
   Report.Builder.doc b
-
-let run ?cfg () = Report.print (doc ?cfg ())

@@ -69,5 +69,3 @@ let doc ?(cfg = Config.default) () =
     "\nPaper shape check: approx ~ exact at low error rates; approx wins at and\n\
      beyond the Sycamore operating point (0.62%%).\n";
   Report.Builder.doc b
-
-let run ?cfg () = Report.print (doc ?cfg ())

@@ -11,17 +11,14 @@
      `bench all --json` / `nuop experiment --json` to produce BENCH
      artifacts that track the reproduction over time.
 
-   The legacy direct-print helpers ([heading], [table], ...) remain for
-   interactive CLI subcommands; they render a single block through the
-   same text renderer. *)
+   [block_to_string] renders one block through the same text renderer
+   for the CLI and service paths that print a single table. *)
 
 type block =
   | Heading of string
   | Subheading of string
   | Table of { header : string list; rows : string list list }
   | Text of string  (** verbatim free text, printed as-is *)
-  | Series of { name : string; points : (float * float) list }
-  | Bars of { width : int; max_value : float; rows : (string * float) list }
   | Heatmap of {
       theta_axis : float list;
       phi_axis : float list;
@@ -36,23 +33,10 @@ let f2 v = Printf.sprintf "%.2f" v
 let f3 v = Printf.sprintf "%.3f" v
 let f4 v = Printf.sprintf "%.4f" v
 
-let bar ?(width = 40) ~max_value value =
-  let frac = if max_value <= 0.0 then 0.0 else Float.max 0.0 (value /. max_value) in
-  let n = int_of_float (Float.round (frac *. float_of_int width)) in
-  let n = min width n in
-  String.make n '#' ^ String.make (width - n) ' '
-
 (* One heatmap cell: mean gate count rendered as a single digit (counts
    above 9 are clamped). *)
 let heat_digit v =
   if Float.is_nan v then "." else string_of_int (min 9 (int_of_float (Float.round v)))
-
-(* Wall time (Obs.Clock), not process-CPU time: Domain-pool-parallel
-   experiments burn many CPU-seconds per wall second, and blocked time
-   must count too. *)
-let timer () =
-  let t0 = Obs.Clock.now () in
-  fun () -> Obs.Clock.now () -. t0
 
 (* ---------- text renderer ---------- *)
 
@@ -84,17 +68,6 @@ let render_block buf block =
     List.iteri (fun c _ -> bpf "%s  " (String.make widths.(c) '-')) header;
     bpf "\n";
     List.iter render_row rows
-  | Series { name; points } ->
-    bpf "%s:\n" name;
-    List.iter (fun (x, y) -> bpf "  %10.4f  %10.4f\n" x y) points
-  | Bars { width; max_value; rows } ->
-    let label_w =
-      List.fold_left (fun acc (label, _) -> max acc (String.length label)) 0 rows
-    in
-    List.iter
-      (fun (label, v) ->
-        bpf "%-*s |%s| %s\n" label_w label (bar ~width ~max_value v) (f4 v))
-      rows
   | Heatmap { theta_axis; phi_axis; cells } ->
     (* rows: theta descending so the origin is bottom-left like the paper *)
     List.iter
@@ -112,65 +85,51 @@ let render_text doc =
   List.iter (render_block buf) doc.blocks;
   Buffer.contents buf
 
+let block_to_string block =
+  let buf = Buffer.create 256 in
+  render_block buf block;
+  Buffer.contents buf
+
 let print doc =
   print_string (render_text doc);
   flush stdout
 
 (* ---------- JSON renderer ---------- *)
 
-let json_strings items = Json.List (List.map (fun s -> Json.String s) items)
-let json_floats items = Json.List (List.map (fun v -> Json.Float v) items)
+let json_strings items = Njson.List (List.map (fun s -> Njson.String s) items)
+let json_floats items = Njson.List (List.map (fun v -> Njson.Float v) items)
 
 let block_to_json = function
-  | Heading s -> Json.Obj [ ("type", Json.String "heading"); ("text", Json.String s) ]
+  | Heading s -> Njson.Obj [ ("type", Njson.String "heading"); ("text", Njson.String s) ]
   | Subheading s ->
-    Json.Obj [ ("type", Json.String "subheading"); ("text", Json.String s) ]
-  | Text s -> Json.Obj [ ("type", Json.String "text"); ("text", Json.String s) ]
+    Njson.Obj [ ("type", Njson.String "subheading"); ("text", Njson.String s) ]
+  | Text s -> Njson.Obj [ ("type", Njson.String "text"); ("text", Njson.String s) ]
   | Table { header; rows } ->
-    Json.Obj
+    Njson.Obj
       [
-        ("type", Json.String "table");
+        ("type", Njson.String "table");
         ("header", json_strings header);
-        ("rows", Json.List (List.map json_strings rows));
-      ]
-  | Series { name; points } ->
-    Json.Obj
-      [
-        ("type", Json.String "series");
-        ("name", Json.String name);
-        ("points", Json.List (List.map (fun (x, y) -> json_floats [ x; y ]) points));
-      ]
-  | Bars { width = _; max_value; rows } ->
-    Json.Obj
-      [
-        ("type", Json.String "bars");
-        ("max_value", Json.Float max_value);
-        ( "rows",
-          Json.List
-            (List.map
-               (fun (label, v) ->
-                 Json.Obj [ ("label", Json.String label); ("value", Json.Float v) ])
-               rows) );
+        ("rows", Njson.List (List.map json_strings rows));
       ]
   | Heatmap { theta_axis; phi_axis; cells } ->
-    Json.Obj
+    Njson.Obj
       [
-        ("type", Json.String "heatmap");
+        ("type", Njson.String "heatmap");
         ("theta_axis", json_floats theta_axis);
         ("phi_axis", json_floats phi_axis);
-        ("cells", Json.List (List.map json_floats cells));
+        ("cells", Njson.List (List.map json_floats cells));
       ]
 
 let to_json ?name ?description ?seconds doc =
   let optional key v f = match v with None -> [] | Some v -> [ (key, f v) ] in
-  Json.Obj
-    (optional "name" name (fun s -> Json.String s)
-    @ optional "description" description (fun s -> Json.String s)
-    @ optional "seconds" seconds (fun s -> Json.Float s)
+  Njson.Obj
+    (optional "name" name (fun s -> Njson.String s)
+    @ optional "description" description (fun s -> Njson.String s)
+    @ optional "seconds" seconds (fun s -> Njson.Float s)
     @ [
         ( "metrics",
-          Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) doc.metrics) );
-        ("blocks", Json.List (List.map block_to_json doc.blocks));
+          Njson.Obj (List.map (fun (k, v) -> (k, Njson.Float v)) doc.metrics) );
+        ("blocks", Njson.List (List.map block_to_json doc.blocks));
       ])
 
 (* ---------- document builder ---------- *)
@@ -191,8 +150,6 @@ module Builder = struct
   let heading b title = add b (Heading title)
   let subheading b title = add b (Subheading title)
   let table b ~header rows = add b (Table { header; rows })
-  let series b ~name points = add b (Series { name; points })
-  let bars b ?(width = 40) ~max_value rows = add b (Bars { width; max_value; rows })
 
   let text b s =
     match b.rev_blocks with
@@ -212,15 +169,6 @@ module Builder = struct
   let doc b = { blocks = List.rev b.rev_blocks; metrics = List.rev b.rev_metrics }
 end
 
-(* ---------- legacy direct-print API (interactive CLI paths) ---------- *)
-
-let block_to_string block =
-  let buf = Buffer.create 256 in
-  render_block buf block;
-  Buffer.contents buf
-
-let print_block block = print_string (block_to_string block)
-
 (* Collision-free artifact naming: BENCH_<date>.json from the same UTC
    day must never silently clobber an earlier run, so the second run of
    a day becomes BENCH_<date>-2.json, the third -3, and so on. *)
@@ -236,13 +184,3 @@ let fresh_path path =
     in
     next 2
   end
-
-let heading title = print_block (Heading title)
-let subheading title = print_block (Subheading title)
-let table ~header rows = print_block (Table { header; rows })
-
-let heatmap ~theta_axis ~phi_axis ~cell =
-  let cells =
-    List.map (fun theta -> List.map (fun phi -> cell ~theta ~phi) phi_axis) theta_axis
-  in
-  print_block (Heatmap { theta_axis; phi_axis; cells })

@@ -9,8 +9,6 @@ type block =
   | Subheading of string
   | Table of { header : string list; rows : string list list }
   | Text of string  (** verbatim free text, printed as-is *)
-  | Series of { name : string; points : (float * float) list }
-  | Bars of { width : int; max_value : float; rows : (string * float) list }
   | Heatmap of {
       theta_axis : float list;
       phi_axis : float list;
@@ -32,8 +30,6 @@ module Builder : sig
   val heading : t -> string -> unit
   val subheading : t -> string -> unit
   val table : t -> header:string list -> string list list -> unit
-  val series : t -> name:string -> (float * float) list -> unit
-  val bars : t -> ?width:int -> max_value:float -> (string * float) list -> unit
   val text : t -> string -> unit
   (** Verbatim text; consecutive fragments merge into one block. *)
 
@@ -57,10 +53,15 @@ end
 val render_text : doc -> string
 (** Byte-identical to the pre-document printed output. *)
 
+val block_to_string : block -> string
+(** One block rendered exactly as {!render_text} renders it inside a
+    document; outputs made of a single table use it, so served responses
+    embed CLI-identical text. *)
+
 val print : doc -> unit
 (** [print d] writes [render_text d] to stdout and flushes. *)
 
-val to_json : ?name:string -> ?description:string -> ?seconds:float -> doc -> Json.t
+val to_json : ?name:string -> ?description:string -> ?seconds:float -> doc -> Njson.t
 (** Structured form: name/description/wall-time (when given), the
     headline metrics object, and every block as a typed JSON node. *)
 
@@ -69,32 +70,10 @@ val to_json : ?name:string -> ?description:string -> ?seconds:float -> doc -> Js
 val f2 : float -> string
 val f3 : float -> string
 val f4 : float -> string
-val bar : ?width:int -> max_value:float -> float -> string
 val heat_digit : float -> string
-val timer : unit -> unit -> float
-
-(** {1 Legacy direct-print API}
-
-    Single blocks rendered straight to stdout — used by interactive CLI
-    subcommands ([nuop devices], [nuop compile --trace-passes], ...). *)
-
-val block_to_string : block -> string
-(** One block rendered exactly as the text renderer would print it —
-    the string form behind the direct-print API below, shared with the
-    service layer so served responses can embed CLI-identical tables. *)
 
 val fresh_path : string -> string
 (** [fresh_path p] is [p] when no file exists there, else the first of
     [stem-2.ext], [stem-3.ext], ... that does not exist — artifact
     writers use it so a same-day rerun never silently overwrites an
     earlier artifact. *)
-
-val heading : string -> unit
-val subheading : string -> unit
-val table : header:string list -> string list list -> unit
-
-val heatmap :
-  theta_axis:float list ->
-  phi_axis:float list ->
-  cell:(theta:float -> phi:float -> float) ->
-  unit

@@ -99,7 +99,7 @@ let evaluate_suite ?options ?stack ?domains ~device ~isa ~metric circuits =
   assert (circuits <> []);
   let n = float_of_int (List.length circuits) in
   let evaluations =
-    Parallel.map ?domains
+    Concurrent.Domain_pool.map ?domains
       (fun circuit -> evaluate_circuit ?options ?stack ~device ~isa ~metric circuit)
       circuits
   in
@@ -137,13 +137,6 @@ let results_table ~metric results =
 let add_results b ~metric results =
   Report.Builder.table b ~header:(results_header ~metric) (List.map result_row results)
 
-let print_results ~metric results =
-  Report.table ~header:(results_header ~metric) (List.map result_row results)
-
 let add_pass_metrics b metrics =
   Report.Builder.table b ~header:Compiler.Pass_manager.header
-    (Compiler.Pass_manager.rows metrics)
-
-let print_pass_metrics metrics =
-  Report.table ~header:Compiler.Pass_manager.header
     (Compiler.Pass_manager.rows metrics)

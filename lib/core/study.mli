@@ -48,7 +48,7 @@ val evaluate_suite :
   Qcir.Circuit.t list ->
   result
 (** Evaluates the circuits on the Domain pool ([domains] defaults to
-    {!Parallel.default_domains}); the result record is identical at every
+    {!Concurrent.Domain_pool.default_domains}); the result record is identical at every
     pool size, including the sequential fallback at pool size 1. *)
 
 val result_row : result -> string list
@@ -58,10 +58,6 @@ val results_table : metric:metric -> result list -> Report.block
 (** The results as a typed table block for a {!Report.doc}. *)
 
 val add_results : Report.Builder.t -> metric:metric -> result list -> unit
-val print_results : metric:metric -> result list -> unit
 
 val add_pass_metrics :
   Report.Builder.t -> Compiler.Pass_manager.pass_metrics list -> unit
-
-val print_pass_metrics : Compiler.Pass_manager.pass_metrics list -> unit
-(** Per-pass metrics as a {!Report.table}. *)

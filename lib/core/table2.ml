@@ -15,5 +15,3 @@ let doc ?cfg:(_ = Config.default) () =
     ~header:[ "set"; "#2Q types"; "gate types" ]
     (List.map row Isa.Set.all);
   Report.Builder.doc b
-
-let run ?cfg () = Report.print (doc ?cfg ())

@@ -200,10 +200,15 @@ let get_string field j =
   | Some s -> s
   | None -> fail "Device.of_json: field %S must be a string" field
 
-let get_float field j =
-  match Njson.to_float_value (get field j) with
-  | Some f -> f
+(* Every stored number must be finite: the JSON codec writes infinity
+   as 1e999, which would otherwise load as a T1 or an error rate. *)
+let number field v =
+  match Njson.to_float_value v with
+  | Some f when Float.is_finite f -> f
+  | Some _ -> fail "Device.of_json: field %S must be finite" field
   | None -> fail "Device.of_json: field %S must be a number" field
+
+let get_float field j = number field (get field j)
 
 let get_list field j =
   match Njson.to_list (get field j) with
@@ -233,13 +238,21 @@ let edge_of_json j =
 let float_array_to_json arr =
   Njson.List (Array.to_list (Array.map (fun f -> Njson.Float f) arr))
 
-let float_array_of_json field j =
-  get_list field j
-  |> List.map (fun v ->
-         match Njson.to_float_value v with
-         | Some f -> f
-         | None -> fail "Device.of_json: field %S must hold numbers" field)
-  |> Array.of_list
+(* Error rates are probabilities below 1 and times are positive: values
+   outside these ranges load as numbers but zero every ESP or trip the
+   noise-channel constructors, so they are refused here. *)
+let probability = ("in [0, 1)", fun v -> v >= 0.0 && v < 1.0)
+let positive = ("positive", fun v -> v > 0.0)
+
+let in_range (what, ok) field v =
+  if not (ok v) then fail "Device.of_json: field %S must be %s (got %g)" field what v;
+  v
+
+let per_qubit_of_json ~n range field j =
+  let values = get_list field j in
+  if List.length values <> n then
+    fail "Device.of_json: field %S needs %d values (got %d)" field n (List.length values);
+  Array.of_list (List.map (fun v -> in_range range field (number field v)) values)
 
 let entry_to_json value_key (edge, type_name, v) =
   Njson.Obj
@@ -365,10 +378,12 @@ let of_json j =
   in
   let calibration =
     Calibration.make ~topology
-      ~oneq_error:(float_array_of_json "oneq_error" j)
-      ~readout_error:(float_array_of_json "readout_error" j)
-      ~t1:(float_array_of_json "t1" j) ~t2:(float_array_of_json "t2" j)
-      ~duration_1q:(get_float "duration_1q" j) ~duration_2q:(get_float "duration_2q" j)
+      ~oneq_error:(per_qubit_of_json ~n probability "oneq_error" j)
+      ~readout_error:(per_qubit_of_json ~n probability "readout_error" j)
+      ~t1:(per_qubit_of_json ~n positive "t1" j)
+      ~t2:(per_qubit_of_json ~n positive "t2" j)
+      ~duration_1q:(in_range positive "duration_1q" (get_float "duration_1q" j))
+      ~duration_2q:(in_range positive "duration_2q" (get_float "duration_2q" j))
       ~family_error
       ~family_error_scale:(get_float "scale" family_obj) ()
   in

@@ -11,9 +11,8 @@
    fidelity curve, so scoring many overlapping sets — or re-running a
    figure — re-optimizes nothing.
 
-   Parallelism note: maps run on Concurrent.Domain_pool (the pool
-   Core.Parallel re-exports; this library sits below core so it uses
-   the pool directly).  The pool preserves input order and each
+   Parallelism note: maps run on Concurrent.Domain_pool, the one pool
+   the library uses.  The pool preserves input order and each
    (type, unitary) job is independent and deterministic, so results are
    bit-identical at any pool size. *)
 

@@ -19,9 +19,8 @@ val split : t -> int -> t
 (** [split t i] derives the [i]-th substream of [t]: a pure function of
     the parent's current state and [i] that does not advance the parent.
     Equal [(state, i)] pairs always yield equal streams, and distinct
-    indices yield pairwise distinct streams — the per-task seeding rule
-    used by [Core.Parallel] so parallel and sequential schedules draw
-    identical numbers. *)
+    indices yield pairwise distinct streams — the per-case seeding rule
+    of [Proptest], so any case replays alone from its index. *)
 
 val float : t -> float
 (** Uniform in [0, 1). *)

@@ -10,7 +10,20 @@ let resolve_device ?qubits spec =
   if Sys.file_exists spec && not (Sys.is_directory spec) then Device.of_file spec
   else Device.Registry.build ?qubits spec
 
+(* Request parameters reach the app builders from the CLI and from the
+   wire, so their preconditions (which the builders only assert) are
+   checked here and fail as Invalid_argument naming the field.  [fh]
+   widens any request to its own 4-qubit minimum. *)
+let check_qubits ~app qubits =
+  let least =
+    match app with "qv" | "qaoa" -> 2 | "qft" -> 1 | _ -> min_int
+  in
+  if qubits < least then
+    invalid_arg
+      (Printf.sprintf "qubits must be at least %d for app %s (got %d)" least app qubits)
+
 let benchmark_circuit ~app ~qubits ~seed =
+  check_qubits ~app qubits;
   let rng = Linalg.Rng.create seed in
   match app with
   | "qv" -> List.hd (Apps.Qv.circuits rng ~count:1 qubits)
@@ -27,6 +40,8 @@ let study_metric = function
   | a -> invalid_arg (Printf.sprintf "unknown app %s" a)
 
 let study_circuits ~app ~qubits ~count ~seed =
+  if count < 1 then invalid_arg (Printf.sprintf "count must be at least 1 (got %d)" count);
+  check_qubits ~app qubits;
   let rng = Linalg.Rng.create seed in
   match app with
   | "qv" -> Apps.Qv.circuits rng ~count qubits

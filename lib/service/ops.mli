@@ -15,7 +15,8 @@ val resolve_device : ?qubits:int -> string -> Device.t
 val benchmark_circuit : app:string -> qubits:int -> seed:int -> Qcir.Circuit.t
 (** The generator spec shared by compile, [cache warm] and the service:
     one benchmark circuit ([qv], [qaoa], [qft], [fh]) at the given width
-    and seed. *)
+    and seed.  Raises [Invalid_argument] naming [qubits] below the app's
+    minimum width (2 for [qv]/[qaoa], 1 for [qft]). *)
 
 val study_metric : string -> Core.Study.metric
 (** The metric each benchmark app is scored under ([qv] → Hop, [qaoa] →
@@ -23,7 +24,9 @@ val study_metric : string -> Core.Study.metric
 
 val study_circuits :
   app:string -> qubits:int -> count:int -> seed:int -> Qcir.Circuit.t list
-(** The circuit suite [nuop study] evaluates for one app. *)
+(** The circuit suite [nuop study] evaluates for one app.  Raises
+    [Invalid_argument] naming [count] below 1 or [qubits] below the
+    app's minimum width. *)
 
 val compile_text :
   ?optimize:bool ->

@@ -53,26 +53,6 @@ let test_continuous_overhead () =
   let f1 = Calibration.Model.continuous_overhead_factor ~n_types:1 in
   check_bool "525x vs single" true (Float.abs (f1 -. 525.0) < 1e-9)
 
-let test_sweep_rows () =
-  let rows =
-    Calibration.Sweep.run ~device_sizes:[ 8; 54 ] ~type_counts:[ 1; 10 ] ()
-  in
-  check_int "4 rows" 4 (List.length rows);
-  List.iter
-    (fun r ->
-      check_bool "positive" true (r.Calibration.Sweep.circuits > 0);
-      check_bool "hours" true (r.Calibration.Sweep.hours_serial > 0.0))
-    rows
-
-let test_sweep_monotone () =
-  let rows = Calibration.Sweep.run ~device_sizes:[ 54 ] ~type_counts:[ 1; 2; 3; 4 ] () in
-  let circuits = List.map (fun r -> r.Calibration.Sweep.circuits) rows in
-  let rec increasing = function
-    | a :: (b :: _ as rest) -> a < b && increasing rest
-    | _ -> true
-  in
-  check_bool "monotone in types" true (increasing circuits)
-
 let prop_total_positive =
   QCheck.Test.make ~count:50 ~name:"totals positive and linear"
     QCheck.(pair (int_range 1 2000) (int_range 1 20))
@@ -92,11 +72,6 @@ let () =
           Alcotest.test_case "linear scaling" `Quick test_linear_scaling;
           Alcotest.test_case "time models" `Quick test_time_models;
           Alcotest.test_case "continuous overhead" `Quick test_continuous_overhead;
-        ] );
-      ( "sweep",
-        [
-          Alcotest.test_case "rows" `Quick test_sweep_rows;
-          Alcotest.test_case "monotone" `Quick test_sweep_monotone;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_total_positive ]);
     ]

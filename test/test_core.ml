@@ -121,15 +121,15 @@ let test_json_roundtrip () =
         Core.Report.to_json ~name ~description:e.Core.Registry.description
           ~seconds:1.25 (e.Core.Registry.run Core.Config.quick)
       in
-      let s = Core.Json.to_string json in
-      let reparsed = Core.Json.of_string s in
+      let s = Njson.to_string json in
+      let reparsed = Njson.of_string s in
       check_bool (name ^ " tree preserved") true (reparsed = json);
-      Alcotest.(check string) (name ^ " fixed point") s (Core.Json.to_string reparsed))
+      Alcotest.(check string) (name ^ " fixed point") s (Njson.to_string reparsed))
     [ "table2"; "fig3"; "fig11" ]
 
 let test_json_escapes () =
-  let j = Core.Json.(Obj [ ("k\"ey", String "a\nb\tc\\ \x01") ]) in
-  check_bool "roundtrip" true (Core.Json.of_string (Core.Json.to_string j) = j)
+  let j = Njson.(Obj [ ("k\"ey", String "a\nb\tc\\ \x01") ]) in
+  check_bool "roundtrip" true (Njson.of_string (Njson.to_string j) = j)
 
 let test_registry_complete () =
   Alcotest.(check int) "16 experiments" 16 (List.length Core.Registry.all);
@@ -148,14 +148,7 @@ let test_parallel_map_order () =
   Alcotest.(check (list int))
     "order preserved"
     (List.map (fun x -> x * x) xs)
-    (Core.Parallel.map ~domains:4 (fun x -> x * x) xs)
-
-let test_parallel_map_seeded_deterministic () =
-  let draw rng _ = Rng.float rng in
-  let one domains =
-    Core.Parallel.map_seeded ~domains ~rng:(Rng.create 7) draw (List.init 16 Fun.id)
-  in
-  Alcotest.(check (list (float 0.0))) "pool size invariant" (one 1) (one 4)
+    (Concurrent.Domain_pool.map ~domains:4 (fun x -> x * x) xs)
 
 let test_evaluate_suite_pool_invariant () =
   (* the acceptance criterion: identical result records at pool size 1
@@ -178,14 +171,11 @@ let test_evaluate_suite_pool_invariant () =
     [ 2; 4 ]
 
 let test_report_table_shapes () =
-  Core.Report.table ~header:[ "a"; "b" ] [ [ "1"; "2" ]; [ "3"; "4" ] ];
-  check_bool "printed" true true
-
-let test_report_bar () =
-  Alcotest.(check int) "width" 10
-    (String.length (Core.Report.bar ~width:10 ~max_value:1.0 0.5));
-  check_bool "half filled" true
-    (String.length (String.trim (Core.Report.bar ~width:10 ~max_value:1.0 0.5)) = 5)
+  (* columns pad to the widest cell plus two spaces, header ruled *)
+  Alcotest.(check string)
+    "rendered" "a    bb  \n---  --  \n1    2   \n333  4   \n"
+    (Core.Report.block_to_string
+       (Core.Report.Table { header = [ "a"; "bb" ]; rows = [ [ "1"; "2" ]; [ "333"; "4" ] ] }))
 
 let test_report_heat_digit () =
   Alcotest.(check string) "clamps" "9" (Core.Report.heat_digit 15.0);
@@ -210,7 +200,6 @@ let () =
       ( "report",
         [
           Alcotest.test_case "table" `Quick test_report_table_shapes;
-          Alcotest.test_case "bar" `Quick test_report_bar;
           Alcotest.test_case "heat digit" `Quick test_report_heat_digit;
         ] );
       ( "document",
@@ -223,8 +212,6 @@ let () =
       ( "parallel",
         [
           Alcotest.test_case "map preserves order" `Quick test_parallel_map_order;
-          Alcotest.test_case "map_seeded deterministic" `Quick
-            test_parallel_map_seeded_deterministic;
           Alcotest.test_case "evaluate_suite pool invariant" `Slow
             test_evaluate_suite_pool_invariant;
         ] );

@@ -302,6 +302,50 @@ let test_golden_snapshot_matches_builder () =
     (List.map Gates.Gate_type.name (Isa.Set.gate_types (Device.native_isa golden))
     = List.map Gates.Gate_type.name (Isa.Set.gate_types (Device.native_isa built)))
 
+(* a snapshot is outside input: mutate one field of the golden file at a
+   time (through its JSON text, so infinity travels as 1e999) and expect
+   Invalid_argument naming that field *)
+let test_snapshot_values_validated () =
+  let golden =
+    Njson.of_string (In_channel.with_open_text "golden/aspen8.json" In_channel.input_all)
+  in
+  let set field f = function
+    | Njson.Obj kvs ->
+      Njson.Obj (List.map (fun (k, v) -> if k = field then (k, f v) else (k, v)) kvs)
+    | j -> j
+  in
+  let every x = function
+    | Njson.List l -> Njson.List (List.map (fun _ -> Njson.Float x) l)
+    | j -> j
+  in
+  let first x = function
+    | Njson.List (_ :: rest) -> Njson.List (Njson.Float x :: rest)
+    | j -> j
+  in
+  let drop_one = function Njson.List (_ :: rest) -> Njson.List rest | j -> j in
+  let value x _ = Njson.Float x in
+  List.iter
+    (fun (field, mutate) ->
+      match Device.of_string (Njson.to_string (mutate golden)) with
+      | _ -> Alcotest.fail (field ^ ": mutated snapshot loaded")
+      | exception Invalid_argument msg ->
+        check_bool
+          (Printf.sprintf "%s named in %s" field msg)
+          true
+          (Astring.String.is_infix ~affix:(Printf.sprintf "%S" field) msg))
+    [
+      ("oneq_error", set "oneq_error" (every 1.5));
+      ("oneq_error", set "oneq_error" (first (-0.01)));
+      ("readout_error", set "readout_error" (first 1.0));
+      ("t1", set "t1" (every (-5e-5)));
+      ("t1", set "t1" drop_one);
+      ("t2", set "t2" (first 0.0));
+      ("t2", set "t2" (first infinity));
+      ("duration_1q", set "duration_1q" (value 0.0));
+      ("duration_2q", set "duration_2q" (value (-1e-9)));
+      ("drifted_hours", set "provenance" (set "drifted_hours" (value infinity)));
+    ]
+
 let test_device_registry_lookup () =
   check_bool "case-insensitive" true
     (Option.is_some (Device.Registry.find "Aspen8"));
@@ -353,6 +397,8 @@ let () =
       ( "device",
         [
           Alcotest.test_case "golden snapshot" `Quick test_golden_snapshot_matches_builder;
+          Alcotest.test_case "snapshot values validated" `Quick
+            test_snapshot_values_validated;
           Alcotest.test_case "registry lookup" `Quick test_device_registry_lookup;
         ] );
     ]

@@ -50,11 +50,6 @@ let test_find_exn_lists_names () =
       && Astring.String.is_infix ~affix:"Full_fSim" msg)
   | _ -> Alcotest.fail "find_exn should raise on unknown names"
 
-let test_compiler_alias () =
-  (* the deprecated Compiler.Isa alias is the same module as Isa.Set *)
-  check_bool "alias g2" true (Isa.Set.name Compiler.Isa.g2 = "G2");
-  check_int "alias size" 8 (Compiler.Isa.size Isa.Set.g7)
-
 (* ---------- Cost ---------- *)
 
 let test_effective_types () =
@@ -235,7 +230,6 @@ let () =
           Alcotest.test_case "make rejects empty" `Quick test_make_rejects_empty;
           Alcotest.test_case "find is case-insensitive" `Quick test_find_case_insensitive;
           Alcotest.test_case "find_exn lists known names" `Quick test_find_exn_lists_names;
-          Alcotest.test_case "Compiler.Isa alias" `Quick test_compiler_alias;
         ] );
       ( "cost",
         [

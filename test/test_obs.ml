@@ -226,25 +226,25 @@ let test_pool_spans_validate () =
          name the pool.map span as its parent *)
       let objs =
         In_channel.with_open_text file In_channel.input_lines
-        |> List.map Core.Json.of_string
+        |> List.map Njson.of_string
       in
-      let name_of j = Core.Json.member "name" j in
+      let name_of j = Njson.member "name" j in
       let starts name =
         List.filter
           (fun j ->
-            Core.Json.member "ev" j = Some (Core.Json.String "start")
-            && name_of j = Some (Core.Json.String name))
+            Njson.member "ev" j = Some (Njson.String "start")
+            && name_of j = Some (Njson.String name))
           objs
       in
       let map_id =
         match starts "pool.map" with
-        | [ j ] -> Core.Json.member "id" j
+        | [ j ] -> Njson.member "id" j
         | l -> Alcotest.failf "expected one pool.map span, got %d" (List.length l)
       in
       let task_starts = starts "pool.task" in
       check_int "one task span per item" tasks (List.length task_starts);
       check_bool "tasks parent on pool.map" true
-        (List.for_all (fun j -> Core.Json.member "parent" j = map_id) task_starts))
+        (List.for_all (fun j -> Njson.member "parent" j = map_id) task_starts))
 
 (* ---------- repo-wide invariant: instrumentation only via Obs ----------
 

@@ -257,6 +257,31 @@ let test_ops_bad_device_is_typed () =
       check_bool "bad_request" true
         (e.Service.Protocol.kind = Service.Protocol.Bad_request))
 
+(* out-of-range widths and counts used to reach the app builders'
+   assertions and come back as [internal] errors *)
+let test_ops_out_of_range_params_are_typed () =
+  List.iter
+    (fun (line, field) ->
+      match Service.Protocol.parse line with
+      | Error _ -> Alcotest.fail ("parse failed: " ^ line)
+      | Ok req -> (
+        match Service.Ops.execute req with
+        | Ok _ -> Alcotest.fail ("accepted " ^ line)
+        | Error e ->
+          check_bool (line ^ " is bad_request") true
+            (e.Service.Protocol.kind = Service.Protocol.Bad_request);
+          check_bool
+            (Printf.sprintf "%s names %s (%s)" line field e.Service.Protocol.message)
+            true
+            (Astring.String.is_prefix ~affix:field e.Service.Protocol.message)))
+    [
+      ({|{"op":"score","count":0}|}, "count");
+      ({|{"op":"compile","app":"qft","qubits":0}|}, "qubits");
+      ({|{"op":"score","app":"qft","qubits":0}|}, "qubits");
+      ({|{"op":"compile","app":"qv","qubits":-2}|}, "qubits");
+      ({|{"op":"compile","app":"qaoa","qubits":1}|}, "qubits");
+    ]
+
 let () =
   Alcotest.run "service"
     [
@@ -295,5 +320,7 @@ let () =
           Alcotest.test_case "drain refusal" `Quick test_server_refuses_after_drain;
           Alcotest.test_case "stats op" `Quick test_server_stats_op;
           Alcotest.test_case "typed bad device" `Quick test_ops_bad_device_is_typed;
+          Alcotest.test_case "typed out-of-range params" `Quick
+            test_ops_out_of_range_params_are_typed;
         ] );
     ]
