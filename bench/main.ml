@@ -336,7 +336,6 @@ let serve_load_phase ~requests ~clients config =
 let run_serve_load ~requests ~clients ~workers =
   let config =
     {
-      Service.Server.default_config with
       Service.Server.workers;
       (* the closed loop holds at most [clients] outstanding, so this
          queue never refuses — serve-load measures latency, the queue

@@ -697,7 +697,6 @@ let serve_cmd =
   let run socket queue workers =
     let config =
       {
-        Service.Server.default_config with
         Service.Server.queue_depth = queue;
         workers =
           (match workers with

@@ -385,5 +385,3 @@ let default_stack = [ placement; route (); lower; compact; schedule_pass ]
 (* Default stack plus the peephole passes the refactor unlocked. *)
 let optimized_stack =
   [ placement; route (); lower; merge_oneq; elide_trivial (); compact; schedule_pass ]
-
-let find_in stack n = List.find_opt (fun p -> p.name = n) stack

@@ -146,5 +146,3 @@ val default_stack : t list
 val optimized_stack : t list
 (** [default_stack] plus [merge_oneq] and [elide_trivial] before
     compaction. *)
-
-val find_in : t list -> string -> t option

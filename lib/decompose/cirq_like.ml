@@ -51,5 +51,3 @@ let decompose ~target_gate u =
       Some { gate_count = 2; decomposition_error = kak_error }
     else None
   | _ -> None
-
-let supports ~target_gate u = Option.is_some (decompose ~target_gate u)

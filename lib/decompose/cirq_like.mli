@@ -10,5 +10,4 @@ type result = { gate_count : int; decomposition_error : float }
 val kak_error : float
 
 val decompose : target_gate:Gates.Gate_type.t -> Mat.t -> result option
-val supports : target_gate:Gates.Gate_type.t -> Mat.t -> bool
 val is_controlled_phase_class : Mat.t -> bool

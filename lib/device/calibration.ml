@@ -153,13 +153,6 @@ let map_twoq_errors t f =
     (fun (key, e) -> Hashtbl.replace t.twoq_error key (clamp_error e))
     updates
 
-let known_types t edge =
-  let a, b = Topology.canonical edge in
-  Hashtbl.fold
-    (fun (x, y, name) _ acc -> if x = a && y = b then name :: acc else acc)
-    t.twoq_error []
-  |> List.sort compare
-
 let mean_twoq_error t gate_type =
   let es = List.map (fun e -> twoq_error t e gate_type) (Topology.edges t.topology) in
   match es with

@@ -76,7 +76,6 @@ val map_twoq_errors : t -> ((int * int) -> string -> float -> float) -> unit
 (** In-place transform of every stored fixed-type error rate (clamped);
     used by the calibration-drift simulation. *)
 
-val known_types : t -> int * int -> string list
 val mean_twoq_error : t -> Gates.Gate_type.t -> float
 
 (** {2 Snapshot access}

@@ -33,12 +33,6 @@ let param_count = function
   | Fsim_family -> 2
   | Xy_family | Cphase_family -> 1
 
-let param_bounds = function
-  | Fixed _ -> [||]
-  | Fsim_family -> [| (0.0, Float.pi /. 2.0); (0.0, Float.pi) |]
-  | Xy_family -> [| (0.0, Float.pi) |]
-  | Cphase_family -> [| (0.0, Float.pi) |]
-
 let instantiate t params =
   match t with
   | Fixed { unitary; _ } ->

@@ -21,7 +21,6 @@ val compare : t -> t -> int
 val param_count : t -> int
 (** Number of free angles (0 for fixed types). *)
 
-val param_bounds : t -> (float * float) array
 val instantiate : t -> float array -> Mat.t
 val is_family : t -> bool
 

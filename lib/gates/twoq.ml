@@ -80,8 +80,3 @@ let zz beta =
 (* exp(-i theta (XX+YY)/2): the Fermi-Hubbard hopping interaction; equals
    fSim(theta, 0). *)
 let hopping theta = fsim theta 0.0
-
-let kron_1q a b = Mat.kron a b
-
-let embed_oneq_on_first u = Mat.kron u Oneq.identity
-let embed_oneq_on_second u = Mat.kron Oneq.identity u

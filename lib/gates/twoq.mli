@@ -27,9 +27,3 @@ val zz : float -> Mat.t
 val hopping : float -> Mat.t
 (** [hopping theta] = exp(-i theta (XX+YY)/2), the Fermi-Hubbard hopping
     interaction; equals fSim(theta, 0). *)
-
-val kron_1q : Mat.t -> Mat.t -> Mat.t
-(** Kronecker product of two single-qubit matrices. *)
-
-val embed_oneq_on_first : Mat.t -> Mat.t
-val embed_oneq_on_second : Mat.t -> Mat.t

@@ -62,9 +62,6 @@ let google_multis = [ g1; g2; g3; g4; g5; g6; g7 ]
 let rigetti_singles = [ s2; s3; s4; s5; s6 ]
 let rigetti_multis = [ r1; r2; r3; r4; r5 ]
 
-let google_suite = google_singles @ google_multis @ [ full_fsim ]
-let rigetti_suite = rigetti_singles @ rigetti_multis @ [ full_xy ]
-
 let all = google_singles @ google_multis @ rigetti_multis @ [ full_xy; full_fsim; full_cphase ]
 
 let find name_str =

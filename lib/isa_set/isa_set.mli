@@ -52,8 +52,6 @@ val google_singles : t list
 val google_multis : t list
 val rigetti_singles : t list
 val rigetti_multis : t list
-val google_suite : t list
-val rigetti_suite : t list
 val all : t list
 
 val find : string -> t option

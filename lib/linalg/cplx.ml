@@ -41,8 +41,6 @@ let scale s t = { re = s *. t.re; im = s *. t.im }
 let equal ?(eps = 1e-12) a b =
   Float.abs (a.re -. b.re) <= eps && Float.abs (a.im -. b.im) <= eps
 
-let is_real ?(eps = 1e-12) t = Float.abs t.im <= eps
-
 let pp ppf t =
   if t.im >= 0.0 then Fmt.pf ppf "%.6g+%.6gi" t.re t.im
   else Fmt.pf ppf "%.6g-%.6gi" t.re (Float.abs t.im)

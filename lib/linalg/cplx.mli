@@ -39,7 +39,6 @@ val cis : float -> t
 
 val scale : float -> t -> t
 val equal : ?eps:float -> t -> t -> bool
-val is_real : ?eps:float -> t -> bool
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 

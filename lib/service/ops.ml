@@ -106,14 +106,17 @@ let devices_list_text () =
 
 let ( let* ) = Result.bind
 
-(* compile/score parameter block shared by both ops *)
+(* compile/score parameter block shared by both ops.  A served request
+   names a registry device, never a file: the CLI's [resolve_device]
+   would let a client make the server read any path, and a file named
+   like a registry device would shadow it. *)
 let common_params body =
   let* isa_name = Protocol.str_field ~default:"G7" body "isa" in
   let* app = Protocol.str_field ~default:"qaoa" body "app" in
   let* qubits = Protocol.int_field ~default:4 body "qubits" in
   let* seed = Protocol.int_field ~default:2021 body "seed" in
-  let* device_spec = Protocol.str_field ~default:"sycamore" body "device" in
-  Ok (isa_name, app, qubits, seed, device_spec)
+  let* device_name = Protocol.str_field ~default:"sycamore" body "device" in
+  Ok (isa_name, app, qubits, seed, device_name)
 
 (* User errors live in Invalid_argument (unknown set/device/app, bad
    snapshot) or Qasm.Parse_error (bad circuit text); both become typed
@@ -128,7 +131,7 @@ let guard f =
 
 let run_compile body =
   guard @@ fun () ->
-  let* isa_name, app, qubits, seed, device_spec = common_params body in
+  let* isa_name, app, qubits, seed, device_name = common_params body in
   let* optimize = Protocol.bool_field ~default:false body "optimize" in
   let* trace_passes = Protocol.bool_field ~default:false body "trace_passes" in
   let* print_schedule = Protocol.bool_field ~default:false body "schedule" in
@@ -141,7 +144,7 @@ let run_compile body =
     | None -> (app, benchmark_circuit ~app ~qubits ~seed)
   in
   let qubits = max qubits (Qcir.Circuit.n_qubits circuit) in
-  let device = resolve_device ~qubits:(max 4 qubits) device_spec in
+  let device = Device.Registry.build ~qubits:(max 4 qubits) device_name in
   let text, compiled =
     compile_text ~optimize ~trace_passes ~print_schedule ~print_circuit ~device ~isa
       ~isa_name ~app circuit
@@ -161,10 +164,10 @@ let run_compile body =
 
 let run_score body =
   guard @@ fun () ->
-  let* isa_name, app, qubits, seed, device_spec = common_params body in
+  let* isa_name, app, qubits, seed, device_name = common_params body in
   let* count = Protocol.int_field ~default:5 body "count" in
   let isa = Isa.Set.find_exn isa_name in
-  let device = resolve_device ~qubits:(max 4 qubits) device_spec in
+  let device = Device.Registry.build ~qubits:(max 4 qubits) device_name in
   let metric = study_metric app in
   let circuits = study_circuits ~app ~qubits ~count ~seed in
   let text, r = study_text ~device ~isa ~metric circuits in

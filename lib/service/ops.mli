@@ -9,8 +9,10 @@
     order requests completed. *)
 
 val resolve_device : ?qubits:int -> string -> Device.t
-(** A [--device]-style spec: a registry name (case-insensitive) or a
-    path to a JSON snapshot written by [nuop devices dump]. *)
+(** The CLI's [--device] spec: a registry name (case-insensitive) or a
+    path to a JSON snapshot written by [nuop devices dump].  Served
+    requests do not come through here: they name registry devices
+    only. *)
 
 val benchmark_circuit : app:string -> qubits:int -> seed:int -> Qcir.Circuit.t
 (** The generator spec shared by compile, [cache warm] and the service:
@@ -58,4 +60,6 @@ val execute : Protocol.request -> (Njson.t, Protocol.err) result
 (** Run one request's op (everything except [stats], which only the
     server can answer).  Total: malformed parameters, unknown devices /
     sets / apps and bad QASM come back as typed [Bad_request] errors,
-    never exceptions. *)
+    never exceptions.  The [device] field names a registry device; a
+    file path is an unknown device, so a client cannot make the server
+    read files. *)

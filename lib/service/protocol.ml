@@ -41,8 +41,6 @@ type err = { kind : error_kind; message : string }
 
 let err kind fmt = Printf.ksprintf (fun message -> { kind; message }) fmt
 
-exception Transient of string
-
 type request = {
   id : Njson.t;
   op : op;

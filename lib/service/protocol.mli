@@ -4,11 +4,10 @@
     [id] (echoed verbatim in the response, [null] when absent), an [op]
     — one of [compile], [score], [devices], [stats], [ping] — an
     optional [deadline_ms], and op-specific parameters (circuit as QASM
-    text or a generator spec, device name or snapshot path, stack
-    options).  A response carries either a result document or a typed
-    error; clients match responses to requests by [id], since a
-    concurrent server completes jobs in whatever order its workers
-    finish them. *)
+    text or a generator spec, registry device name, stack options).  A
+    response carries either a result document or a typed error; clients
+    match responses to requests by [id], since a concurrent server
+    completes jobs in whatever order its workers finish them. *)
 
 val schema : string
 (** ["nuop-rpc/1"]. *)
@@ -24,7 +23,7 @@ type error_kind =
   | Overloaded  (** bounded queue full — explicit backpressure *)
   | Timeout  (** [deadline_ms] elapsed before completion *)
   | Draining  (** server is shutting down and accepts no new work *)
-  | Internal  (** execution failed; retries (if any) exhausted *)
+  | Internal  (** execution raised an unexpected exception *)
 
 val kind_name : error_kind -> string
 
@@ -32,10 +31,6 @@ type err = { kind : error_kind; message : string }
 
 val err : error_kind -> ('a, unit, string, err) format4 -> 'a
 (** [err kind fmt ...] builds an {!err} with a formatted message. *)
-
-exception Transient of string
-(** Raised by an op implementation to mark a failure worth a bounded
-    retry with backoff (the only exception the server retries). *)
 
 type request = {
   id : Njson.t;  (** echoed verbatim; [Null] when the field is absent *)

@@ -2,26 +2,16 @@
 
    Layout: [submit_line] is the front desk (parse, admission control,
    synchronous refusals); accepted jobs go through the bounded queue to
-   worker domains that execute, retry transients, enforce deadlines and
-   reply.  Stats are double-booked — per-server atomics feed the [stats]
-   op, process-wide Obs counters feed traces — because several servers
-   can coexist in one process (the verify properties do exactly that)
-   while the Obs registry is global by design. *)
+   worker domains that execute, enforce deadlines and reply.  Stats are
+   double-booked — per-server atomics feed the [stats] op, process-wide
+   Obs counters feed traces — because several servers can coexist in
+   one process (the service tests do exactly that) while the Obs
+   registry is global by design. *)
 
-type config = {
-  queue_depth : int;
-  workers : int;
-  retries : int;
-  retry_backoff_ms : float;
-}
+type config = { queue_depth : int; workers : int }
 
 let default_config =
-  {
-    queue_depth = 64;
-    workers = Concurrent.Domain_pool.default_domains ();
-    retries = 1;
-    retry_backoff_ms = 1.0;
-  }
+  { queue_depth = 64; workers = Concurrent.Domain_pool.default_domains () }
 
 type job = {
   req : Protocol.request;
@@ -34,11 +24,9 @@ type stats = {
   completed : int Atomic.t;
   rejected : int Atomic.t;
   timeouts : int Atomic.t;
-  retried : int Atomic.t;
 }
 
 type t = {
-  config : config;
   queue : job Queue.t;
   exec : Protocol.request -> (Njson.t, Protocol.err) result;
   stats : stats;
@@ -53,7 +41,6 @@ let c_accepted = Obs.Counter.create "service.accepted"
 let c_completed = Obs.Counter.create "service.completed"
 let c_rejected = Obs.Counter.create "service.rejected"
 let c_timeout = Obs.Counter.create "service.timeout"
-let c_retries = Obs.Counter.create "service.retries"
 let g_queue_depth = Obs.Gauge.create "service.queue_depth"
 let g_in_flight = Obs.Gauge.create "service.in_flight"
 
@@ -72,7 +59,6 @@ let stats_json t =
       ("completed", Njson.Int (Atomic.get t.stats.completed));
       ("rejected", Njson.Int (Atomic.get t.stats.rejected));
       ("timeouts", Njson.Int (Atomic.get t.stats.timeouts));
-      ("retries", Njson.Int (Atomic.get t.stats.retried));
       ("draining", Njson.Bool (draining t));
       ( "cache",
         Njson.Obj
@@ -86,34 +72,18 @@ let stats_json t =
     ]
 
 (* [stats] needs the server's own state, so it short-circuits the
-   injected executor — everything else goes through [t.exec]. *)
+   injected executor — everything else goes through [t.exec].  An
+   executor that raises is classified here: [Invalid_argument] is the
+   caller's fault, anything else the server's. *)
 let dispatch t req =
   match req.Protocol.op with
   | Protocol.Stats -> Ok (stats_json t)
-  | _ -> t.exec req
-
-(* Exponential backoff on Transient only; a deadline cuts retries short
-   (better a fast [timeout] than a doomed sleep holding the worker). *)
-let rec attempt t job tries_left backoff_ms =
-  match dispatch t job.req with
-  | v -> v
-  | exception Protocol.Transient m ->
-    let deadline_left =
-      match job.deadline with None -> true | Some d -> not (Deadline.expired d)
-    in
-    if tries_left > 0 && deadline_left then begin
-      Atomic.incr t.stats.retried;
-      Obs.Counter.incr c_retries;
-      Unix.sleepf (backoff_ms /. 1000.0);
-      attempt t job (tries_left - 1) (2.0 *. backoff_ms)
-    end
-    else
-      Error
-        (Protocol.err Protocol.Internal "transient failure persisted: %s (%d retries)" m
-           (t.config.retries - tries_left))
-  | exception Invalid_argument m -> Error (Protocol.err Protocol.Bad_request "%s" m)
-  | exception exn ->
-    Error (Protocol.err Protocol.Internal "%s" (Printexc.to_string exn))
+  | _ -> (
+    match t.exec req with
+    | v -> v
+    | exception Invalid_argument m -> Error (Protocol.err Protocol.Bad_request "%s" m)
+    | exception exn ->
+      Error (Protocol.err Protocol.Internal "%s" (Printexc.to_string exn)))
 
 let timeout_error d =
   Protocol.err Protocol.Timeout "deadline exceeded (%.1f ms past)"
@@ -144,8 +114,7 @@ let process t job =
     finish "timeout" (Protocol.response_error ~id (timeout_error d))
   | _ -> (
     let result =
-      Concurrent.Domain_pool.sequential_scope (fun () ->
-          attempt t job t.config.retries t.config.retry_backoff_ms)
+      Concurrent.Domain_pool.sequential_scope (fun () -> dispatch t job.req)
     in
     match job.deadline with
     | Some d when Deadline.expired d ->
@@ -175,18 +144,9 @@ let worker_loop t () =
   loop ()
 
 let create ?(exec = Ops.execute) config =
-  let config =
-    {
-      config with
-      queue_depth = max 1 config.queue_depth;
-      workers = max 1 config.workers;
-      retries = max 0 config.retries;
-    }
-  in
   let t =
     {
-      config;
-      queue = Queue.create ~capacity:config.queue_depth;
+      queue = Queue.create ~capacity:(max 1 config.queue_depth);
       exec;
       stats =
         {
@@ -194,7 +154,6 @@ let create ?(exec = Ops.execute) config =
           completed = Atomic.make 0;
           rejected = Atomic.make 0;
           timeouts = Atomic.make 0;
-          retried = Atomic.make 0;
         };
       in_flight = Atomic.make 0;
       workers = [||];
@@ -202,7 +161,7 @@ let create ?(exec = Ops.execute) config =
       drained = false;
     }
   in
-  t.workers <- Array.init config.workers (fun _ -> Domain.spawn (worker_loop t));
+  t.workers <- Array.init (max 1 config.workers) (fun _ -> Domain.spawn (worker_loop t));
   t
 
 let reject t ~reply ~id e =

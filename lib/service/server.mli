@@ -10,8 +10,8 @@
     - a request whose [deadline_ms] elapses answers [timeout], whether
       it expired waiting in the queue or during execution, and the
       worker slot is reclaimed either way;
-    - an op raising {!Protocol.Transient} is retried with exponential
-      backoff up to [retries] extra attempts (never past the deadline);
+    - an op that raises answers [bad_request] for [Invalid_argument]
+      and [internal] for any other exception;
     - {!drain} (SIGTERM/EOF in the transports) stops intake, lets the
       workers finish every accepted job, then joins them.
 
@@ -30,8 +30,6 @@
 type config = {
   queue_depth : int;  (** bounded queue capacity (default 64) *)
   workers : int;  (** worker domains (default {!Concurrent.Domain_pool.default_domains}) *)
-  retries : int;  (** extra attempts after a {!Protocol.Transient} (default 1) *)
-  retry_backoff_ms : float;  (** first backoff; doubles per retry (default 1) *)
 }
 
 val default_config : config
@@ -41,10 +39,10 @@ type t
 val create :
   ?exec:(Protocol.request -> (Njson.t, Protocol.err) result) -> config -> t
 (** Spawn the worker domains.  [exec] (default {!Ops.execute}) runs each
-    non-[stats] job — tests inject flaky or blocking executors here.
+    non-[stats] job — tests inject failing or blocking executors here.
     Exceptions from [exec] are classified by the server:
-    [Protocol.Transient] retries, [Invalid_argument] answers
-    [bad_request], anything else answers [internal]. *)
+    [Invalid_argument] answers [bad_request], anything else answers
+    [internal]. *)
 
 val submit_line : t -> reply:(string -> unit) -> string -> unit
 (** Submit one raw request line.  [reply] is invoked with exactly one
@@ -61,8 +59,8 @@ val draining : t -> bool
 
 val stats_json : t -> Njson.t
 (** The [stats] op's result document: queue depth/capacity, in-flight
-    and worker counts, accepted/completed/rejected/timeout/retry
-    totals, and the shared decomposition-cache statistics. *)
+    and worker counts, accepted/completed/rejected/timeout totals, and
+    the shared decomposition-cache statistics. *)
 
 (** {2 Transports} *)
 

@@ -21,17 +21,6 @@ type noise_model = {
   duration_2q : float;
 }
 
-let of_calibration ~twoq_error cal =
-  {
-    twoq_error;
-    oneq_error = Device.Calibration.oneq_error cal;
-    readout_error = Device.Calibration.readout_error cal;
-    t1 = Device.Calibration.t1 cal;
-    t2 = Device.Calibration.t2 cal;
-    duration_1q = Device.Calibration.duration_1q cal;
-    duration_2q = Device.Calibration.duration_2q cal;
-  }
-
 let ideal =
   {
     twoq_error = (fun _ _ -> 0.0);
@@ -116,11 +105,8 @@ let run_scheduled ?schedule model circuit =
     sched;
   rho
 
-let output_probabilities ?(scheduled = false) ?schedule model circuit =
-  let rho =
-    if scheduled || Option.is_some schedule then run_scheduled ?schedule model circuit
-    else run model circuit
-  in
+let output_probabilities model circuit =
+  let rho = run model circuit in
   let n = Density.n_qubits rho in
   let probs = Density.probabilities rho in
   let error_rates = Array.init n model.readout_error in

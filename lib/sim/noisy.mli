@@ -11,12 +11,6 @@ type noise_model = {
   duration_2q : float;
 }
 
-val of_calibration :
-  twoq_error:(int -> Qcir.Instr.t -> float) -> Device.Calibration.t -> noise_model
-(** Build a model from device calibration; the per-instruction two-qubit
-    error function comes from the compiler (it knows which hardware gate
-    type each instruction uses). *)
-
 val ideal : noise_model
 
 val run : noise_model -> Qcir.Circuit.t -> Density.t
@@ -32,7 +26,5 @@ val run_scheduled : ?schedule:Schedule.t -> noise_model -> Qcir.Circuit.t -> Den
     duration.  [schedule] defaults to {!model_schedule}; the compiler
     passes its calibrated per-gate-type schedule instead. *)
 
-val output_probabilities :
-  ?scheduled:bool -> ?schedule:Schedule.t -> noise_model -> Qcir.Circuit.t -> float array
-(** Final probabilities including classical readout error.  Passing
-    [schedule] implies [scheduled:true]. *)
+val output_probabilities : noise_model -> Qcir.Circuit.t -> float array
+(** Final probabilities of {!run}, including classical readout error. *)

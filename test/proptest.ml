@@ -1,4 +1,6 @@
-(* Seeded property-based testing with shrinking and replay.
+(* Seeded property-based testing with shrinking and replay: the one
+   property framework of the test suite, shared by every test
+   executable.
 
    Case [i] of a run draws from [Rng.split (Rng.create seed) i], an
    indexed substream that does not depend on how many values earlier
@@ -281,4 +283,55 @@ let check ?count ?seed ~name arb prop =
             (if steps = 1 then "" else "s")
             (arb.print minimal.value) minimal.reason seed))
 
-let test ?count ?seed name arb prop = (name, fun () -> check ?count ?seed ~name arb prop)
+let test ?count ?seed name arb prop =
+  Alcotest.test_case name `Quick (fun () -> check ?count ?seed ~name arb prop)
+
+(* ---------- shared by several layers' properties ---------- *)
+
+let circuit ?n_qubits ?max_length () =
+  arbitrary ~shrink:Shrink.circuit ~print:Qcir.Circuit.to_string
+    (Gen.circuit ?n_qubits ?max_length ())
+
+(* a parameterized gate's name carries its angles printed to four
+   places, which a round trip can re-round; the base name and the
+   parameters are compared instead *)
+let base_name name =
+  match String.index_opt name '(' with Some k -> String.sub name 0 k | None -> name
+
+let same_circuit a b =
+  Qcir.Circuit.n_qubits a = Qcir.Circuit.n_qubits b
+  && Qcir.Circuit.length a = Qcir.Circuit.length b
+  && List.for_all2
+       (fun ia ib ->
+         let ga = Qcir.Instr.gate ia and gb = Qcir.Instr.gate ib in
+         let pa = Gates.Gate.params ga and pb = Gates.Gate.params gb in
+         base_name (Gates.Gate.name ga) = base_name (Gates.Gate.name gb)
+         && Qcir.Instr.qubits ia = Qcir.Instr.qubits ib
+         && Array.length pa = Array.length pb
+         && Array.for_all2 (fun x y -> Float.abs (x -. y) < 1e-9) pa pb)
+       (Qcir.Circuit.instrs a) (Qcir.Circuit.instrs b)
+
+let same_compiled (a : Compiler.Pipeline.compiled) (b : Compiler.Pipeline.compiled) =
+  let open Compiler.Pipeline in
+  same_circuit a.circuit b.circuit
+  && a.twoq_errors = b.twoq_errors
+  && a.qubit_map = b.qubit_map
+  && a.final_layout = b.final_layout
+  && a.swap_count = b.swap_count
+  && a.twoq_count = b.twoq_count
+  && a.duration = b.duration
+  && a.critical_depth = b.critical_depth
+
+let fast_nuop =
+  {
+    Decompose.Nuop.default_options with
+    starts = 3;
+    max_layers = 3;
+    bfgs = { Optimize.Bfgs.default_options with max_iter = 100 };
+  }
+
+let with_temp_file f =
+  let file = Filename.temp_file "nuop-test" ".tmp" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
+    (fun () -> f file)

@@ -1,8 +1,10 @@
 (** Seeded property-based testing with shrinking and deterministic
-    replay.
+    replay: the one property framework of the test suite.  Each test
+    executable keeps the properties of the layer it tests and builds
+    them with {!test}; the generators and oracles that several layers
+    share live here too.
 
-    A hand-rolled alternative to external property-testing packages,
-    built directly on {!Linalg.Rng} so every case is derived from one
+    Built directly on {!Linalg.Rng} so every case is derived from one
     root seed via indexed substreams: case [i] of a run is
     [Rng.split (Rng.create seed) i], which makes any failure
     reproducible from the [(seed, case)] pair printed in the failure
@@ -106,6 +108,27 @@ val check : ?count:int -> ?seed:int -> name:string -> 'a arbitrary -> ('a -> boo
     via {!Failed}. *)
 
 val test :
-  ?count:int -> ?seed:int -> string -> 'a arbitrary -> ('a -> bool) -> string * (unit -> unit)
-(** [(name, thunk)] form of {!check}, convenient for wiring into a test
-    harness case list. *)
+  ?count:int -> ?seed:int -> string -> 'a arbitrary -> ('a -> bool) -> unit Alcotest.test_case
+(** {!check} as an alcotest case named after the property. *)
+
+(** {2 Shared by several layers' properties} *)
+
+val circuit : ?n_qubits:int -> ?max_length:int -> unit -> Qcir.Circuit.t arbitrary
+(** {!Gen.circuit} (same defaults), shrunk by {!Shrink.circuit} and
+    printed as a circuit listing. *)
+
+val same_circuit : Qcir.Circuit.t -> Qcir.Circuit.t -> bool
+(** Same width and instruction list: gate names compared without their
+    printed parameters, qubits exactly, parameters within 1e-9. *)
+
+val same_compiled : Compiler.Pipeline.compiled -> Compiler.Pipeline.compiled -> bool
+(** {!same_circuit} on the compiled circuits, and exact equality of the
+    error array, qubit map, final layout, SWAP and two-qubit counts,
+    duration and critical depth. *)
+
+val fast_nuop : Decompose.Nuop.options
+(** NuOp cut down for property budgets: 3 starts, at most 3 layers,
+    100 BFGS iterations. *)
+
+val with_temp_file : (string -> 'a) -> 'a
+(** Run with the path of a fresh temporary file, removed afterwards. *)

@@ -202,10 +202,10 @@ let test_su4_sets () =
       List.iter (fun u -> check_bool "unitary" true (Mat.is_unitary ~eps:1e-8 u)) us)
     Apps.Su4_unitaries.all_applications
 
-(* qcheck: every generated circuit is well-formed & normalized *)
+(* every generated circuit is well-formed & normalized *)
 let prop_generators_normalized =
-  QCheck.Test.make ~count:15 ~name:"generators produce normalized circuits"
-    QCheck.(int_range 0 100000)
+  Proptest.test ~count:15 "generators produce normalized circuits"
+    (Proptest.arbitrary ~print:string_of_int (Proptest.Gen.int_range 0 100000))
     (fun seed ->
       let rng = Rng.create seed in
       let circuits =
@@ -257,5 +257,5 @@ let () =
           Alcotest.test_case "phase set" `Quick test_qft_controlled_phase_set;
         ] );
       ("su4_sets", [ Alcotest.test_case "sets" `Quick test_su4_sets ]);
-      ("properties", [ QCheck_alcotest.to_alcotest prop_generators_normalized ]);
+      ("properties", [ prop_generators_normalized ]);
     ]

@@ -54,8 +54,10 @@ let test_continuous_overhead () =
   check_bool "525x vs single" true (Float.abs (f1 -. 525.0) < 1e-9)
 
 let prop_total_positive =
-  QCheck.Test.make ~count:50 ~name:"totals positive and linear"
-    QCheck.(pair (int_range 1 2000) (int_range 1 20))
+  Proptest.test ~count:50 "totals positive and linear"
+    (Proptest.arbitrary
+       ~print:(fun (pairs, types) -> Printf.sprintf "%d pairs, %d types" pairs types)
+       Proptest.Gen.(pair (int_range 1 2000) (int_range 1 20)))
     (fun (pairs, types) ->
       let c = Calibration.Model.total_circuits m ~n_pairs:pairs ~n_types:types in
       c = pairs * types * Calibration.Model.circuits_per_type_pair m)
@@ -73,5 +75,5 @@ let () =
           Alcotest.test_case "time models" `Quick test_time_models;
           Alcotest.test_case "continuous overhead" `Quick test_continuous_overhead;
         ] );
-      ("properties", [ QCheck_alcotest.to_alcotest prop_total_positive ]);
+      ("properties", [ prop_total_positive ]);
     ]

@@ -1,4 +1,5 @@
-(* Tests for the circuit IR and printer. *)
+(* Tests for the circuit IR and printer, plus the depth and QASM
+   round-trip properties. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -105,18 +106,53 @@ let test_printer_renders_all_qubits () =
   let lines = String.split_on_char '\n' s |> List.filter (fun l -> l <> "") in
   check_int "3 lines" 3 (List.length lines)
 
-(* The QASM round-trip property moved to the Verify catalogue
-   (test_properties.ml), where it runs with shrinking.  Depth bounds
-   stay here, migrated from qcheck onto the Proptest framework. *)
-let test_depth_bounds_property () =
-  Proptest.check ~count:30 ~name:"depth bounds"
-    (Proptest.arbitrary ~shrink:Proptest.Shrink.circuit ~print:Qcir.Circuit.to_string
-       (Proptest.Gen.circuit ~n_qubits:4 ~max_length:16 ()))
-    (fun c ->
+(* ---------- properties ---------- *)
+
+let depth_bounds =
+  Proptest.test ~count:30 "depth bounds" (Proptest.circuit ~max_length:16 ()) (fun c ->
       let d = Qcir.Circuit.depth c in
       d <= Qcir.Circuit.length c
       && Qcir.Circuit.two_qubit_depth c <= d
       && (Qcir.Circuit.length c = 0 || d >= 1))
+
+(* QASM text of a random circuit, put through 1-3 random mutations:
+   truncation, deletion, insertion, or replacement *)
+let garbled_qasm rng =
+  let open Linalg in
+  let text = ref (Qcir.Qasm.to_string (Proptest.Gen.circuit () rng)) in
+  let mutations = 1 + Rng.int rng 3 in
+  for _ = 1 to mutations do
+    let t = !text in
+    let n = String.length t in
+    if n > 0 then
+      text :=
+        (match Rng.int rng 4 with
+        | 0 -> String.sub t 0 (Rng.int rng n)
+        | 1 ->
+          let i = Rng.int rng n in
+          String.sub t 0 i ^ String.sub t (i + 1) (n - i - 1)
+        | 2 ->
+          let i = Rng.int rng (n + 1) in
+          let c = Char.chr (32 + Rng.int rng 95) in
+          String.sub t 0 i ^ String.make 1 c ^ String.sub t i (n - i)
+        | _ ->
+          let i = Rng.int rng n in
+          let c = Char.chr (32 + Rng.int rng 95) in
+          String.sub t 0 i ^ String.make 1 c ^ String.sub t (i + 1) (n - i - 1))
+  done;
+  !text
+
+let roundtrip_properties =
+  [
+    Proptest.test "qasm round-trips circuits" ~count:30 (Proptest.circuit ())
+      (fun c -> Proptest.same_circuit c (Qcir.Qasm.of_string (Qcir.Qasm.to_string c)));
+    Proptest.test "garbled qasm never crashes generically" ~count:60
+      (Proptest.arbitrary ~print:(Printf.sprintf "%S") garbled_qasm)
+      (fun text ->
+        match Qcir.Qasm.of_string_result text with
+        | Ok _ -> true
+        | Error e -> e.Qcir.Qasm.line >= 1 && e.Qcir.Qasm.column >= 1);
+  ]
 
 let () =
   Alcotest.run "circuit"
@@ -143,6 +179,6 @@ let () =
           Alcotest.test_case "moments" `Quick test_printer_moments;
           Alcotest.test_case "render" `Quick test_printer_renders_all_qubits;
         ] );
-      ( "properties",
-        [ Alcotest.test_case "depth bounds" `Quick test_depth_bounds_property ] );
+      ("properties", [ depth_bounds ]);
+      ("roundtrip", roundtrip_properties);
     ]

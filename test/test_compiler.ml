@@ -1,5 +1,6 @@
 (* Tests for instruction sets, placement, routing and the end-to-end
-   compilation pipeline. *)
+   compilation pipeline, plus the pass stack against the reference
+   compiler on random circuits. *)
 
 open Linalg
 
@@ -422,6 +423,24 @@ let test_pass_stack_requires_compact () =
        false
      with Invalid_argument _ -> true)
 
+(* ---------- properties ---------- *)
+
+let compiler_properties =
+  [
+    Proptest.test "pass stack matches the reference compiler" ~count:2
+      (Proptest.circuit ~n_qubits:3 ~max_length:8 ())
+      (fun circuit ->
+        let options =
+          { Compiler.Pipeline.default_options with nuop = Proptest.fast_nuop }
+        in
+        let device = Device.sycamore_line 4 in
+        let cal = Device.calibration device in
+        let isa = Isa.Set.g2 in
+        let a = Compiler.Pipeline.compile ~options ~device ~isa circuit in
+        let b = Compiler.Pipeline.compile_reference ~options ~cal ~isa circuit in
+        Proptest.same_compiled a b);
+  ]
+
 let () =
   Alcotest.run "compiler"
     [
@@ -469,4 +488,5 @@ let () =
           Alcotest.test_case "pass time is wall clock" `Quick test_pass_time_is_wall_clock;
           Alcotest.test_case "stack must compact" `Quick test_pass_stack_requires_compact;
         ] );
+      ("compiler", compiler_properties);
     ]

@@ -1,4 +1,5 @@
-(* Integration tests: the experiment machinery end-to-end at tiny scale. *)
+(* Integration tests: the experiment machinery end-to-end at tiny scale,
+   plus the Njson and report round-trip properties. *)
 
 open Linalg
 
@@ -182,6 +183,57 @@ let test_report_heat_digit () =
   Alcotest.(check string) "rounds" "3" (Core.Report.heat_digit 2.6);
   Alcotest.(check string) "nan" "." (Core.Report.heat_digit Float.nan)
 
+(* ---------- properties: the serializers against their own round trips ---------- *)
+
+let json_leaf rng =
+  match Rng.int rng 5 with
+  | 0 -> Njson.Null
+  | 1 -> Njson.Bool (Rng.bool rng)
+  | 2 -> Njson.Int (Rng.int rng 2_000_001 - 1_000_000)
+  | 3 -> Njson.Float (Rng.uniform rng (-1e6) 1e6 *. Float.exp (Rng.uniform rng (-20.0) 5.0))
+  | _ ->
+    Njson.String
+      (String.init (Rng.int rng 12) (fun _ -> Char.chr (32 + Rng.int rng 95)))
+
+let rec json_gen depth rng =
+  if depth = 0 || Rng.int rng 3 = 0 then json_leaf rng
+  else
+    match Rng.bool rng with
+    | true -> Njson.List (List.init (Rng.int rng 4) (fun _ -> json_gen (depth - 1) rng))
+    | false ->
+      Njson.Obj
+        (List.init (Rng.int rng 4) (fun i ->
+             (Printf.sprintf "k%d" i, json_gen (depth - 1) rng)))
+
+let report_gen rng =
+  let b = Core.Report.Builder.create () in
+  Core.Report.Builder.heading b "generated";
+  Core.Report.Builder.table b
+    ~header:[ "x"; "y" ]
+    (List.init (Rng.int rng 4) (fun i ->
+         [ string_of_int i; Core.Report.f3 (Rng.uniform rng (-10.0) 10.0) ]));
+  let axis n = List.init n float_of_int in
+  Core.Report.Builder.heatmap b
+    ~theta_axis:(axis (1 + Rng.int rng 3))
+    ~phi_axis:(axis (1 + Rng.int rng 5))
+    ~cell:(fun ~theta:_ ~phi:_ -> Rng.uniform rng 0.0 1.0);
+  Core.Report.Builder.metric b "score" (Rng.uniform rng 0.0 1.0);
+  Core.Report.Builder.doc b
+
+let roundtrip_properties =
+  [
+    Proptest.test "json trees round-trip" ~count:40
+      (Proptest.arbitrary ~print:(fun j -> Njson.to_string j) (json_gen 3))
+      (fun j -> Njson.of_string (Njson.to_string j) = j);
+    Proptest.test "report documents round-trip through json" ~count:10
+      (Proptest.arbitrary
+         ~print:(fun doc -> Njson.to_string (Core.Report.to_json doc))
+         report_gen)
+      (fun doc ->
+        let j = Core.Report.to_json ~name:"prop" ~seconds:0.0 doc in
+        Njson.of_string (Njson.to_string j) = j);
+  ]
+
 let () =
   Alcotest.run "core"
     [
@@ -215,4 +267,5 @@ let () =
           Alcotest.test_case "evaluate_suite pool invariant" `Slow
             test_evaluate_suite_pool_invariant;
         ] );
+      ("roundtrip", roundtrip_properties);
     ]

@@ -1,5 +1,7 @@
 (* Tests for the decomposition engine: templates, Weyl invariants, NuOp,
-   the Cirq-equivalent baseline and the cache. *)
+   the Cirq-equivalent baseline, the cache and curve persistence, plus
+   the properties pinning Weyl, NuOp and persistence against independent
+   references. *)
 
 open Linalg
 
@@ -467,12 +469,13 @@ let synthetic_key i = Printf.sprintf "k%d|synthetic" i
 let synthetic_entry i =
   (synthetic_key i, [| (1, [| float_of_int i |], 0.5 +. (float_of_int i *. 1e-6)) |])
 
-let with_temp_file f =
-  let file = Filename.temp_file "nuop-test-curves" ".json" in
-  Fun.protect ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ()) (fun () -> f file)
+let write_file path s =
+  let oc = open_out_bin path in
+  output_string oc s;
+  close_out oc
 
 let survivors () =
-  with_temp_file (fun file ->
+  Proptest.with_temp_file (fun file ->
       ignore (Decompose.Cache.save_to_file file);
       match Decompose.Persist.load file with
       | Ok entries -> List.map fst entries
@@ -516,7 +519,7 @@ let test_persist_roundtrip_real_curve () =
   let rng = Rng.create 30 in
   let u = Qr.haar_special_unitary rng 4 in
   let cold = Decompose.Cache.fd_curve ~options:fast_options Gates.Gate_type.s3 ~target:u in
-  with_temp_file (fun file ->
+  Proptest.with_temp_file (fun file ->
       check_int "one curve saved" 1 (Decompose.Cache.save_to_file file);
       Decompose.Cache.clear ();
       check_int "one curve loaded" 1 (Decompose.Cache.load_from_file file);
@@ -532,14 +535,9 @@ let test_persist_adversarial_loads () =
   (* every flavour of broken file loads as a clean error — and through
      Cache.load_from_file as a warning plus zero warm entries — never an
      escaping exception *)
-  let write path s =
-    let oc = open_out_bin path in
-    output_string oc s;
-    close_out oc
-  in
   let expect_rejected name content =
-    with_temp_file (fun file ->
-        write file content;
+    Proptest.with_temp_file (fun file ->
+        write_file file content;
         (match Decompose.Persist.load file with
         | Ok _ -> Alcotest.fail (name ^ ": corrupt file parsed as Ok")
         | Error reason -> check_bool (name ^ " has a reason") true (String.length reason > 0));
@@ -548,7 +546,7 @@ let test_persist_adversarial_loads () =
         check_int (name ^ " leaves cache empty") 0 (Decompose.Cache.size ()))
   in
   (* a genuine snapshot, truncated at every interesting boundary *)
-  with_temp_file (fun file ->
+  Proptest.with_temp_file (fun file ->
       Decompose.Persist.save file [ synthetic_entry 0; synthetic_entry 1 ];
       let full = In_channel.with_open_bin file In_channel.input_all in
       List.iter
@@ -574,13 +572,13 @@ let test_persist_merge_prefers_memory () =
   let key = synthetic_key 7 in
   let mem = [| (2, [| 1.0; 2.0 |], 0.75) |] in
   let disk = [| (9, [| -1.0 |], 0.125) |] in
-  with_temp_file (fun file ->
+  Proptest.with_temp_file (fun file ->
       Decompose.Persist.save file [ (key, disk) ];
       check_int "memory entry inserted" 1 (Decompose.Cache.merge_entries [ (key, mem) ]);
       check_int "disk duplicate skipped" 0 (Decompose.Cache.load_from_file file);
       let saved = survivors () in
       check_int "still one entry" 1 (List.length saved));
-  with_temp_file (fun file ->
+  Proptest.with_temp_file (fun file ->
       ignore (Decompose.Cache.save_to_file file);
       match Decompose.Persist.load file with
       | Ok [ (k, c) ] ->
@@ -676,6 +674,292 @@ let test_cirq_local () =
   let r = Option.get (Decompose.Cirq_like.decompose ~target_gate:Gates.Gate_type.s3 local) in
   check_int "0 gates" 0 r.Decompose.Cirq_like.gate_count
 
+(* ---------- properties: Weyl invariants, NuOp against KAK and the
+   Cirq-like baseline, curve persistence ---------- *)
+
+module G = Proptest.Gen
+
+let arb = Proptest.arbitrary
+let pm = Mat.to_string
+let pm2 (a, b) = Printf.sprintf "A =\n%s\nB =\n%s" (pm a) (pm b)
+let close ~eps x y = Float.abs (x -. y) <= eps
+
+(* (u, u dressed with single-qubit gates on both sides) *)
+let dressed rng =
+  let u = G.su4 rng in
+  let a = G.su2 rng and b = G.su2 rng in
+  let c = G.su2 rng and d = G.su2 rng in
+  (u, Mat.mul (Mat.kron a b) (Mat.mul u (Mat.kron c d)))
+
+let coords3 u =
+  let c1, c2, c3 = Decompose.Weyl.coordinates u in
+  (c1, c2, Float.abs c3)
+
+let weyl_properties =
+  [
+    Proptest.test "coordinates are canonically ordered" ~count:12
+      (arb ~print:pm G.su4)
+      (fun u ->
+        let c1, c2, c3 = Decompose.Weyl.coordinates u in
+        c1 >= c2 -. 1e-9
+        && c2 >= Float.abs c3 -. 1e-9
+        && c1 <= (Float.pi /. 2.0) +. 1e-9);
+    Proptest.test "canonical gate represents the class" ~count:8
+      (arb ~print:pm G.su4)
+      (fun u ->
+        let c1, c2, c3 = Decompose.Weyl.coordinates u in
+        Decompose.Weyl.locally_equivalent u (Decompose.Weyl.canonical_gate c1 c2 c3));
+    Proptest.test "coordinates survive local dressing" ~count:8
+      (arb ~print:pm2 dressed)
+      (fun (u, v) ->
+        let a1, a2, a3 = coords3 u and b1, b2, b3 = coords3 v in
+        close ~eps:1e-6 a1 b1 && close ~eps:1e-6 a2 b2 && close ~eps:1e-6 a3 b3);
+    Proptest.test "cnot_count is in 0..3 and dressing-invariant" ~count:8
+      (arb ~print:pm2 dressed)
+      (fun (u, v) ->
+        let ku = Decompose.Weyl.cnot_count u in
+        ku >= 0 && ku <= 3 && ku = Decompose.Weyl.cnot_count v);
+    Proptest.test "local unitaries need zero CNOTs" ~count:10
+      (arb ~print:pm G.local_su4)
+      (fun u -> Decompose.Weyl.is_local u && Decompose.Weyl.cnot_count u = 0);
+  ]
+
+(* F_d recomputed from scratch: the unitary the parameters implement
+   against the target, through hs_inner *)
+let fidelity_of u target = Complex.norm (Mat.hs_inner u target) /. 4.0
+
+(* L_i G_i ... G_1 L_0 as explicit matrices: each local layer from
+   Oneq.u3 and Mat.kron, each gate from Gate_type.instantiate at the
+   angles stored after the 6(i+1) single-qubit ones *)
+let template_reference gate_type ~layers params =
+  let pc = Gates.Gate_type.param_count gate_type in
+  let local k =
+    let p j = params.((6 * k) + j) in
+    Mat.kron (Gates.Oneq.u3 (p 0) (p 1) (p 2)) (Gates.Oneq.u3 (p 3) (p 4) (p 5))
+  in
+  let u = ref (local 0) in
+  for k = 1 to layers do
+    let angles = Array.sub params ((6 * (layers + 1)) + ((k - 1) * pc)) pc in
+    u := Mat.mul (local k) (Mat.mul (Gates.Gate_type.instantiate gate_type angles) !u)
+  done;
+  !u
+
+let decompose_properties =
+  [
+    Proptest.test "kak reconstructs the target" ~count:5
+      (arb ~print:pm G.su4)
+      (fun u ->
+        let k = Decompose.Kak.decompose u in
+        Mat.equal_up_to_phase ~eps:1e-5 (Decompose.Kak.reconstruct k) u);
+    Proptest.test "nuop curve fidelities match the implemented unitary" ~count:3
+      (arb
+         ~print:(fun (gt, u) -> Gates.Gate_type.name gt ^ " on\n" ^ pm u)
+         (G.pair G.fixed_gate_type G.su4))
+      (fun (gate_type, target) ->
+        let curve = Decompose.Nuop.fd_curve ~options:Proptest.fast_nuop gate_type ~target in
+        Array.for_all
+          (fun (layers, params, fd) ->
+            let d = { Decompose.Nuop.gate_type; layers; params; fd; fh = 1.0 } in
+            let recomputed =
+              fidelity_of (Decompose.Nuop.implemented_unitary d) target
+            in
+            fd >= -1e-9 && fd <= 1.0 +. 1e-9 && close ~eps:1e-6 fd recomputed)
+          curve);
+    Proptest.test "nuop never beats the SBM lower bound" ~count:4
+      (arb ~print:pm G.su4)
+      (fun u ->
+        let bound = Decompose.Weyl.cnot_count u in
+        let d =
+          Decompose.Nuop.decompose_exact ~options:Proptest.fast_nuop ~threshold:(1.0 -. 1e-7)
+            Gates.Gate_type.s3 ~target:u
+        in
+        (* only trust the comparison when the optimizer converged *)
+        d.Decompose.Nuop.fd < 1.0 -. 1e-7 || d.Decompose.Nuop.layers >= bound);
+    Proptest.test "cirq-like CZ count equals the weyl bound" ~count:6
+      (arb ~print:pm G.su4)
+      (fun u ->
+        match Decompose.Cirq_like.decompose ~target_gate:Gates.Gate_type.s3 u with
+        | None -> false
+        | Some r ->
+          r.Decompose.Cirq_like.gate_count = Decompose.Weyl.cnot_count u
+          && r.Decompose.Cirq_like.decomposition_error <= Decompose.Cirq_like.kak_error);
+    (* differential agreement on one-gate-expressible targets: weyl,
+       the cirq baseline and nuop must all certify a single layer *)
+    Proptest.test "one-CZ targets: weyl, cirq and nuop agree" ~count:3
+      (arb ~print:pm
+         (fun rng ->
+           let cz = Gates.Gate_type.instantiate Gates.Gate_type.s3 [||] in
+           let a = G.su2 rng and b = G.su2 rng in
+           let c = G.su2 rng and d = G.su2 rng in
+           Mat.mul (Mat.kron a b) (Mat.mul cz (Mat.kron c d))))
+      (fun u ->
+        Decompose.Weyl.cnot_count u = 1
+        && (match Decompose.Cirq_like.decompose ~target_gate:Gates.Gate_type.s3 u with
+           | Some r -> r.Decompose.Cirq_like.gate_count = 1
+           | None -> false)
+        &&
+        let d =
+          Decompose.Nuop.decompose_exact
+            ~options:{ Proptest.fast_nuop with starts = 4 }
+            ~threshold:(1.0 -. 1e-5) Gates.Gate_type.s3 ~target:u
+        in
+        d.Decompose.Nuop.layers = 1 && d.Decompose.Nuop.fd >= 1.0 -. 1e-5);
+    Proptest.test "template evaluation is unitary" ~count:15
+      (arb
+         ~print:(fun (layers, _) -> Printf.sprintf "%d layers" layers)
+         (G.pair (G.int_range 0 3) (G.array_of ~len:(G.return 64) G.angle)))
+      (fun (layers, angles) ->
+        let t = Decompose.Template.create Gates.Gate_type.s1 ~layers in
+        let params =
+          Array.init (Decompose.Template.param_count t) (fun i -> angles.(i))
+        in
+        Mat.is_unitary ~eps:1e-8 (Decompose.Template.evaluate t params));
+    (* unitarity and F_d = 1 against the template's own output cannot
+       see a transposed kron or a misplaced gate angle; this can *)
+    Proptest.test "template evaluation is the explicit layer product" ~count:10
+      (arb
+         ~print:(fun angles ->
+           String.concat " " (Array.to_list (Array.map (Printf.sprintf "%.17g") angles)))
+         (G.array_of ~len:(G.return 54) G.angle))
+      (fun angles ->
+        List.for_all
+          (fun gate_type ->
+            List.for_all
+              (fun layers ->
+                let t = Decompose.Template.create gate_type ~layers in
+                let params =
+                  Array.sub angles 0 (Decompose.Template.param_count t)
+                in
+                Mat.max_abs_entry
+                  (Mat.sub
+                     (Decompose.Template.evaluate t params)
+                     (template_reference gate_type ~layers params))
+                <= 1e-12)
+              [ 0; 1; 2; 3; 4; 5; 6 ])
+          Gates.Gate_type.[ s1; s3; swap_type; Fsim_family; Xy_family; Cphase_family ]);
+  ]
+
+(* synthetic curves — persistence is agnostic to where a curve came
+   from, so round-trip laws don't need to pay for real optimizations *)
+let synthetic_curve =
+  G.array_of
+    ~len:(G.int_range 1 4)
+    (G.map2
+       (fun layers (params, fd) -> (layers, params, fd))
+       (G.int_range 0 5)
+       (G.pair
+          (G.array_of ~len:(G.int_range 0 6) (G.float_range (-4.0) 4.0))
+          (G.float_range 0.0 1.0)))
+
+let synthetic_entries =
+  G.map
+    (fun curves -> List.mapi (fun i c -> (Printf.sprintf "key-%d|synthetic" i, c)) curves)
+    (G.list_of ~len:(G.int_range 0 6) synthetic_curve)
+
+let print_entries entries =
+  String.concat "; "
+    (List.map
+       (fun (k, c) -> Printf.sprintf "%s (%d points)" k (Array.length c))
+       entries)
+
+(* ways to damage a snapshot file; every one must load as a clean error *)
+type corruption = Truncate of float | Wrong_schema | Garbage of string | Empty
+
+let corruption_gen rng =
+  match Rng.int rng 4 with
+  | 0 -> Truncate (Rng.uniform rng 0.0 0.999)
+  | 1 -> Wrong_schema
+  | 2 ->
+    let n = Rng.int rng 64 in
+    Garbage (String.init n (fun _ -> Char.chr (32 + Rng.int rng 95)))
+  | _ -> Empty
+
+let print_corruption = function
+  | Truncate f -> Printf.sprintf "Truncate %.3f" f
+  | Wrong_schema -> "Wrong_schema"
+  | Garbage s -> Printf.sprintf "Garbage %S" s
+  | Empty -> "Empty"
+
+let persist_properties =
+  [
+    (* the round-trip law: every key, layer count, parameter vector and
+       fidelity float survives save -> load with exact bits *)
+    Proptest.test "snapshots round-trip entries exactly" ~count:25
+      (arb ~print:print_entries synthetic_entries)
+      (fun entries ->
+        Proptest.with_temp_file (fun file ->
+            Decompose.Persist.save file entries;
+            match Decompose.Persist.load file with
+            | Ok back -> back = entries
+            | Error _ -> false));
+    (* corruption tolerance: truncated, wrong-version, garbage and empty
+       files are Errors (hence empty warm sets), never exceptions *)
+    Proptest.test "corrupted snapshots load as clean errors" ~count:40
+      (arb
+         ~print:(fun (entries, c) ->
+           Printf.sprintf "%s / %s" (print_corruption c) (print_entries entries))
+         (G.pair synthetic_entries corruption_gen))
+      (fun (entries, corruption) ->
+        Proptest.with_temp_file (fun file ->
+            Decompose.Persist.save file entries;
+            (match corruption with
+            | Truncate frac ->
+              let s = In_channel.with_open_bin file In_channel.input_all in
+              write_file file
+                (String.sub s 0 (int_of_float (frac *. float_of_int (String.length s))))
+            | Wrong_schema ->
+              write_file file {|{"schema": "nuop-curves/999", "entries": []}|}
+            | Garbage s -> write_file file s
+            | Empty -> write_file file "");
+            match Decompose.Persist.load file with
+            | Ok _ -> false
+            | Error reason -> String.length reason > 0));
+    (* merge semantics: a disk entry never clobbers the curve already in
+       memory under the same key *)
+    Proptest.test "disk entries never clobber in-memory curves" ~count:15
+      (arb
+         ~print:(fun (a, b) ->
+           Printf.sprintf "mem %d points / disk %d points" (Array.length a)
+             (Array.length b))
+         (G.pair synthetic_curve synthetic_curve))
+      (fun (mem_curve, disk_curve) ->
+        Proptest.with_temp_file (fun file ->
+            Proptest.with_temp_file (fun file2 ->
+                let key = "key-clobber|synthetic" in
+                Decompose.Cache.clear ();
+                Decompose.Persist.save file [ (key, disk_curve) ];
+                let first = Decompose.Cache.merge_entries [ (key, mem_curve) ] in
+                let merged = Decompose.Cache.load_from_file file in
+                ignore (Decompose.Cache.save_to_file file2);
+                Decompose.Cache.clear ();
+                match Decompose.Persist.load file2 with
+                | Ok [ (k, c) ] -> first = 1 && merged = 0 && k = key && c = mem_curve
+                | Ok _ | Error _ -> false)));
+    (* determinism end to end: a compile served entirely from a loaded
+       snapshot equals the cold compile bit for bit, and the reuse is
+       attributed to warm hits *)
+    Proptest.test "warmed compile equals cold compile bit for bit" ~count:2
+      (Proptest.circuit ~n_qubits:3 ~max_length:8 ())
+      (fun circuit ->
+        Proptest.with_temp_file (fun file ->
+            let options =
+              { Compiler.Pipeline.default_options with nuop = Proptest.fast_nuop }
+            in
+            let device = Device.sycamore_line 4 in
+            let isa = Isa.Set.g2 in
+            Decompose.Cache.clear ();
+            let cold = Compiler.Pipeline.compile ~options ~device ~isa circuit in
+            let saved = Decompose.Cache.save_to_file file in
+            Decompose.Cache.clear ();
+            let loaded = Decompose.Cache.load_from_file file in
+            let warm = Compiler.Pipeline.compile ~options ~device ~isa circuit in
+            let warm_hits = Decompose.Cache.warm_hits () in
+            saved = loaded
+            && Decompose.Cache.warm_count () = loaded
+            && Proptest.same_compiled cold warm
+            && (saved = 0 || warm_hits > 0)));
+  ]
+
 let () =
   Alcotest.run "decompose"
     [
@@ -700,7 +984,8 @@ let () =
           Alcotest.test_case "coordinates roundtrip" `Quick test_weyl_coordinates_roundtrip;
           Alcotest.test_case "canonical gate" `Quick test_weyl_canonical_gate_unitary;
           Alcotest.test_case "distinguishes classes" `Quick test_weyl_distinguishes;
-        ] );
+        ]
+        @ weyl_properties );
       ( "nuop_exact",
         [
           Alcotest.test_case "SU4 -> 3 CZ" `Quick test_nuop_su4_counts;
@@ -746,7 +1031,8 @@ let () =
           Alcotest.test_case "merge prefers memory" `Quick test_persist_merge_prefers_memory;
           Alcotest.test_case "validate env file" `Quick test_validate_env_file;
           Alcotest.test_case "parse pool size" `Quick test_parse_pool_size;
-        ] );
+        ]
+        @ persist_properties );
       ( "kak",
         [
           Alcotest.test_case "random unitaries" `Quick test_kak_random;
@@ -760,4 +1046,5 @@ let () =
           Alcotest.test_case "zz counts" `Quick test_cirq_zz;
           Alcotest.test_case "local" `Quick test_cirq_local;
         ] );
+      ("decompose", decompose_properties);
     ]

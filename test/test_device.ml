@@ -1,4 +1,5 @@
-(* Tests for topologies, calibration data and the device models. *)
+(* Tests for topologies, calibration data and the device models, plus
+   the snapshot, registry and drift properties. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -355,6 +356,98 @@ let test_device_registry_lookup () =
        "Device.Registry: unknown device \"aspen9\" (known: aspen8, sycamore, sycamore54)")
     (fun () -> ignore (Device.Registry.find_exn "aspen9"))
 
+(* ---------- properties: snapshots against their laws ---------- *)
+
+(* a registry device, randomly sized and randomly aged *)
+let device_gen rng =
+  let open Linalg in
+  let names = Device.Registry.names () in
+  let name = List.nth names (Rng.int rng (List.length names)) in
+  let qubits = 4 + Rng.int rng 3 in
+  let d = Device.Registry.build ~qubits name in
+  if Rng.bool rng then
+    let hours = Rng.uniform rng 1.0 72.0 in
+    Calibration.Drift.perturb rng Calibration.Drift.default ~hours d
+  else d
+
+let print_device d =
+  Printf.sprintf "%s (%d qubits, drifted %.2fh)" (Device.name d)
+    (Device.n_qubits d)
+    (Device.provenance d).Device.Provenance.drifted_hours
+
+(* exact structural agreement of everything a snapshot stores *)
+let same_cal a b =
+  let module C = Device.Calibration in
+  C.oneq_errors a = C.oneq_errors b
+  && C.readout_errors a = C.readout_errors b
+  && C.t1_times a = C.t1_times b
+  && C.t2_times a = C.t2_times b
+  && C.duration_1q a = C.duration_1q b
+  && C.duration_2q a = C.duration_2q b
+  && Device.Topology.edges (C.topology a) = Device.Topology.edges (C.topology b)
+  && C.twoq_error_entries a = C.twoq_error_entries b
+  && C.twoq_duration_entries a = C.twoq_duration_entries b
+  && C.family_error_scale a = C.family_error_scale b
+  && List.for_all
+       (fun e -> C.family_base_error a e = C.family_base_error b e)
+       (Device.Topology.edges (C.topology a))
+
+let device_properties =
+  [
+    (* serialization against itself: every float a snapshot stores must
+       survive to_string/of_string bit for bit *)
+    Proptest.test "json snapshots round-trip exactly" ~count:10
+      (Proptest.arbitrary ~print:print_device device_gen)
+      (fun d ->
+        let d' = Device.of_string (Device.to_string d) in
+        Device.name d' = Device.name d
+        && Device.n_qubits d' = Device.n_qubits d
+        && (Device.provenance d').Device.Provenance.drifted_hours
+           = (Device.provenance d).Device.Provenance.drifted_hours
+        && same_cal (Device.calibration d) (Device.calibration d'));
+    (* the registry is total over its own names, case-insensitively *)
+    Proptest.test "registry builds every advertised name" ~count:5
+      (Proptest.arbitrary ~print:Fun.id (fun rng ->
+           let names = Device.Registry.names () in
+           let name = List.nth names (Linalg.Rng.int rng (List.length names)) in
+           String.map
+             (fun c -> if Linalg.Rng.bool rng then Char.uppercase_ascii c else c)
+             name))
+      (fun name ->
+        match Device.Registry.find name with
+        | None -> false
+        | Some e ->
+          let d = e.Device.Registry.build e.Device.Registry.default_qubits in
+          Device.n_qubits d > 0 && Device.name d <> "");
+    (* drift is pure and only ever inflates: every stored error and the
+       family scale gain a multiplier >= 1, hours accumulate, and the
+       input snapshot is untouched *)
+    Proptest.test "drift inflates errors monotonically" ~count:10
+      (Proptest.arbitrary
+         ~print:(fun (d, hours) -> Printf.sprintf "%s +%.2fh" (print_device d) hours)
+         (Proptest.Gen.pair device_gen (Proptest.Gen.float_range 1.0 48.0)))
+      (fun (d, hours) ->
+        let module C = Device.Calibration in
+        let before = C.twoq_error_entries (Device.calibration d) in
+        let scale_before = C.family_error_scale (Device.calibration d) in
+        let age_before = (Device.provenance d).Device.Provenance.drifted_hours in
+        let d' =
+          Calibration.Drift.perturb (Linalg.Rng.create 17) Calibration.Drift.default
+            ~hours d
+        in
+        let after = C.twoq_error_entries (Device.calibration d') in
+        List.length before = List.length after
+        && List.for_all2
+             (fun (ea, na, va) (eb, nb, vb) -> ea = eb && na = nb && vb >= va -. 1e-15)
+             before after
+        && C.family_error_scale (Device.calibration d') >= scale_before
+        && Float.abs
+             ((Device.provenance d').Device.Provenance.drifted_hours -. (age_before +. hours))
+           <= 1e-12
+        && C.twoq_error_entries (Device.calibration d) = before
+        && C.family_error_scale (Device.calibration d) = scale_before);
+  ]
+
 let () =
   Alcotest.run "device"
     [
@@ -400,5 +493,6 @@ let () =
           Alcotest.test_case "snapshot values validated" `Quick
             test_snapshot_values_validated;
           Alcotest.test_case "registry lookup" `Quick test_device_registry_lookup;
-        ] );
+        ]
+        @ device_properties );
     ]

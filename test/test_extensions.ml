@@ -235,9 +235,10 @@ let test_coloring_time_model () =
   check_float "ring time" 12.0
     (Calibration.Model.time_hours_parallel_on m ~topology:topo ~n_types:3)
 
+let seed_arb = Proptest.arbitrary ~print:string_of_int (Proptest.Gen.int_range 0 10000)
+
 let prop_coloring_proper_random =
-  QCheck.Test.make ~count:25 ~name:"random graph colorings are proper"
-    QCheck.(int_range 0 10000)
+  Proptest.test ~count:25 "random graph colorings are proper" seed_arb
     (fun seed ->
       let rng = Rng.create seed in
       let n = 4 + Rng.int rng 8 in
@@ -251,8 +252,7 @@ let prop_coloring_proper_random =
       coloring_is_proper topo)
 
 let prop_qasm_roundtrip_qv =
-  QCheck.Test.make ~count:8 ~name:"qasm roundtrip preserves compiled circuits"
-    QCheck.(int_range 0 10000)
+  Proptest.test ~count:8 "qasm roundtrip preserves compiled circuits" seed_arb
     (fun seed ->
       let rng = Rng.create seed in
       let u = Qr.haar_special_unitary rng 4 in
@@ -305,7 +305,5 @@ let () =
           Alcotest.test_case "classes" `Quick test_coloring_classes;
           Alcotest.test_case "time model" `Quick test_coloring_time_model;
         ] );
-      ( "properties",
-        List.map QCheck_alcotest.to_alcotest
-          [ prop_coloring_proper_random; prop_qasm_roundtrip_qv ] );
+      ("properties", [ prop_coloring_proper_random; prop_qasm_roundtrip_qv ]);
     ]

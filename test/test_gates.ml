@@ -205,15 +205,22 @@ let test_gate_type_s_defs () =
   check "s6" Gates.Gate_type.s6 (Gates.Twoq.fsim (3.0 *. Float.pi /. 8.0) 0.0);
   check "s7" Gates.Gate_type.s7 (Gates.Twoq.fsim (Float.pi /. 6.0) Float.pi)
 
-(* qcheck: all fSim family members are unitary and excitation-preserving *)
+(* ---------- properties ---------- *)
+
+module G = Proptest.Gen
+
+let angles_arb =
+  Proptest.arbitrary
+    ~print:(fun (theta, phi) -> Printf.sprintf "theta %.17g, phi %.17g" theta phi)
+    (G.pair (G.float_range 0.0 Float.pi) (G.float_range 0.0 Float.pi))
+
+(* all fSim family members are unitary and excitation-preserving *)
 let prop_fsim_unitary =
-  QCheck.Test.make ~count:100 ~name:"fsim unitary"
-    QCheck.(pair (float_range 0.0 Float.pi) (float_range 0.0 Float.pi))
-    (fun (theta, phi) -> Mat.is_unitary ~eps:1e-10 (Gates.Twoq.fsim theta phi))
+  Proptest.test ~count:100 "fsim unitary" angles_arb (fun (theta, phi) ->
+      Mat.is_unitary ~eps:1e-10 (Gates.Twoq.fsim theta phi))
 
 let prop_fsim_excitation_preserving =
-  QCheck.Test.make ~count:100 ~name:"fsim preserves |00> and excitation blocks"
-    QCheck.(pair (float_range 0.0 Float.pi) (float_range 0.0 Float.pi))
+  Proptest.test ~count:100 "fsim preserves |00> and excitation blocks" angles_arb
     (fun (theta, phi) ->
       let m = Gates.Twoq.fsim theta phi in
       Cplx.equal (Mat.get m 0 0) Cplx.one
@@ -222,15 +229,18 @@ let prop_fsim_excitation_preserving =
       && Cplx.equal (Mat.get m 3 1) Cplx.zero)
 
 let prop_u3_unitary =
-  QCheck.Test.make ~count:100 ~name:"u3 unitary"
-    QCheck.(triple (float_range (-6.3) 6.3) (float_range (-6.3) 6.3) (float_range (-6.3) 6.3))
+  let angle = G.float_range (-6.3) 6.3 in
+  Proptest.test ~count:100 "u3 unitary"
+    (Proptest.arbitrary
+       ~print:(fun (a, b, l) -> Printf.sprintf "u3(%.17g, %.17g, %.17g)" a b l)
+       (G.triple angle angle angle))
     (fun (a, b, l) -> Mat.is_unitary ~eps:1e-10 (Gates.Oneq.u3 a b l))
 
-(* qcheck: ZYZ extraction recovers any U(2) up to global phase — the
-   1Q-merge peephole's correctness kernel *)
+(* ZYZ extraction recovers any U(2) up to global phase — the 1Q-merge
+   peephole's correctness kernel *)
 let prop_zyz_roundtrip =
-  QCheck.Test.make ~count:200 ~name:"zyz recovers U(2) up to phase"
-    QCheck.(int_bound 1_000_000)
+  Proptest.test ~count:200 "zyz recovers U(2) up to phase"
+    (Proptest.arbitrary ~print:string_of_int (G.int_range 0 1_000_000))
     (fun seed ->
       let u = Qr.haar_unitary (Rng.create seed) 2 in
       let a, b, l = Gates.Oneq.zyz u in
@@ -238,8 +248,11 @@ let prop_zyz_roundtrip =
 
 (* the degenerate branches: diagonal and anti-diagonal unitaries *)
 let prop_zyz_degenerate =
-  QCheck.Test.make ~count:100 ~name:"zyz degenerate branches"
-    QCheck.(pair (float_range (-6.3) 6.3) bool)
+  Proptest.test ~count:100 "zyz degenerate branches"
+    (Proptest.arbitrary
+       ~print:(fun (theta, antidiag) ->
+         Printf.sprintf "theta %.17g, antidiag %b" theta antidiag)
+       (G.pair (G.float_range (-6.3) 6.3) G.bool))
     (fun (theta, antidiag) ->
       let u =
         if antidiag then Mat.mul Gates.Oneq.x (Gates.Oneq.rz theta)
@@ -287,12 +300,11 @@ let () =
           Alcotest.test_case "S1-S7 definitions" `Quick test_gate_type_s_defs;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest
-          [
-            prop_fsim_unitary;
-            prop_fsim_excitation_preserving;
-            prop_u3_unitary;
-            prop_zyz_roundtrip;
-            prop_zyz_degenerate;
-          ] );
+        [
+          prop_fsim_unitary;
+          prop_fsim_excitation_preserving;
+          prop_u3_unitary;
+          prop_zyz_roundtrip;
+          prop_zyz_degenerate;
+        ] );
     ]

@@ -3,7 +3,7 @@
    headline acceptance check (a searched 4-8-type set within 10% of
    Full_fSim's expressivity at >= 50x fewer calibration circuits) and
    the repo-wide guard that nothing computes expressivity outside
-   Isa.Score. *)
+   Isa.Score — and the set-design properties. *)
 
 open Linalg
 
@@ -222,6 +222,79 @@ let test_no_expressivity_outside_isa () =
   in
   Alcotest.(check (list string)) "no private expressivity scorers" [] offenders
 
+(* ---------- properties: set design against its invariants ---------- *)
+
+module G = Proptest.Gen
+
+(* scoring runs many (type, unitary) decompositions per case; keep each
+   one tiny *)
+let isa_nuop =
+  {
+    Decompose.Nuop.default_options with
+    starts = 2;
+    max_layers = 2;
+    bfgs = { Optimize.Bfgs.default_options with max_iter = 60 };
+  }
+
+let sorted_type_names set =
+  List.sort compare (List.map Gates.Gate_type.name (Isa.Set.gate_types set))
+
+let weakly_dominates (c1, v1) (c2, v2) = c1 <= c2 && v1 >= v2
+
+let isa_properties =
+  [
+    (* a search that can only pick from a Table II set's own types must
+       reconstruct exactly that set at its size level *)
+    Proptest.test "search over a Table II pool returns that set" ~count:3
+      (Proptest.arbitrary
+         ~print:(fun (set, _) -> Isa.Set.name set)
+         (G.pair
+            (G.choosel Isa.Set.[ s3; g1; r1; g2 ])
+            (G.list_of ~len:(G.return 2) G.su4)))
+      (fun (set, us) ->
+        let samples = [ ("QV", us) ] in
+        let topology = Device.Topology.grid 3 3 in
+        let points =
+          Isa.Search.run
+            ~options:{ Isa.Search.default_options with nuop = isa_nuop }
+            ~samples ~topology (Isa.Set.gate_types set)
+        in
+        List.length points = Isa.Set.size set
+        &&
+        let last = List.nth points (List.length points - 1) in
+        sorted_type_names last.Isa.Search.set = sorted_type_names set);
+    (* every frontier point is undominated in the input, and every input
+       point is weakly dominated by some frontier point *)
+    Proptest.test "pareto frontier is undominated and covering" ~count:50
+      (Proptest.arbitrary
+         (G.list_of ~len:(G.int_range 1 12)
+            (G.pair (G.float_range 0.0 10.0) (G.float_range 0.0 10.0))))
+      (fun pts ->
+        let front = Isa.Search.pareto_by ~cost:fst ~value:snd pts in
+        (pts = [] || front <> [])
+        && List.for_all
+             (fun p ->
+               not
+                 (List.exists
+                    (fun q -> weakly_dominates q p && (fst q < fst p || snd q > snd p))
+                    pts))
+             front
+        && List.for_all
+             (fun p -> List.exists (fun f -> weakly_dominates f p) front)
+             pts);
+    (* the Domain-pool determinism law, extended to the scorer *)
+    Proptest.test "score is pool-size invariant" ~count:3
+      (Proptest.arbitrary (G.list_of ~len:(G.return 3) G.su4))
+      (fun us ->
+        let samples = [ ("QV", us) ] in
+        let set = Isa.Set.g1 in
+        Decompose.Cache.clear ();
+        let a = Isa.Score.score ~options:isa_nuop ~domains:1 ~samples set in
+        Decompose.Cache.clear ();
+        let b = Isa.Score.score ~options:isa_nuop ~domains:4 ~samples set in
+        a = b);
+  ]
+
 let () =
   Alcotest.run "isa"
     [
@@ -256,4 +329,5 @@ let () =
           Alcotest.test_case "expressivity only via Isa.Score" `Quick
             test_no_expressivity_outside_isa;
         ] );
+      ("isa", isa_properties);
     ]

@@ -1,5 +1,6 @@
 (* Tests for the linear-algebra substrate: complex helpers, matrices,
-   QR, eigenvalues and the deterministic RNG. *)
+   QR, eigenvalues and the deterministic RNG, plus the matrix
+   properties against schoolbook references. *)
 
 open Linalg
 
@@ -323,6 +324,141 @@ let test_eigenvector () =
   let lv = Mat.scale lambda v in
   check_bool "u v = lambda v" true (Mat.equal ~eps:1e-5 uv lv)
 
+(* ---------- properties: Mat against schoolbook references ---------- *)
+
+module G = Proptest.Gen
+
+let arb = Proptest.arbitrary
+
+(* entries uniform on the unit square *)
+let uniform_mat n rng =
+  Mat.init n n (fun _ _ ->
+      { Complex.re = Rng.uniform rng (-1.0) 1.0; im = Rng.uniform rng (-1.0) 1.0 })
+
+let pm = Mat.to_string
+let pm2 (a, b) = Printf.sprintf "A =\n%s\nB =\n%s" (pm a) (pm b)
+
+(* a random square pair of matching dimension *)
+let mat_pair = G.bind (G.int_range 2 5) (fun n -> G.pair (uniform_mat n) (uniform_mat n))
+
+(* the definition of the product, on boxed entries: the same float
+   operations in the same order as mul's generic loop (each term by
+   Complex.mul, summed by Complex.add from zero), so any shape-specific
+   kernel must match it bit for bit *)
+let mul_reference a b =
+  Mat.init (Mat.rows a) (Mat.cols b) (fun i j ->
+      let acc = ref Complex.zero in
+      for l = 0 to Mat.cols a - 1 do
+        acc := Complex.add !acc (Complex.mul (Mat.get a i l) (Mat.get b l j))
+      done;
+      !acc)
+
+let signed_zero rng = if Rng.bool rng then 0.0 else -0.0
+
+(* A 4x4 pair with exact signed zeros: each entry component is +-0.0
+   with probability 1/4.  In half the pairs, row i of a is zeros signed
+   against column j of b so that every term of one part of entry (i, j)
+   is -0.0 — the one case where the sum's start shows: from the first
+   term it stays -0.0, from 0.0 (the generic loop) it is +0.0. *)
+let signed_zero_pair rng =
+  let component () =
+    if Rng.int rng 4 = 0 then signed_zero rng else Rng.uniform rng (-1.0) 1.0
+  in
+  let mat4 () =
+    Mat.init 4 4 (fun _ _ -> { Complex.re = component (); im = component () })
+  in
+  let a = mat4 () and b = mat4 () in
+  if Rng.bool rng then begin
+    let i = Rng.int rng 4 and j = Rng.int rng 4 and real_part = Rng.bool rng in
+    let zero_signed x = Float.copy_sign 0.0 x in
+    for k = 0 to 3 do
+      let bk = Mat.get b k j in
+      (* real: ar br = -0, ai bi = +0; imaginary: ar bi = ai br = -0 *)
+      let re, im =
+        if real_part then (zero_signed (-.bk.re), zero_signed bk.im)
+        else (zero_signed (-.bk.im), zero_signed (-.bk.re))
+      in
+      Mat.set a i k { Complex.re; im }
+    done
+  end;
+  (a, b)
+
+let same_bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+let bit_identical a b =
+  List.for_all2
+    (List.for_all2 (fun (x : Complex.t) (y : Complex.t) ->
+         same_bits x.re y.re && same_bits x.im y.im))
+    (Mat.to_lists a) (Mat.to_lists b)
+
+let mat_properties =
+  [
+    Proptest.test "mul matches the schoolbook product" ~count:25
+      (arb ~print:pm2 mat_pair)
+      (fun (a, b) -> Mat.equal ~eps:1e-10 (Mat.mul a b) (mul_reference a b));
+    (* both go through the same kernel, so at n = 4 this compares the
+       unrolled path with itself; the property below pins that path *)
+    Proptest.test "mul_into agrees with mul" ~count:25
+      (arb ~print:pm2 mat_pair)
+      (fun (a, b) ->
+        let dst = Mat.create (Mat.rows a) (Mat.cols b) in
+        Mat.mul_into ~dst a b;
+        Mat.equal ~eps:0.0 dst (Mat.mul a b));
+    Proptest.test "4x4 mul and mul_into equal the reference bit for bit" ~count:200
+      (arb ~print:pm2 signed_zero_pair)
+      (fun (a, b) ->
+        let reference = mul_reference a b in
+        let dst = Mat.create 4 4 in
+        Mat.mul_into ~dst a b;
+        bit_identical (Mat.mul a b) reference && bit_identical dst reference);
+    Proptest.test "hs_inner is trace(A^dag B)" ~count:25
+      (arb ~print:pm2 mat_pair)
+      (fun (a, b) ->
+        Complex.norm
+          (Complex.sub (Mat.hs_inner a b) (Mat.trace (Mat.mul (Mat.dagger a) b)))
+        < 1e-10);
+    Proptest.test "dagger is an involution" ~count:25
+      (arb ~print:pm (uniform_mat 4))
+      (fun a -> Mat.equal ~eps:0.0 (Mat.dagger (Mat.dagger a)) a);
+    Proptest.test "kron mixed-product identity" ~count:20
+      (arb
+         ~print:(fun (a, b, (c, d)) ->
+           Printf.sprintf "%s%s%s%s" (pm a) (pm b) (pm c) (pm d))
+         (G.triple (uniform_mat 2) (uniform_mat 2) (G.pair (uniform_mat 2) (uniform_mat 2))))
+      (fun (a, b, (c, d)) ->
+        Mat.equal ~eps:1e-10
+          (Mat.mul (Mat.kron a b) (Mat.kron c d))
+          (Mat.kron (Mat.mul a c) (Mat.mul b d)));
+    Proptest.test "det is multiplicative" ~count:20
+      (arb ~print:pm2 (G.pair (uniform_mat 3) (uniform_mat 3)))
+      (fun (a, b) ->
+        Complex.norm
+          (Complex.sub (Mat.det (Mat.mul a b)) (Complex.mul (Mat.det a) (Mat.det b)))
+        < 1e-8);
+    Proptest.test "solve round-trips" ~count:20
+      (arb ~print:pm2 (G.pair (G.unitary 4) (uniform_mat 4)))
+      (fun (u, b) -> Mat.equal ~eps:1e-8 (Mat.mul u (Mat.solve u b)) b);
+    Proptest.test "haar samples are unitary, su4 has det 1" ~count:20
+      (arb ~print:pm G.su4)
+      (fun u ->
+        Mat.is_unitary ~eps:1e-8 u
+        && Complex.norm (Complex.sub (Mat.det u) Complex.one) < 1e-8);
+    Proptest.test "product and kron of unitaries stay unitary" ~count:20
+      (arb ~print:pm2 (G.pair (G.unitary 2) (G.unitary 2)))
+      (fun (a, b) ->
+        Mat.is_unitary ~eps:1e-7 (Mat.mul a b) && Mat.is_unitary ~eps:1e-7 (Mat.kron a b));
+    Proptest.test "frobenius norm is unitarily invariant" ~count:20
+      (arb ~print:pm2 (G.pair (G.unitary 3) (uniform_mat 3)))
+      (fun (u, a) ->
+        Float.abs (Mat.frobenius_norm (Mat.mul u a) -. Mat.frobenius_norm a) <= 1e-8);
+    Proptest.test "unitary eigenvalues lie on the unit circle" ~count:15
+      (arb ~print:pm (G.unitary 4))
+      (fun u ->
+        Array.for_all
+          (fun e -> Float.abs (Complex.norm e -. 1.0) < 1e-5)
+          (Eigen.eigenvalues u));
+  ]
+
 let () =
   Alcotest.run "linalg"
     [
@@ -365,7 +501,8 @@ let () =
           Alcotest.test_case "equal up to phase" `Quick test_mat_equal_up_to_phase;
           Alcotest.test_case "digest stable" `Quick test_mat_digest_stable;
           Alcotest.test_case "of_rows validation" `Quick test_mat_of_rows_validation;
-        ] );
+        ]
+        @ mat_properties );
       ( "qr",
         [
           Alcotest.test_case "reconstruction" `Quick test_qr_reconstruction;

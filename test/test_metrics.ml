@@ -119,29 +119,29 @@ let test_success_basis () =
 let test_success_mean () =
   check_float "mean" 0.5 (Metrics.Success.mean [ 0.25; 0.75 ])
 
-(* qcheck: metric bounds on random distributions *)
+(* metric bounds on random distributions *)
 let random_dist rng n =
   let raw = Array.init n (fun _ -> Linalg.Rng.uniform rng 0.01 1.0) in
   let total = Array.fold_left ( +. ) 0.0 raw in
   Array.map (fun v -> v /. total) raw
 
+let seed_arb = Proptest.arbitrary ~print:string_of_int (Proptest.Gen.int_range 0 100000)
+
 let prop_hop_bounds =
-  QCheck.Test.make ~count:50 ~name:"hop in [0,1]" QCheck.(int_range 0 100000) (fun seed ->
+  Proptest.test ~count:50 "hop in [0,1]" seed_arb (fun seed ->
       let rng = Linalg.Rng.create seed in
       let ideal = random_dist rng 8 and noisy = random_dist rng 8 in
       let v = Metrics.Hop.probability ~ideal ~noisy in
       v >= 0.0 && v <= 1.0)
 
 let prop_xed_perfect_is_one =
-  QCheck.Test.make ~count:50 ~name:"xed(p, p) = 1" QCheck.(int_range 0 100000) (fun seed ->
+  Proptest.test ~count:50 "xed(p, p) = 1" seed_arb (fun seed ->
       let rng = Linalg.Rng.create seed in
       let ideal = random_dist rng 8 in
       Float.abs (Metrics.Xed.difference ~ideal ~noisy:ideal -. 1.0) < 1e-9)
 
 let prop_bhattacharyya_bounds =
-  QCheck.Test.make ~count:50 ~name:"distribution fidelity in [0,1]"
-    QCheck.(int_range 0 100000)
-    (fun seed ->
+  Proptest.test ~count:50 "distribution fidelity in [0,1]" seed_arb (fun seed ->
       let rng = Linalg.Rng.create seed in
       let a = random_dist rng 8 and b = random_dist rng 8 in
       let v = Metrics.Success.distribution_fidelity ~ideal:a ~noisy:b in
@@ -187,6 +187,5 @@ let () =
           Alcotest.test_case "mean" `Quick test_success_mean;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest
-          [ prop_hop_bounds; prop_xed_perfect_is_one; prop_bhattacharyya_bounds ] );
+        [ prop_hop_bounds; prop_xed_perfect_is_one; prop_bhattacharyya_bounds ] );
     ]

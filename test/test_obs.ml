@@ -1,7 +1,8 @@
 (* The telemetry subsystem (lib/obs): clock formatting, leveled logging
    with warn-once, counter/gauge registries, span nesting through an
-   in-memory sink, the nuop-trace/1 validator, Domain-pool stress, and
-   the repo-wide grep ban on raw timers/stderr outside lib/obs. *)
+   in-memory sink, the nuop-trace/1 validator, Domain-pool stress, the
+   repo-wide grep ban on raw timers/stderr outside lib/obs, and the
+   telemetry properties against the trace validator. *)
 
 let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
@@ -206,10 +207,7 @@ let test_pool_counter_totals () =
   check_int "no lost increments" (tasks * per_task) (Obs.Counter.get c)
 
 let test_pool_spans_validate () =
-  let file = Filename.temp_file "nuop-trace" ".jsonl" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
-    (fun () ->
+  Proptest.with_temp_file (fun file ->
       let tasks = 16 in
       Obs.Trace.with_file file (fun () ->
           ignore
@@ -288,6 +286,92 @@ let test_no_raw_instrumentation () =
   in
   Alcotest.(check (list string)) "no raw timers or stderr outside lib/obs" [] offenders
 
+(* ---------- properties: telemetry against its own trace validator ---------- *)
+
+module G = Proptest.Gen
+
+(* a random span-nesting shape: each node is one [Obs.Span.with_] call
+   wrapping its children *)
+type span_shape = Node of span_shape list
+
+let rec shape_size (Node kids) =
+  1 + List.fold_left (fun acc k -> acc + shape_size k) 0 kids
+
+let rec print_shape (Node kids) =
+  Printf.sprintf "(%s)" (String.concat " " (List.map print_shape kids))
+
+let rec span_shape_gen depth rng =
+  let width = if depth <= 0 then 0 else Linalg.Rng.int rng 4 in
+  Node (List.init width (fun _ -> span_shape_gen (depth - 1) rng))
+
+let rec build_spans depth (Node kids) =
+  Obs.Span.with_
+    (Printf.sprintf "test.node.d%d" depth)
+    (fun () -> List.iter (build_spans (depth + 1)) kids)
+
+let obs_properties =
+  [
+    (* structural law: a tree of [with_] calls produces a trace the
+       validator accepts, with exactly one completed span per node *)
+    Proptest.test "span trees validate with exact span counts" ~count:20
+      (Proptest.arbitrary ~print:print_shape (span_shape_gen 3))
+      (fun shape ->
+        Proptest.with_temp_file (fun file ->
+            Obs.Trace.with_file file (fun () -> build_spans 0 shape);
+            match Obs.Trace.check_file file with
+            | Ok s -> s.Obs.Trace.spans = shape_size shape
+            | Error _ -> false));
+    (* atomicity: concurrent increments from Domain-pool workers are
+       never lost — the counter total is exactly tasks * per_task *)
+    Proptest.test "counter sums are exact across domains" ~count:10
+      (Proptest.arbitrary
+         ~print:(fun (tasks, per) -> Printf.sprintf "%d tasks x %d incrs" tasks per)
+         (G.pair (G.int_range 1 24) (G.int_range 1 200)))
+      (fun (tasks, per) ->
+        let c = Obs.Counter.create "test.obs.hits" in
+        Obs.Counter.reset c;
+        ignore
+          (Concurrent.Domain_pool.map_array ~domains:4
+             (fun _ ->
+               for _ = 1 to per do
+                 Obs.Counter.incr c
+               done)
+             (Array.init tasks Fun.id));
+        Obs.Counter.get c = tasks * per);
+    (* serialization round trip: every line of a trace parses through
+       Njson and re-emits byte for byte (canonical compact form) *)
+    Proptest.test "trace lines round-trip through Njson" ~count:10
+      (Proptest.arbitrary ~print:print_shape (span_shape_gen 2))
+      (fun shape ->
+        Proptest.with_temp_file (fun file ->
+            Obs.Trace.with_file file (fun () -> build_spans 0 shape);
+            In_channel.with_open_text file In_channel.input_lines
+            |> List.for_all (fun line ->
+                   Njson.to_string ~indent:0 (Njson.of_string line) = line)));
+    (* observer effect: compiling under an active trace sink yields the
+       same compiled program as compiling with the null sink, and the
+       trace it writes passes the validator *)
+    Proptest.test "tracing never changes the compiled circuit" ~count:2
+      (Proptest.circuit ~n_qubits:3 ~max_length:8 ())
+      (fun circuit ->
+        Proptest.with_temp_file (fun file ->
+            let options =
+              { Compiler.Pipeline.default_options with nuop = Proptest.fast_nuop }
+            in
+            let device = Device.sycamore_line 4 in
+            let isa = Isa.Set.g2 in
+            Decompose.Cache.clear ();
+            let plain = Compiler.Pipeline.compile ~options ~device ~isa circuit in
+            Decompose.Cache.clear ();
+            let traced =
+              Obs.Trace.with_file file (fun () ->
+                  Compiler.Pipeline.compile ~options ~device ~isa circuit)
+            in
+            Proptest.same_compiled plain traced
+            &&
+            match Obs.Trace.check_file file with Ok _ -> true | Error _ -> false));
+  ]
+
 let () =
   Alcotest.run "obs"
     [
@@ -327,4 +411,5 @@ let () =
         [
           Alcotest.test_case "no raw instrumentation" `Quick test_no_raw_instrumentation;
         ] );
+      ("obs", obs_properties);
     ]

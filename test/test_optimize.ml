@@ -1,4 +1,5 @@
-(* Tests for the numerical optimization substrate. *)
+(* Tests for the numerical optimization substrate, plus BFGS properties
+   on random convex quadratics. *)
 
 let check_bool = Alcotest.(check bool)
 let check_float = Alcotest.(check (float 1e-6))
@@ -197,9 +198,50 @@ let test_multistart_parallel_matches_sequential () =
         par.Optimize.Multistart.best.Optimize.Bfgs.x.(0))
     [ 2; 3 ]
 
-(* randomized BFGS properties now live in the Verify catalogue
-   (test_properties.ml): convergence to grad_tol on convex quadratics
-   and monotone objective decrease *)
+(* ---------- properties: BFGS on random convex quadratics ---------- *)
+
+(* sum_i a_i (x_i - c_i)^2 from x0, with every a_i > 0 *)
+type convex = { a : float array; c : float array; x0 : float array }
+
+let convex_gen rng =
+  let n = 2 + Linalg.Rng.int rng 4 in
+  let uniform lo hi = Linalg.Rng.uniform rng lo hi in
+  {
+    a = Array.init n (fun _ -> uniform 0.5 3.0);
+    c = Array.init n (fun _ -> uniform (-2.0) 2.0);
+    x0 = Array.init n (fun _ -> uniform (-3.0) 3.0);
+  }
+
+let convex_f q x =
+  let acc = ref 0.0 in
+  Array.iteri (fun i ai -> acc := !acc +. (ai *. (x.(i) -. q.c.(i)) ** 2.0)) q.a;
+  !acc
+
+let print_convex q =
+  let arr v =
+    String.concat ";" (Array.to_list (Array.map (Printf.sprintf "%.6g") v))
+  in
+  Printf.sprintf "a=[%s] c=[%s] x0=[%s]" (arr q.a) (arr q.c) (arr q.x0)
+
+let convex_arb = Proptest.arbitrary ~print:print_convex convex_gen
+
+let optimize_properties =
+  [
+    (* the stagnation-exit regression: an absolute f-decrease cutoff
+       aborts these runs at objective values ~1e-12 with the gradient
+       still orders of magnitude above grad_tol *)
+    Proptest.test "bfgs reaches grad_tol on convex quadratics" ~count:25 convex_arb
+      (fun q ->
+        let r = Optimize.Bfgs.minimize (convex_f q) q.x0 in
+        r.Optimize.Bfgs.outcome = Optimize.Bfgs.Converged
+        && r.Optimize.Bfgs.f < 1e-10
+        && Array.for_all2 (fun xi ci -> Float.abs (xi -. ci) < 1e-4) r.Optimize.Bfgs.x q.c);
+    Proptest.test "bfgs never increases the objective" ~count:25 convex_arb
+      (fun q ->
+        let r = Optimize.Bfgs.minimize (convex_f q) q.x0 in
+        r.Optimize.Bfgs.f <= convex_f q q.x0 +. 1e-12);
+  ]
+
 let () =
   Alcotest.run "optimize"
     [
@@ -232,4 +274,5 @@ let () =
           Alcotest.test_case "parallel matches sequential" `Quick
             test_multistart_parallel_matches_sequential;
         ] );
+      ("optimize", optimize_properties);
     ]

@@ -1,6 +1,8 @@
 (* Unit tests for the shared timed-executable representation
    (lib/schedule): ASAP bucketing, start/duration accounting, busy and
-   idle time, and the timeline rendering. *)
+   idle time, and the timeline rendering, plus the timing layer's
+   properties (sound moments, exact busy/idle accounting, the scheduled
+   runner, ESP against density simulation). *)
 
 open Linalg
 
@@ -132,6 +134,110 @@ let test_no_private_scheduling () =
   in
   Alcotest.(check (list string)) "no private moment scheduling" [] offenders
 
+(* ---------- properties: the timing layer against its laws ---------- *)
+
+let uniform_durations = Schedule.uniform ~duration_1q:20e-9 ~duration_2q:40e-9
+
+let schedule_properties =
+  [
+    (* ASAP moments must be dependency-sound: no qubit acts twice in a
+       moment, per-qubit program order is preserved across moments, and
+       with uniform durations the moment count is exactly the circuit
+       depth *)
+    Proptest.test "moments are dependency-sound" ~count:20
+      (Proptest.circuit ~max_length:16 ())
+      (fun c ->
+        let s = Schedule.of_circuit ~durations:uniform_durations c in
+        let sound = ref true in
+        let last = Array.make (Qcir.Circuit.n_qubits c) (-1) in
+        Schedule.iter_moments
+          (fun m ->
+            let seen = Hashtbl.create 8 in
+            List.iter
+              (fun (idx, instr) ->
+                Array.iter
+                  (fun q ->
+                    if Hashtbl.mem seen q then sound := false;
+                    Hashtbl.replace seen q ();
+                    if idx <= last.(q) then sound := false;
+                    last.(q) <- idx)
+                  (Qcir.Instr.qubits instr))
+              m.Schedule.instrs)
+          s;
+        !sound
+        && Schedule.depth s = Qcir.Circuit.depth c
+        && Schedule.instruction_count s = Qcir.Circuit.length c);
+    (* per-qubit accounting closes: busy + idle = total, exactly *)
+    Proptest.test "busy + idle = total duration per qubit" ~count:15
+      (Proptest.circuit ~max_length:16 ())
+      (fun c ->
+        let s = Schedule.of_circuit ~durations:uniform_durations c in
+        List.for_all
+          (fun q ->
+            Float.abs
+              (Schedule.busy_time s q +. Schedule.idle_time s q -. Schedule.total_duration s)
+            <= 1e-15)
+          (List.init (Schedule.n_qubits s) Fun.id));
+    (* with decoherence off, the moment-ordered scheduled runner and the
+       program-ordered plain runner compose the same commuting channels:
+       identical output within float tolerance *)
+    Proptest.test "run_scheduled = run when T1/T2 are infinite" ~count:8
+      (Proptest.circuit ~n_qubits:3 ())
+      (fun c ->
+        let model =
+          {
+            Sim.Noisy.ideal with
+            twoq_error = (fun _ _ -> 0.03);
+            oneq_error = (fun _ -> 0.002);
+            duration_1q = 20e-9;
+            duration_2q = 40e-9;
+          }
+        in
+        Array.for_all2
+          (fun x y -> Float.abs (x -. y) < 1e-9)
+          (Sim.Density.probabilities (Sim.Noisy.run model c))
+          (Sim.Density.probabilities (Sim.Noisy.run_scheduled model c)));
+    (* the analytic product tracks the exponential-cost density
+       simulation: ESP within 5% absolute of both the state fidelity and
+       the Bhattacharyya distribution fidelity on small noisy circuits *)
+    Proptest.test "ESP tracks density-sim success within 5%" ~count:6
+      (Proptest.circuit ~n_qubits:3 ~max_length:10 ())
+      (fun c ->
+        let twoq = 0.004 and oneq = 0.0004 in
+        let t1 = 40e-6 and t2 = 30e-6 in
+        let model =
+          {
+            Sim.Noisy.ideal with
+            twoq_error = (fun _ _ -> twoq);
+            oneq_error = (fun _ -> oneq);
+            t1 = (fun _ -> t1);
+            t2 = (fun _ -> t2);
+            duration_1q = 25e-9;
+            duration_2q = 40e-9;
+          }
+        in
+        let schedule = Sim.Noisy.model_schedule model c in
+        let twoq_errors = Array.make (Qcir.Circuit.length c) twoq in
+        let esp =
+          (Metrics.Esp.estimate ~twoq_errors
+             ~oneq_error:(fun _ -> oneq)
+             ~readout_error:(fun _ -> 0.0)
+             ~t1:(fun _ -> t1)
+             ~t2:(fun _ -> t2)
+             schedule)
+            .Metrics.Esp.esp
+        in
+        let rho = Sim.Noisy.run_scheduled ~schedule model c in
+        let ideal = Sim.State.run_circuit c in
+        let state_fid = Sim.Density.fidelity_with_pure rho ideal in
+        let dist_fid =
+          Metrics.Success.distribution_fidelity
+            ~ideal:(Sim.State.probabilities ideal)
+            ~noisy:(Sim.Density.probabilities rho)
+        in
+        Float.abs (esp -. state_fid) <= 0.05 && Float.abs (esp -. dist_fid) <= 0.05);
+  ]
+
 let () =
   Alcotest.run "schedule"
     [
@@ -146,7 +252,8 @@ let () =
           Alcotest.test_case "empty circuit" `Quick test_empty_circuit;
           Alcotest.test_case "uniform oracle" `Quick test_uniform_oracle;
           Alcotest.test_case "timeline rendering" `Quick test_timeline_rendering;
-        ] );
+        ]
+        @ schedule_properties );
       ( "invariants",
         [
           Alcotest.test_case "scheduling only via Schedule" `Quick

@@ -1,8 +1,10 @@
 (* The resident compilation service (lib/service): protocol parsing and
    rendering, the bounded queue, monotonic deadlines, the server engine
-   (injected executors: retries, drain refusals), and the satellite
+   (injected executors: failures, drain refusals), and the satellite
    fixes that ride with it — Njson.of_string_result line/column errors,
-   case-insensitive experiment lookup, fresh_path clobber avoidance. *)
+   case-insensitive experiment lookup, fresh_path clobber avoidance —
+   and the server's properties (pool-size invariance, backpressure,
+   deadlines). *)
 
 let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
@@ -169,11 +171,7 @@ let test_deadline () =
 let batch ?exec ~workers lines =
   let t =
     Service.Server.create ?exec
-      {
-        Service.Server.default_config with
-        Service.Server.workers;
-        queue_depth = max 8 (List.length lines);
-      }
+      { Service.Server.workers; queue_depth = max 8 (List.length lines) }
   in
   let lock = Mutex.create () in
   let replies = ref [] in
@@ -198,31 +196,25 @@ let test_server_end_to_end () =
   check_bool "ping pongs" true
     (List.mem "{\"id\":1,\"ok\":true,\"result\":{\"pong\":true}}" replies)
 
-let test_server_retries_transient () =
-  let failures = Atomic.make 1 in
-  let calls = Atomic.make 0 in
-  let exec _req =
-    Atomic.incr calls;
-    if Atomic.fetch_and_add failures (-1) > 0 then
-      raise (Service.Protocol.Transient "flaky backend");
-    Ok (Njson.Bool true)
-  in
-  let _, replies = batch ~exec ~workers:1 [ "{\"id\":1,\"op\":\"ping\"}" ] in
-  check_int "executed twice (one retry)" 2 (Atomic.get calls);
-  check_string "second attempt answered ok"
-    "{\"id\":1,\"ok\":true,\"result\":true}" (List.hd replies)
+(* the error kind of a response line, if it is an error *)
+let error_kind_of_reply reply =
+  match Njson.of_string_result reply with
+  | Ok j -> (
+    match Option.bind (Njson.member "error" j) (Njson.member "kind") with
+    | Some (Njson.String k) -> Some k
+    | _ -> None)
+  | Error _ -> None
 
-let test_server_exhausts_retries () =
-  let exec _req = raise (Service.Protocol.Transient "always down") in
+let ok_reply reply =
+  match Njson.of_string_result reply with
+  | Ok j -> Njson.member "ok" j = Some (Njson.Bool true)
+  | Error _ -> false
+
+let test_server_failing_exec_is_internal () =
+  let exec _req = failwith "backend down" in
   let _, replies = batch ~exec ~workers:1 [ "{\"id\":1,\"op\":\"ping\"}" ] in
-  match Njson.of_string_result (List.hd replies) with
-  | Error e -> Alcotest.fail e
-  | Ok j ->
-    check_bool "not ok" true (Njson.member "ok" j = Some (Njson.Bool false));
-    let kind =
-      Option.bind (Njson.member "error" j) (Njson.member "kind")
-    in
-    check_bool "internal after retries" true (kind = Some (Njson.String "internal"))
+  check_bool "not ok" false (ok_reply (List.hd replies));
+  check_bool "internal" true (error_kind_of_reply (List.hd replies) = Some "internal")
 
 let test_server_refuses_after_drain () =
   let t, _ = batch ~workers:1 [ "{\"id\":1,\"op\":\"ping\"}" ] in
@@ -257,6 +249,33 @@ let test_ops_bad_device_is_typed () =
       check_bool "bad_request" true
         (e.Service.Protocol.kind = Service.Protocol.Bad_request))
 
+(* a served request names a registry device: an existing snapshot file
+   is an unknown device, refused with the known names listed *)
+let test_ops_device_path_refused () =
+  let path = "golden/aspen8.json" in
+  check_bool "the snapshot exists" true (Sys.file_exists path);
+  match
+    Service.Protocol.parse
+      (Printf.sprintf {|{"op":"compile","app":"qaoa","isa":"R2","device":%S}|} path)
+  with
+  | Error _ -> Alcotest.fail "parse failed"
+  | Ok req -> (
+    match Service.Ops.execute req with
+    | Ok _ -> Alcotest.fail "compiled on a device read from a file"
+    | Error e ->
+      check_bool "bad_request" true
+        (e.Service.Protocol.kind = Service.Protocol.Bad_request);
+      let known =
+        match Astring.String.cut ~sep:"known:" e.Service.Protocol.message with
+        | Some (_, names) -> names
+        | None -> Alcotest.failf "no known-device list in %S" e.Service.Protocol.message
+      in
+      List.iter
+        (fun name ->
+          check_bool (Printf.sprintf "lists %s (%s)" name known) true
+            (Astring.String.is_infix ~affix:name known))
+        (Device.Registry.names ()))
+
 (* out-of-range widths and counts used to reach the app builders'
    assertions and come back as [internal] errors *)
 let test_ops_out_of_range_params_are_typed () =
@@ -281,6 +300,201 @@ let test_ops_out_of_range_params_are_typed () =
       ({|{"op":"compile","app":"qv","qubits":-2}|}, "qubits");
       ({|{"op":"compile","app":"qaoa","qubits":1}|}, "qubits");
     ]
+
+(* ---------- properties: the resident server against its laws ---------- *)
+
+module G = Proptest.Gen
+
+let obj_line kvs = Njson.to_string ~indent:0 (Njson.Obj kvs)
+
+(* a small request mix: cheap ops plus real compiles over a bounded
+   parameter space (so the shared cache covers repeats quickly) *)
+let request_line_gen =
+  let compile_req =
+    G.map2
+      (fun (qubits, seed) id ->
+        obj_line
+          [
+            ("id", Njson.Int id);
+            ("op", Njson.String "compile");
+            ("app", Njson.String "qaoa");
+            ("isa", Njson.String "G2");
+            ("qubits", Njson.Int qubits);
+            ("seed", Njson.Int seed);
+          ])
+      (G.pair (G.int_range 3 4) (G.int_range 1 3))
+      (G.int_range 0 1000)
+  in
+  let simple op =
+    G.map
+      (fun id -> obj_line [ ("id", Njson.Int id); ("op", Njson.String op) ])
+      (G.int_range 0 1000)
+  in
+  G.choose [ compile_req; simple "ping"; simple "devices"; compile_req ]
+
+let service_properties =
+  [
+    (* the response multiset is invariant under worker count — a
+       3-worker server answers byte for byte what the 1-worker
+       (sequential) server answers *)
+    Proptest.test "responses are byte-identical at pool sizes 1 and 3" ~count:4
+      (Proptest.arbitrary ~print:(String.concat "\n")
+         (G.list_of ~len:(G.int_range 1 6) request_line_gen))
+      (fun lines ->
+        let _, sequential = batch ~workers:1 lines in
+        let _, concurrent = batch ~workers:3 lines in
+        List.equal String.equal sequential concurrent);
+    (* backpressure: with the worker wedged and the queue full, every
+       extra request is refused as [overloaded], synchronously, and
+       every accepted one still completes after the wedge lifts —
+       nothing is ever dropped *)
+    Proptest.test "queue overflow always answers overloaded, never drops" ~count:5
+      (Proptest.arbitrary
+         ~print:(fun (q, k) -> Printf.sprintf "queue=%d extras=%d" q k)
+         (G.pair (G.int_range 1 4) (G.int_range 1 4)))
+      (fun (q, k) ->
+        let gate = Mutex.create () in
+        let gate_cv = Condition.create () in
+        let open_ = ref false in
+        let started = Atomic.make 0 in
+        let exec _req =
+          Mutex.lock gate;
+          Atomic.incr started;
+          Condition.broadcast gate_cv;
+          while not !open_ do
+            Condition.wait gate_cv gate
+          done;
+          Mutex.unlock gate;
+          Ok (Njson.Bool true)
+        in
+        let t =
+          Service.Server.create ~exec
+            { Service.Server.workers = 1; queue_depth = q }
+        in
+        let lock = Mutex.create () in
+        let replies = ref [] in
+        let reply r =
+          Mutex.lock lock;
+          replies := r :: !replies;
+          Mutex.unlock lock
+        in
+        let submit i =
+          Service.Server.submit_line t ~reply
+            (obj_line [ ("id", Njson.Int i); ("op", Njson.String "ping") ])
+        in
+        submit 0;
+        (* wait until the single worker holds request 0, so the queue
+           really has q free slots — a blocking wait, because on a
+           loaded single-core box the worker domain can take arbitrarily
+           long to be scheduled *)
+        Mutex.lock gate;
+        while Atomic.get started = 0 do
+          Condition.wait gate_cv gate
+        done;
+        Mutex.unlock gate;
+        for i = 1 to q do
+          submit i
+        done;
+        (* these k must bounce immediately: the reply arrives before
+           submit_line returns *)
+        let overloaded = ref 0 in
+        for i = q + 1 to q + k do
+          let before = List.length !replies in
+          submit i;
+          Mutex.lock lock;
+          let now = !replies in
+          Mutex.unlock lock;
+          if
+            List.length now = before + 1
+            && error_kind_of_reply (List.hd now) = Some "overloaded"
+          then incr overloaded
+        done;
+        Mutex.lock gate;
+        open_ := true;
+        Condition.broadcast gate_cv;
+        Mutex.unlock gate;
+        Service.Server.drain t;
+        !overloaded = k
+        && List.length !replies = 1 + q + k
+        && List.length (List.filter ok_reply !replies) = 1 + q);
+    (* deadlines: a request that expires in the queue answers [timeout]
+       without executing, one that expires mid-execution answers
+       [timeout] after it, and the worker slot survives both *)
+    Proptest.test "deadline exceeded yields timeout and the slot is reclaimed" ~count:3
+      (Proptest.arbitrary ~print:(Printf.sprintf "deadline=%dms") (G.int_range 1 5))
+      (fun dl_ms ->
+        let gate = Mutex.create () in
+        let gate_cv = Condition.create () in
+        let open_ = ref false in
+        let entered = ref false in
+        let started = Atomic.make 0 in
+        let exec req =
+          Atomic.incr started;
+          (match Njson.member "block" req.Service.Protocol.body with
+          | Some (Njson.Bool true) ->
+            Mutex.lock gate;
+            entered := true;
+            Condition.broadcast gate_cv;
+            while not !open_ do
+              Condition.wait gate_cv gate
+            done;
+            Mutex.unlock gate
+          | _ -> ());
+          Ok (Njson.Bool true)
+        in
+        let t =
+          Service.Server.create ~exec
+            { Service.Server.workers = 1; queue_depth = 8 }
+        in
+        let lock = Mutex.create () in
+        let replies = Hashtbl.create 4 in
+        let reply_for id r =
+          Mutex.lock lock;
+          Hashtbl.replace replies id r;
+          Mutex.unlock lock
+        in
+        (* r0 wedges the worker; it carries no deadline, so it reaches
+           the executor no matter how slowly the domain is scheduled *)
+        Service.Server.submit_line t ~reply:(reply_for 0)
+          (obj_line
+             [ ("id", Njson.Int 0); ("op", Njson.String "ping"); ("block", Njson.Bool true) ]);
+        Mutex.lock gate;
+        while not !entered do
+          Condition.wait gate_cv gate
+        done;
+        Mutex.unlock gate;
+        (* r1 queues behind the wedge with a deadline we let expire
+           before releasing the worker.  The probe is armed after
+           submit_line returns, so on the shared monotonic clock the
+           probe expiring implies r1's own deadline has expired *)
+        Service.Server.submit_line t ~reply:(reply_for 1)
+          (obj_line
+             [
+               ("id", Njson.Int 1);
+               ("op", Njson.String "ping");
+               ("deadline_ms", Njson.Float (float_of_int dl_ms));
+             ]);
+        let probe = Service.Deadline.after ~ms:(float_of_int dl_ms) in
+        while not (Service.Deadline.expired probe) do
+          Unix.sleepf 0.001
+        done;
+        (* r2: no deadline -> proves the worker slot was reclaimed *)
+        Service.Server.submit_line t ~reply:(reply_for 2)
+          (obj_line [ ("id", Njson.Int 2); ("op", Njson.String "ping") ]);
+        Mutex.lock gate;
+        open_ := true;
+        Condition.broadcast gate_cv;
+        Mutex.unlock gate;
+        Service.Server.drain t;
+        let kind id = Option.bind (Hashtbl.find_opt replies id) error_kind_of_reply in
+        let ok id =
+          match Hashtbl.find_opt replies id with Some r -> ok_reply r | None -> false
+        in
+        ok 0
+        && kind 1 = Some "timeout"
+        && ok 2
+        && Atomic.get started = 2 (* r1 never reached the executor *));
+  ]
 
 let () =
   Alcotest.run "service"
@@ -315,12 +529,14 @@ let () =
       ( "server",
         [
           Alcotest.test_case "end to end" `Quick test_server_end_to_end;
-          Alcotest.test_case "transient retry" `Quick test_server_retries_transient;
-          Alcotest.test_case "retries exhausted" `Quick test_server_exhausts_retries;
+          Alcotest.test_case "failing executor is internal" `Quick
+            test_server_failing_exec_is_internal;
           Alcotest.test_case "drain refusal" `Quick test_server_refuses_after_drain;
           Alcotest.test_case "stats op" `Quick test_server_stats_op;
           Alcotest.test_case "typed bad device" `Quick test_ops_bad_device_is_typed;
+          Alcotest.test_case "snapshot path refused" `Quick test_ops_device_path_refused;
           Alcotest.test_case "typed out-of-range params" `Quick
             test_ops_out_of_range_params_are_typed;
         ] );
+      ("service", service_properties);
     ]

@@ -1,5 +1,6 @@
 (* Tests for the simulators: state vector, channels, density operator,
-   noisy execution, trajectories and sampling. *)
+   noisy execution, trajectories and sampling, plus the properties
+   running the three simulators against each other. *)
 
 open Linalg
 
@@ -237,7 +238,9 @@ let test_scheduled_idle_decoherence () =
 let test_scheduled_noiseless_exact () =
   let rng = Rng.create 20 in
   let c = Apps.Qaoa.circuit rng 3 in
-  let probs = Sim.Noisy.output_probabilities ~scheduled:true Sim.Noisy.ideal c in
+  (* ideal has no readout error: the scheduled runner's probabilities
+     are the output probabilities *)
+  let probs = Sim.Density.probabilities (Sim.Noisy.run_scheduled Sim.Noisy.ideal c) in
   let expect = Sim.State.probabilities (Sim.State.run_circuit c) in
   Array.iteri (fun k p -> check_loose "prob" p probs.(k)) expect
 
@@ -434,24 +437,68 @@ let test_sample_empirical_converges () =
   let emp = Sim.Sample.empirical_probabilities ~rng ~shots:20000 probs in
   check_bool "close" true (Float.abs (emp.(0) -. 0.7) < 0.02)
 
-(* qcheck: random circuits preserve norm; channels preserve trace *)
+(* ---------- properties ---------- *)
+
+module G = Proptest.Gen
+
 let prop_norm_preserved =
-  QCheck.Test.make ~count:20 ~name:"statevector norm preserved"
-    QCheck.(int_range 0 100000)
+  Proptest.test ~count:20 "statevector norm preserved"
+    (Proptest.arbitrary ~print:string_of_int (G.int_range 0 100000))
     (fun seed ->
       let rng = Rng.create seed in
       let c = Apps.Qv.circuit rng (2 + Rng.int rng 3) in
       Float.abs (Sim.State.norm2 (Sim.State.run_circuit c) -. 1.0) < 1e-8)
 
 let prop_channel_trace =
-  QCheck.Test.make ~count:20 ~name:"channels preserve trace"
-    QCheck.(pair (int_range 0 10000) (float_range 0.0 0.9))
+  Proptest.test ~count:20 "channels preserve trace"
+    (Proptest.arbitrary
+       ~print:(fun (seed, p) -> Printf.sprintf "seed %d, p %.17g" seed p)
+       (G.pair (G.int_range 0 10000) (G.float_range 0.0 0.9)))
     (fun (seed, p) ->
       let rng = Rng.create seed in
       let c = Apps.Qv.circuit rng 2 in
       let rho = Sim.Density.run_circuit c in
       Sim.Density.apply_channel rho (Sim.Channel.depolarizing_2q p) [| 0; 1 |];
       Float.abs ((Sim.Density.trace rho).re -. 1.0) < 1e-8)
+
+(* three simulators, one answer *)
+
+let linf a b =
+  let m = ref 0.0 in
+  Array.iteri (fun i x -> m := Float.max !m (Float.abs (x -. b.(i)))) a;
+  !m
+
+let sim_properties =
+  [
+    Proptest.test "state and density agree on ideal circuits" ~count:10
+      (Proptest.circuit ~n_qubits:3 ())
+      (fun c ->
+        linf
+          (Sim.State.probabilities (Sim.State.run_circuit c))
+          (Sim.Density.probabilities (Sim.Density.run_circuit c))
+        < 1e-9);
+    Proptest.test "of_statevector preserves the state" ~count:10
+      (Proptest.circuit ~n_qubits:3 ())
+      (fun c ->
+        let s = Sim.State.run_circuit c in
+        let rho = Sim.Density.of_statevector s in
+        Float.abs (1.0 -. Sim.Density.purity rho) <= 1e-9
+        && linf (Sim.State.probabilities s) (Sim.Density.probabilities rho) < 1e-9);
+    Proptest.test "zero-noise trajectory is the pure state" ~count:6
+      (Proptest.circuit ~n_qubits:3 ())
+      (fun c ->
+        let traj = Sim.Trajectory.run_one (Rng.create 1) Sim.Noisy.ideal c in
+        Float.abs (1.0 -. Sim.State.fidelity_pure traj (Sim.State.run_circuit c)) <= 1e-9);
+    Proptest.test "density and trajectory agree on noisy circuits" ~count:2
+      (Proptest.circuit ~n_qubits:2 ~max_length:6 ())
+      (fun c ->
+        let model = noise_with ~twoq:0.15 ~oneq:0.01 () in
+        let exact = Sim.Density.probabilities (Sim.Noisy.run model c) in
+        let mc =
+          Sim.Trajectory.mean_probabilities ~seed:3 ~trajectories:2000 model c
+        in
+        linf exact mc < 0.05);
+  ]
 
 let () =
   Alcotest.run "sim"
@@ -513,6 +560,6 @@ let () =
           Alcotest.test_case "counts sum" `Quick test_sample_counts_sum;
           Alcotest.test_case "empirical converges" `Quick test_sample_empirical_converges;
         ] );
-      ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ prop_norm_preserved; prop_channel_trace ] );
+      ("properties", [ prop_norm_preserved; prop_channel_trace ]);
+      ("sim", sim_properties);
     ]
