@@ -7,11 +7,13 @@
      compile      compile one benchmark through the pass manager (--trace-passes)
      cache        warm, inspect and compact persistent curve snapshots
      calibration  print the Sec IX calibration cost model
-     experiment   run one of the paper's table/figure reproductions
-     design       search gate-type pools for Pareto-optimal instruction sets
+     experiment   run registry experiments (the paper's tables and figures,
+                  ablations, design, drift); --json writes a nuop-bench/1 artifact
+     artifact     validate experiment artifacts (nuop-bench/1)
      trace        validate JSONL telemetry traces (nuop-trace/1)
      serve        resident compilation server (NDJSON over stdio or a Unix socket)
      request      one-shot client for a running `nuop serve --socket`
+     serve-load   closed-loop load test of an in-process server, cold vs warm
 
    compile/study/devices output is rendered by Service.Ops — the same
    functions the resident server embeds in its responses — so serving is
@@ -26,15 +28,22 @@
 
 open Cmdliner
 
+(* An angle inside a target or gate spec: anything but a finite float is
+   an input error naming the whole spec. *)
+let angle spec s =
+  match float_of_string_opt s with
+  | Some a when Float.is_finite a -> a
+  | _ -> invalid_arg (Printf.sprintf "malformed angle %S in %s" s spec)
+
 let known_targets rng = function
   | "su4" -> Apps.Qv.random_unitary rng
   | "swap" -> Gates.Twoq.swap
   | "cz" -> Gates.Twoq.cz
   | "iswap" -> Gates.Twoq.iswap
   | s when String.length s > 3 && String.sub s 0 3 = "zz:" ->
-    Gates.Twoq.zz (float_of_string (String.sub s 3 (String.length s - 3)))
+    Gates.Twoq.zz (angle s (String.sub s 3 (String.length s - 3)))
   | s when String.length s > 7 && String.sub s 0 7 = "cphase:" ->
-    Gates.Twoq.cphase (float_of_string (String.sub s 7 (String.length s - 7)))
+    Gates.Twoq.cphase (angle s (String.sub s 7 (String.length s - 7)))
   | s -> invalid_arg (Printf.sprintf "unknown target %s" s)
 
 let known_gate_types = function
@@ -49,7 +58,7 @@ let known_gate_types = function
   | s when String.length s > 5 && String.sub s 0 5 = "fsim:" -> begin
     match String.split_on_char ',' (String.sub s 5 (String.length s - 5)) with
     | [ theta; phi ] ->
-      Gates.Gate_type.fsim_type (float_of_string theta) (float_of_string phi)
+      Gates.Gate_type.fsim_type (angle s theta) (angle s phi)
     | _ -> invalid_arg "expected fsim:<theta>,<phi>"
   end
   | s -> invalid_arg (Printf.sprintf "unknown gate type %s" s)
@@ -111,8 +120,9 @@ let decompose_cmd =
 (* ---------- devices ---------- *)
 
 (* The single device lookup every subcommand shares: a --device argument
-   is either a registry name or a path to a JSON snapshot (as written by
-   `nuop devices dump`).  A registry miss lists the known names. *)
+   is either a registry name, which wins over a same-named file, or a
+   path to a JSON snapshot (as written by `nuop devices dump`).  A spec
+   that is neither lists the known names. *)
 let resolve_device = Service.Ops.resolve_device
 
 let device_arg =
@@ -560,76 +570,163 @@ let weyl_cmd =
     (Cmd.info "weyl" ~doc:"Weyl-chamber analysis of a two-qubit unitary")
     Term.(const run $ target $ seed)
 
-(* ---------- experiment / design ---------- *)
+(* ---------- experiment ---------- *)
 
-let json_arg =
-  Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as JSON instead of text.")
+(* One front end for the registry: each named experiment's text report
+   and its `[NAME done in S s]` line go to stdout; --json (or -o) also
+   writes the whole run as one nuop-bench/1 artifact (Core.Artifact). *)
 
-let output_arg =
-  Arg.(
-    value & opt (some string) None
-    & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Write the report to $(docv).")
+let print_run (r : Core.Artifact.run) =
+  print_string (Core.Report.render_text r.doc);
+  Printf.printf "\n[%s done in %.1f s]\n%!" r.entry.Core.Registry.name r.seconds
 
-(* The one report emitter: text or (with --json) the nuop-bench JSON
-   node, to stdout or (with -o) to a file. *)
-let emit_report ~json ~output ~name ~description doc =
-  let s =
-    if json then Njson.to_string (Core.Report.to_json ~name ~description doc) ^ "\n"
-    else Core.Report.render_text doc
+(* A fresh BENCH_<date>.json: never clobber an earlier artifact from the
+   same UTC day — take BENCH_<date>-2.json, -3.json, ... and say so. *)
+let default_artifact_path () =
+  let default =
+    Printf.sprintf "BENCH_%s.json" (Obs.Clock.utc_date (Obs.Clock.now ()))
   in
-  match output with
-  | None ->
-    print_string s;
-    flush stdout
-  | Some file -> Out_channel.with_open_text file (fun oc -> output_string oc s)
+  let path = Core.Report.fresh_path default in
+  if path <> default then
+    Obs.Log.warn "nuop: %s already exists; writing %s instead" default path;
+  path
+
+(* --cache FILE runs every selected experiment twice: once cold (empty
+   decomposition cache) and once warmed from FILE, which is (re)written
+   from the cold run's curves in between.  Because curves are
+   deterministic, the two report texts must be byte-identical whenever
+   the report itself embeds no cache statistics (the ablations
+   pass-metrics table legitimately differs: its misses become warm
+   hits).  The table is the warm/cold wall-time evidence for the
+   persistence layer. *)
+let run_cached cfg file entries =
+  let rows =
+    List.map
+      (fun (e : Core.Registry.entry) ->
+        Decompose.Cache.clear ();
+        let cold = Core.Artifact.run ~attrs:[ ("mode", "cold") ] cfg e in
+        (* grow the snapshot: existing file entries merge in (never
+           clobbering this run's), then the union is saved atomically *)
+        if Sys.file_exists file then ignore (Decompose.Cache.load_from_file file);
+        let saved = Decompose.Cache.save_to_file file in
+        Decompose.Cache.clear ();
+        let loaded = Decompose.Cache.load_from_file file in
+        let warm = Core.Artifact.run ~attrs:[ ("mode", "warm") ] cfg e in
+        Printf.printf "[%s: cold %.1f s, warm %.1f s, %d curves saved, %d loaded]\n%!"
+          e.name cold.seconds warm.seconds saved loaded;
+        [
+          e.name;
+          Printf.sprintf "%.2f" cold.seconds;
+          Printf.sprintf "%.2f" warm.seconds;
+          (if warm.seconds > 0.0 then Printf.sprintf "%.1fx" (cold.seconds /. warm.seconds)
+           else "-");
+          (if String.equal
+                (Core.Report.render_text cold.doc)
+                (Core.Report.render_text warm.doc)
+           then "yes"
+           else "no");
+        ])
+      entries
+  in
+  print_newline ();
+  Printf.printf "Warm-vs-cold wall time (cache file %s):\n" file;
+  print_string
+    (Core.Report.block_to_string
+       (Core.Report.Table
+          { header = [ "experiment"; "cold (s)"; "warm (s)"; "speedup"; "identical" ]; rows }))
 
 let experiment_cmd =
-  let name_arg =
+  let names =
     Arg.(
-      required & pos 0 (some string) None
+      non_empty & pos_all string []
       & info [] ~docv:"NAME"
           ~doc:
-            (Printf.sprintf "One of: %s."
+            (Printf.sprintf
+               "Experiments to run, in order: any of %s (any case), or $(b,all) for \
+                the whole registry."
                (String.concat ", " Core.Registry.names)))
   in
   let paper = Arg.(value & flag & info [ "paper" ] ~doc:"Paper-scale sample counts.") in
-  let run name paper json output =
-    let cfg = if paper then Core.Config.paper else Core.Config.quick in
-    (* case-insensitive lookup; a miss raises Invalid_argument listing
-       every known experiment (caught by the entry point below) *)
-    let e = Core.Registry.find_exn name in
-    emit_report ~json ~output ~name:e.Core.Registry.name
-      ~description:e.Core.Registry.description (e.Core.Registry.run cfg)
-  in
-  Cmd.v
-    (Cmd.info "experiment" ~doc:"Run one of the paper's table/figure reproductions")
-    Term.(const run $ name_arg $ paper $ json_arg $ output_arg)
-
-let design_cmd =
-  let paper = Arg.(value & flag & info [ "paper" ] ~doc:"Paper-scale sample counts.") in
-  let smoke =
+  let json =
     Arg.(
       value & flag
-      & info [ "smoke" ]
-          ~doc:"Tiny candidate pool and sample set (seconds; used by the CI alias).")
+      & info [ "json" ]
+          ~doc:
+            "Also write the run as one nuop-bench/1 artifact, to $(b,-o) FILE or to \
+             a fresh BENCH_<date>.json; stdout still carries the text reports.")
   in
-  let qubits =
+  let output =
     Arg.(
-      value & opt int 54
-      & info [ "qubits" ] ~docv:"N" ~doc:"Device size for the calibration-cost model.")
+      value & opt (some string) None
+      & info [ "o"; "output" ] ~docv:"FILE"
+          ~doc:"Write the artifact to $(docv) (implies $(b,--json)).")
   in
-  let run paper smoke qubits json output =
+  let cache =
+    Arg.(
+      value & opt (some string) None
+      & info [ "cache" ] ~docv:"FILE"
+          ~doc:
+            "Run each experiment cold, save its curves to the snapshot $(docv), run \
+             it again warm from the file, and print the warm-vs-cold table (not \
+             with $(b,--json) or $(b,-o)).")
+  in
+  let run names paper json output cache =
     let cfg = if paper then Core.Config.paper else Core.Config.quick in
-    emit_report ~json ~output ~name:"design"
-      ~description:"searched instruction sets (Pareto frontier)"
-      (Core.Design.doc ~cfg ~n_qubits:qubits ~smoke ())
+    let json = json || Option.is_some output in
+    if json && Option.is_some cache then
+      `Error (true, "--cache cannot be combined with --json or -o")
+    else begin
+      let entries = Core.Registry.select names in
+      (match cache with
+      | Some file -> run_cached cfg file entries
+      | None ->
+        let runs =
+          List.map
+            (fun e ->
+              let r = Core.Artifact.run cfg e in
+              print_run r;
+              r)
+            entries
+        in
+        if json then begin
+          let path = match output with Some f -> f | None -> default_artifact_path () in
+          let scale = if paper then "paper" else "quick" in
+          Out_channel.with_open_text path (fun oc ->
+              output_string oc (Core.Artifact.to_string ~scale runs));
+          Printf.printf "wrote %s\n%!" path
+        end);
+      `Ok ()
+    end
   in
   Cmd.v
-    (Cmd.info "design"
+    (Cmd.info "experiment"
+       ~doc:"Run the paper's table/figure reproductions from the experiment registry")
+    Term.(ret (const run $ names $ paper $ json $ output $ cache))
+
+(* ---------- artifact ---------- *)
+
+let artifact_check_cmd =
+  let file =
+    Arg.(
+      required & pos 0 (some string) None
+      & info [] ~docv:"FILE" ~doc:"nuop-bench/1 artifact written by $(b,experiment --json).")
+  in
+  let run file =
+    match Core.Artifact.check_file file with
+    | Ok n -> Printf.printf "%s: all %d experiments present\n" file n
+    | Error reason -> invalid_arg (Printf.sprintf "artifact %s: %s" file reason)
+  in
+  Cmd.v
+    (Cmd.info "check"
        ~doc:
-         "Search a candidate gate-type pool for the expressivity-vs-calibration \
-          Pareto frontier of instruction sets")
-    Term.(const run $ paper $ smoke $ qubits $ json_arg $ output_arg)
+         "Validate an experiment artifact: it parses, has the nuop-bench/1 shape, \
+          and covers every registered experiment")
+    Term.(const run $ file)
+
+let artifact_cmd =
+  Cmd.group
+    (Cmd.info "artifact" ~doc:"Validate experiment artifacts (schema nuop-bench/1)")
+    [ artifact_check_cmd ]
 
 (* ---------- trace ---------- *)
 
@@ -801,6 +898,144 @@ let request_cmd =
        ~doc:"Send one request to a running $(b,nuop serve) socket and print the reply")
     Term.(const run $ socket $ op $ params $ deadline $ id $ raw)
 
+(* ---------- serve-load: closed-loop load generator ---------- *)
+
+(* Drives an in-process Service.Server exactly the way the socket
+   transport does (submit_line + reply callbacks), keeping [clients]
+   requests outstanding: each reply immediately submits the next
+   request, so measured latency includes queueing behind one's own
+   concurrency, never behind an artificially open arrival process.
+
+   Two phases over the SAME request set: cold (decomposition cache
+   cleared) and warm (the cold phase's curves resident).  Per-request
+   seeds differ, so the cold phase really computes distinct curves; the
+   warm phase replays them as pure cache hits — the warm/cold throughput
+   ratio is the service-side evidence for the shared warm cache. *)
+
+let serve_load_line i =
+  Njson.to_string ~indent:0
+    (Njson.Obj
+       [
+         ("id", Njson.Int i);
+         ("op", Njson.String "compile");
+         ("app", Njson.String "qaoa");
+         ("qubits", Njson.Int 4);
+         ("seed", Njson.Int (3000 + i));
+       ])
+
+let percentile sorted p =
+  let n = Array.length sorted in
+  if n = 0 then 0.0
+  else begin
+    let rank = int_of_float (Float.ceil (p /. 100.0 *. float_of_int n)) - 1 in
+    sorted.(max 0 (min (n - 1) rank))
+  end
+
+let serve_load_phase ~requests ~clients config =
+  let t = Service.Server.create config in
+  let lock = Mutex.create () in
+  let all_done = Condition.create () in
+  let completed = ref 0 in
+  let errors = ref 0 in
+  let latencies = Array.make requests 0.0 in
+  let next = Atomic.make 0 in
+  let t0 = Service.Deadline.now_ms () in
+  (* closed loop: a reply on a worker domain fires the next submission *)
+  let rec submit_next () =
+    let i = Atomic.fetch_and_add next 1 in
+    if i < requests then begin
+      let start = Service.Deadline.now_ms () in
+      Service.Server.submit_line t
+        ~reply:(fun line ->
+          latencies.(i) <- Service.Deadline.now_ms () -. start;
+          let ok =
+            match Njson.of_string_result line with
+            | Ok j -> Njson.member "ok" j = Some (Njson.Bool true)
+            | Error _ -> false
+          in
+          Mutex.lock lock;
+          if not ok then incr errors;
+          incr completed;
+          Condition.signal all_done;
+          Mutex.unlock lock;
+          submit_next ())
+        (serve_load_line i)
+    end
+  in
+  for _ = 1 to min clients requests do
+    submit_next ()
+  done;
+  Mutex.lock lock;
+  while !completed < requests do
+    Condition.wait all_done lock
+  done;
+  Mutex.unlock lock;
+  let elapsed_s = (Service.Deadline.now_ms () -. t0) /. 1000.0 in
+  Service.Server.drain t;
+  Array.sort compare latencies;
+  let throughput =
+    if elapsed_s > 0.0 then float_of_int requests /. elapsed_s else 0.0
+  in
+  [
+    Printf.sprintf "%.1f" throughput;
+    Printf.sprintf "%.1f" (percentile latencies 50.0);
+    Printf.sprintf "%.1f" (percentile latencies 95.0);
+    Printf.sprintf "%.1f" (percentile latencies 99.0);
+    string_of_int !errors;
+  ],
+  throughput
+
+let serve_load_cmd =
+  let count name default doc =
+    Arg.(value & opt int default & info [ name ] ~docv:"N" ~doc)
+  in
+  let requests = count "requests" 40 "Requests per phase." in
+  let clients = count "clients" 8 "Requests kept outstanding (closed loop)." in
+  let workers =
+    Arg.(
+      value & opt (some int) None
+      & info [ "workers" ] ~docv:"N"
+          ~doc:"Worker domains (default: the Domain-pool size, NUOP_DOMAINS).")
+  in
+  let run requests clients workers =
+    let workers = Option.value workers ~default:Service.Server.default_config.workers in
+    List.iter
+      (fun (flag, n) ->
+        if n <= 0 then
+          invalid_arg (Printf.sprintf "--%s expects a positive integer, got %d" flag n))
+      [ ("requests", requests); ("clients", clients); ("workers", workers) ];
+    let config =
+      {
+        Service.Server.workers;
+        (* the closed loop holds at most [clients] outstanding, so this
+           queue never refuses — serve-load measures latency, the queue
+           property tests measure backpressure *)
+        queue_depth = max 64 (2 * clients);
+      }
+    in
+    Printf.printf
+      "serve-load: %d workers, %d closed-loop clients, %d requests per phase\n%!"
+      workers clients requests;
+    Decompose.Cache.clear ();
+    let cold, cold_tp = serve_load_phase ~requests ~clients config in
+    let warm, warm_tp = serve_load_phase ~requests ~clients config in
+    print_string
+      (Core.Report.block_to_string
+         (Core.Report.Table
+            {
+              header = [ "phase"; "req/s"; "p50 (ms)"; "p95 (ms)"; "p99 (ms)"; "errors" ];
+              rows = [ "cold" :: cold; "warm" :: warm ];
+            }));
+    Printf.printf "warm/cold throughput: %.1fx\n%!"
+      (if cold_tp > 0.0 then warm_tp /. cold_tp else 0.0)
+  in
+  Cmd.v
+    (Cmd.info "serve-load"
+       ~doc:
+         "Drive an in-process server closed-loop and report throughput and latency \
+          percentiles, cold cache vs warm")
+    Term.(const run $ requests $ clients $ workers)
+
 (* ---------- entry point ---------- *)
 
 (* The global --trace FILE flag is shared by every subcommand, so it is
@@ -834,10 +1069,11 @@ let () =
         qasm_cmd;
         weyl_cmd;
         experiment_cmd;
-        design_cmd;
+        artifact_cmd;
         trace_cmd;
         serve_cmd;
         request_cmd;
+        serve_load_cmd;
       ]
   in
   (* telemetry first: NUOP_TRACE, overridden by an explicit --trace FILE

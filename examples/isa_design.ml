@@ -9,7 +9,8 @@
    the single-gate baseline and the paper's G7.
 
    For the automated version — searching a candidate pool for the whole
-   expressivity/calibration Pareto frontier — see `nuop design`. *)
+   expressivity/calibration Pareto frontier — see
+   `nuop experiment design`. *)
 
 open Linalg
 

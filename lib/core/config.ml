@@ -1,8 +1,8 @@
 (* Experiment scale configuration.
 
    The paper averages 100 random circuits with 10000 shots on a 32-thread
-   Xeon; [quick] shrinks sample counts so `bench/main.exe all` finishes on
-   one core in minutes while preserving every qualitative shape.  [paper]
+   Xeon; [quick] shrinks sample counts so `nuop experiment all` finishes
+   on one core in minutes while preserving every qualitative shape.  [paper]
    restores the published scale. *)
 
 type t = {

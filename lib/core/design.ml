@@ -4,14 +4,11 @@
    Isa.Search, costs every point on a 54-qubit near-square grid with
    Isa.Cost, and reports the expressivity-vs-calibration Pareto
    frontier next to the paper's hand-picked sets — the repo producing
-   Table II instead of transcribing it.
-
-   [smoke] shrinks everything (3-type pool, 2-point frontier, tiny
-   samples) for the CI alias. *)
+   Table II instead of transcribing it. *)
 
 open Linalg
 
-let smoke_counts = Apps.Su4_unitaries.[ (Qv, 2); (Qaoa, 2); (Swap, 1) ]
+let n_qubits = 54
 
 let default_counts =
   Apps.Su4_unitaries.[ (Qv, 6); (Qaoa, 6); (Qft, 4); (Fh, 4); (Swap, 1) ]
@@ -35,30 +32,23 @@ let best_mid frontier =
         | _ -> Some p)
     None frontier
 
-let doc ?(cfg = Config.default) ?(n_qubits = 54) ?(smoke = false) () =
+let doc ?(cfg = Config.default) () =
   let b = Report.Builder.create () in
   Report.Builder.heading b
     "Design: searched instruction sets on the expressivity/calibration frontier";
   let rng = Rng.create (cfg.Config.seed + 12) in
-  let counts = if smoke then smoke_counts else default_counts in
-  let samples = Isa.Score.samples ~counts rng in
+  let samples = Isa.Score.samples ~counts:default_counts rng in
   let topology = Isa.Cost.grid_topology n_qubits in
-  let nuop =
-    if smoke then { cfg.Config.nuop with Decompose.Nuop.starts = 2; max_layers = 3 }
-    else cfg.Config.nuop
-  in
+  let nuop = cfg.Config.nuop in
   let options =
     {
       Isa.Search.default_options with
-      max_types = (if smoke then 2 else cfg.Config.design_max_types);
-      beam_width = (if smoke then 1 else cfg.Config.design_beam);
+      max_types = cfg.Config.design_max_types;
+      beam_width = cfg.Config.design_beam;
       nuop;
     }
   in
-  let pool =
-    if smoke then Gates.Gate_type.[ s3; s2; swap_type ]
-    else Isa.Search.default_pool ()
-  in
+  let pool = Isa.Search.default_pool () in
   let n_samples = List.fold_left (fun acc (_, us) -> acc + List.length us) 0 samples in
   Report.Builder.textf b
     "candidate pool: %d types; samples: %d application unitaries; device: %d-qubit grid\n"
@@ -89,9 +79,6 @@ let doc ?(cfg = Config.default) ?(n_qubits = 54) ?(smoke = false) () =
       [ "set"; "types"; "gate types"; "mean gates"; "mean F_u"; "cal circuits"; "cal hours"; "frontier" ]
     (List.map point_row points);
   (* the paper's hand-picked sets, scored on the same samples *)
-  let baselines =
-    if smoke then [ Isa.Set.s3 ] else Isa.Set.[ g7; r5; full_fsim ]
-  in
   let scored_baselines =
     List.map
       (fun set ->
@@ -99,7 +86,7 @@ let doc ?(cfg = Config.default) ?(n_qubits = 54) ?(smoke = false) () =
           Isa.Score.score ~options:nuop ~threshold:options.Isa.Search.threshold
             ~error_rate:options.Isa.Search.error_rate ~samples set,
           Isa.Cost.on ~topology set ))
-      baselines
+      Isa.Set.[ g7; r5; full_fsim ]
   in
   Report.Builder.subheading b "Table II baselines on the same samples";
   Report.Builder.table b

@@ -2,6 +2,6 @@
     candidate pool, reported as the expressivity-vs-calibration Pareto
     frontier next to the Table II baselines. *)
 
-val doc : ?cfg:Config.t -> ?n_qubits:int -> ?smoke:bool -> unit -> Report.doc
-(** [smoke] shrinks the pool/samples/search to a seconds-long run for
-    the CI alias (default false; default device: 54 qubits). *)
+val doc : ?cfg:Config.t -> unit -> Report.doc
+(** Build the experiment's report document (runs the search; calibration
+    costs are for a 54-qubit grid). *)

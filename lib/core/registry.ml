@@ -1,7 +1,7 @@
-(* The single list of paper experiments. Both the bench harness and the
-   nuop CLI consume this registry, so an experiment added here shows up
-   in `bench all`, `bench <name> --json`, `nuop experiment <name>` and
-   the CI completeness check without further wiring. *)
+(* The single list of paper experiments.  `nuop experiment` runs them
+   through [select], so an experiment added here shows up in
+   `nuop experiment all`, in the nuop-bench/1 artifact and in its
+   completeness check (Artifact) without further wiring. *)
 
 type entry = {
   name : string;
@@ -94,17 +94,22 @@ let all =
   ]
 
 (* Case-insensitive, matching the ISA/Device registry conventions:
-   `nuop experiment FIG9` and `bench Fig9` find fig9. *)
+   `nuop experiment FIG9` finds fig9. *)
 let find name =
   let lower = String.lowercase_ascii name in
   List.find_opt (fun e -> String.lowercase_ascii e.name = lower) all
 
 let names = List.map (fun e -> e.name) all
 
-let find_exn name =
-  match find name with
-  | Some e -> e
-  | None ->
-    invalid_arg
-      (Printf.sprintf "Core.Registry: unknown experiment %S (known: %s)" name
-         (String.concat ", " names))
+let select requested =
+  List.concat_map
+    (fun name ->
+      if String.lowercase_ascii name = "all" then all
+      else
+        match find name with
+        | Some e -> [ e ]
+        | None ->
+          invalid_arg
+            (Printf.sprintf "Core.Registry: unknown experiment %S (known: %s, or all)"
+               name (String.concat ", " names)))
+    requested

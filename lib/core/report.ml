@@ -6,10 +6,10 @@
 
    - [render_text] reproduces the historical terminal output byte for
      byte (locked by the fig11 golden test), so the refactor is invisible
-     to anyone reading the bench logs;
-   - [to_json] emits the machine-readable form used by
-     `bench all --json` / `nuop experiment --json` to produce BENCH
-     artifacts that track the reproduction over time.
+     to anyone reading the experiment logs;
+   - [to_json] emits the machine-readable form of one experiment, the
+     entry `nuop experiment --json` writes into the nuop-bench/1
+     artifact (Artifact) that tracks the reproduction over time.
 
    [block_to_string] renders one block through the same text renderer
    for the CLI and service paths that print a single table. *)
@@ -89,10 +89,6 @@ let block_to_string block =
   let buf = Buffer.create 256 in
   render_block buf block;
   Buffer.contents buf
-
-let print doc =
-  print_string (render_text doc);
-  flush stdout
 
 (* ---------- JSON renderer ---------- *)
 

@@ -2,7 +2,8 @@
 
     Drivers build a {!doc} through {!Builder} instead of printing;
     {!render_text} reproduces the historical terminal output byte for
-    byte while {!to_json} powers the machine-readable bench artifacts. *)
+    byte while {!to_json} gives each experiment's entry in the
+    machine-readable artifact ({!Artifact}). *)
 
 type block =
   | Heading of string
@@ -57,9 +58,6 @@ val block_to_string : block -> string
 (** One block rendered exactly as {!render_text} renders it inside a
     document; outputs made of a single table use it, so served responses
     embed CLI-identical text. *)
-
-val print : doc -> unit
-(** [print d] writes [render_text d] to stdout and flushes. *)
 
 val to_json : ?name:string -> ?description:string -> ?seconds:float -> doc -> Njson.t
 (** Structured form: name/description/wall-time (when given), the

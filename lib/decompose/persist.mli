@@ -3,9 +3,9 @@
     The expensive object in every expressivity score is the per-layer
     fidelity curve of a (unitary, gate type, optimizer options) triple —
     a pure function of its {!Cache.make_key} fingerprint.  This module
-    persists those curves across processes so a second [bench] /
-    [nuop design] / drift-study run starts warm instead of recomputing
-    the whole corpus.
+    persists those curves across processes so a second experiment run
+    (the [design] search, the drift study, ...) starts warm instead of
+    recomputing the whole corpus.
 
     Saves are atomic (write to a temporary file in the same directory,
     then rename), so a crash mid-save can never destroy the previous

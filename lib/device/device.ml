@@ -226,14 +226,16 @@ let gate_type_of_json j =
 
 let edge_to_json (a, b) = Njson.List [ Njson.Int a; Njson.Int b ]
 
-let edge_of_json j =
+(* Qubit counts and indices are integers (the writer emits Njson.Int):
+   truncating a fractional value would load a different device. *)
+let integer field = function
+  | Njson.Int i -> i
+  | _ -> fail "Device.of_json: field %S must be an integer" field
+
+let edge_of_json field j =
   match Njson.to_list j with
-  | Some [ a; b ] -> begin
-    match (Njson.to_float_value a, Njson.to_float_value b) with
-    | Some a, Some b -> (int_of_float a, int_of_float b)
-    | _ -> fail "Device.of_json: edge endpoints must be integers"
-  end
-  | _ -> fail "Device.of_json: an edge is a [a, b] pair"
+  | Some [ a; b ] -> (integer field a, integer field b)
+  | _ -> fail "Device.of_json: field %S must hold [a, b] qubit pairs" field
 
 let float_array_to_json arr =
   Njson.List (Array.to_list (Array.map (fun f -> Njson.Float f) arr))
@@ -263,7 +265,7 @@ let entry_to_json value_key (edge, type_name, v) =
     ]
 
 let entry_of_json value_key j =
-  let edge = edge_of_json (get "edge" j) in
+  let edge = edge_of_json "edge" (get "edge" j) in
   let type_name = get_string "type" j in
   (edge, type_name, get_float value_key j)
 
@@ -357,14 +359,14 @@ let of_json j =
     }
   in
   let topo_obj = get "topology" j in
-  let n = int_of_float (get_float "n_qubits" topo_obj) in
-  let edges = List.map edge_of_json (get_list "edges" topo_obj) in
+  let n = integer "n_qubits" (get "n_qubits" topo_obj) in
+  let edges = List.map (edge_of_json "edges") (get_list "edges" topo_obj) in
   let topology = Topology.of_edges n edges in
   let family_obj = get "family" j in
   let family_base = Hashtbl.create 64 in
   List.iter
     (fun e ->
-      let edge = Topology.canonical (edge_of_json (get "edge" e)) in
+      let edge = Topology.canonical (edge_of_json "edge" (get "edge" e)) in
       Hashtbl.replace family_base edge (get_float "error" e))
     (get_list "base" family_obj);
   (* Angle dependence is flattened: a loaded family serves its stored

@@ -6,8 +6,14 @@
    of request handling: body -> result document, with every user error
    as a typed value. *)
 
+(* Registry names win: a file reads only when no registry entry
+   matches, so a file named like a registry device never shadows it.  A
+   spec that is neither fails in the registry lookup, naming the known
+   devices. *)
 let resolve_device ?qubits spec =
-  if Sys.file_exists spec && not (Sys.is_directory spec) then Device.of_file spec
+  if Option.is_none (Device.Registry.find spec) && Sys.file_exists spec
+     && not (Sys.is_directory spec)
+  then Device.of_file spec
   else Device.Registry.build ?qubits spec
 
 (* Request parameters reach the app builders from the CLI and from the
@@ -108,8 +114,7 @@ let ( let* ) = Result.bind
 
 (* compile/score parameter block shared by both ops.  A served request
    names a registry device, never a file: the CLI's [resolve_device]
-   would let a client make the server read any path, and a file named
-   like a registry device would shadow it. *)
+   would let a client make the server read any path. *)
 let common_params body =
   let* isa_name = Protocol.str_field ~default:"G7" body "isa" in
   let* app = Protocol.str_field ~default:"qaoa" body "app" in

@@ -10,9 +10,10 @@
 
 val resolve_device : ?qubits:int -> string -> Device.t
 (** The CLI's [--device] spec: a registry name (case-insensitive) or a
-    path to a JSON snapshot written by [nuop devices dump].  Served
-    requests do not come through here: they name registry devices
-    only. *)
+    path to a JSON snapshot written by [nuop devices dump].  A registry
+    name wins over a same-named file; a spec that is neither raises
+    [Invalid_argument] listing the known devices.  Served requests do
+    not come through here: they name registry devices only. *)
 
 val benchmark_circuit : app:string -> qubits:int -> seed:int -> Qcir.Circuit.t
 (** The generator spec shared by compile, [cache warm] and the service:

@@ -126,7 +126,40 @@ let test_json_roundtrip () =
       let reparsed = Njson.of_string s in
       check_bool (name ^ " tree preserved") true (reparsed = json);
       Alcotest.(check string) (name ^ " fixed point") s (Njson.to_string reparsed))
-    [ "table2"; "fig3"; "fig11" ]
+    [ "table2"; "fig3"; "fig11" ];
+  (* the nuop-bench/1 artifact: written, re-parsed, checked total *)
+  let empty = { Core.Report.blocks = []; metrics = [] } in
+  let runs =
+    List.map
+      (fun entry -> { Core.Artifact.entry; doc = empty; seconds = 0.5 })
+      Core.Registry.all
+  in
+  let text = Core.Artifact.to_string ~scale:"quick" runs in
+  (match Njson.of_string_result text with
+  | Error e -> Alcotest.fail ("artifact does not re-parse: " ^ e)
+  | Ok json ->
+    let field k = Njson.member k json in
+    check_bool "schema" true (field "schema" = Some (Njson.String "nuop-bench/1"));
+    check_bool "date" true
+      (match field "date" with
+      | Some (Njson.String d) -> String.length d = 10
+      | _ -> false);
+    check_bool "scale" true (field "scale" = Some (Njson.String "quick"));
+    let entries = Option.get (Option.bind (field "experiments") Njson.to_list) in
+    Alcotest.(check int) "16 entries" 16 (List.length entries);
+    check_bool "every entry has seconds" true
+      (List.for_all (fun e -> Njson.member "seconds" e = Some (Njson.Float 0.5)) entries));
+  Alcotest.(check (result int string)) "checker accepts" (Ok 16) (Core.Artifact.check text);
+  (match
+     Core.Artifact.check
+       (Core.Artifact.to_string ~scale:"quick"
+          (List.filter (fun r -> r.Core.Artifact.entry.Core.Registry.name <> "fig7") runs))
+   with
+  | Ok _ -> Alcotest.fail "accepted an artifact without fig7"
+  | Error msg ->
+    check_bool ("names fig7: " ^ msg) true (Astring.String.is_infix ~affix:"fig7" msg));
+  check_bool "unparsable text refused" true
+    (Result.is_error (Core.Artifact.check "{\"schema\": \"nuop-bench/1\""))
 
 let test_json_escapes () =
   let j = Njson.(Obj [ ("k\"ey", String "a\nb\tc\\ \x01") ]) in
@@ -140,7 +173,13 @@ let test_registry_complete () =
   check_bool "find fig9" true (Option.is_some (Core.Registry.find "fig9"));
   check_bool "find design" true (Option.is_some (Core.Registry.find "design"));
   check_bool "find drift" true (Option.is_some (Core.Registry.find "drift"));
-  check_bool "find unknown" true (Option.is_none (Core.Registry.find "fig99"))
+  check_bool "find unknown" true (Option.is_none (Core.Registry.find "fig99"));
+  let selected names = List.map (fun e -> e.Core.Registry.name) (Core.Registry.select names) in
+  Alcotest.(check (list string)) "all is the registry, in order" Core.Registry.names
+    (selected [ "all" ]);
+  Alcotest.(check (list string)) "any case, in the caller's order"
+    [ "fig9"; "table1"; "drift" ]
+    (selected [ "FIG9"; "Table1"; "drift" ])
 
 (* ---------- parallel evaluation ---------- *)
 

@@ -325,6 +325,18 @@ let test_snapshot_values_validated () =
   in
   let drop_one = function Njson.List (_ :: rest) -> Njson.List rest | j -> j in
   let value x _ = Njson.Float x in
+  (* the edge [0, 1] written as [0.3, 1.9], which truncates back to it *)
+  let fractional_edge = function
+    | Njson.List edges ->
+      Njson.List
+        (List.map
+           (fun e ->
+             if e = Njson.List [ Njson.Int 0; Njson.Int 1 ] then
+               Njson.List [ Njson.Float 0.3; Njson.Float 1.9 ]
+             else e)
+           edges)
+    | j -> j
+  in
   List.iter
     (fun (field, mutate) ->
       match Device.of_string (Njson.to_string (mutate golden)) with
@@ -345,6 +357,8 @@ let test_snapshot_values_validated () =
       ("duration_1q", set "duration_1q" (value 0.0));
       ("duration_2q", set "duration_2q" (value (-1e-9)));
       ("drifted_hours", set "provenance" (set "drifted_hours" (value infinity)));
+      ("n_qubits", set "topology" (set "n_qubits" (value 8.7)));
+      ("edges", set "topology" (set "edges" fractional_edge));
     ]
 
 let test_device_registry_lookup () =

@@ -207,7 +207,7 @@ let test_no_expressivity_outside_isa () =
   let dirs =
     [
       "../lib/core"; "../lib/compiler"; "../lib/calibration"; "../lib/apps";
-      "../examples"; "../bench"; "../bin";
+      "../examples"; "../bin";
     ]
   in
   let files = List.concat_map ml_files dirs in

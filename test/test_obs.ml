@@ -274,7 +274,7 @@ let test_no_raw_instrumentation () =
       |> List.map (Filename.concat "../lib")
     | exception Sys_error _ -> []
   in
-  let files = List.concat_map ml_files (lib_dirs @ [ "../bench"; "../bin"; "../examples" ]) in
+  let files = List.concat_map ml_files (lib_dirs @ [ "../bin"; "../examples" ]) in
   check_bool "scanned a real source tree" true (List.length files > 30);
   let banned = [ "Unix.gettimeofday"; "Sys.time"; "Unix.localtime"; "Printf.eprintf" ] in
   let offenders =

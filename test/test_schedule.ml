@@ -119,7 +119,7 @@ let test_no_private_scheduling () =
   let dirs =
     [
       "../lib/sim"; "../lib/compiler"; "../lib/core"; "../lib/metrics";
-      "../lib/apps"; "../lib/isa"; "../examples"; "../bench"; "../bin";
+      "../lib/apps"; "../lib/isa"; "../examples"; "../bin";
     ]
   in
   let files = List.concat_map ml_files dirs in

@@ -2,8 +2,8 @@
    rendering, the bounded queue, monotonic deadlines, the server engine
    (injected executors: failures, drain refusals), and the satellite
    fixes that ride with it — Njson.of_string_result line/column errors,
-   case-insensitive experiment lookup, fresh_path clobber avoidance —
-   and the server's properties (pool-size invariance, backpressure,
+   case-insensitive experiment lookup, fresh_path clobber avoidance, the
+   CLI's device resolution — and the server's properties (pool-size invariance, backpressure,
    deadlines). *)
 
 let check_bool = Alcotest.(check bool)
@@ -61,9 +61,10 @@ let test_registry_case_insensitive () =
     | None -> Alcotest.fail "capitalized lookup missed")
 
 let test_registry_miss_lists_names () =
-  match Core.Registry.find_exn "definitely-not-an-experiment" with
-  | _ -> Alcotest.fail "found a bogus experiment"
+  match Core.Registry.select [ "fig3"; "definitely-not-an-experiment" ] with
+  | _ -> Alcotest.fail "selected a bogus experiment"
   | exception Invalid_argument msg ->
+    check_int "16 experiments" 16 (List.length Core.Registry.names);
     List.iter
       (fun n ->
         check_bool
@@ -72,17 +73,20 @@ let test_registry_miss_lists_names () =
           (Astring.String.is_infix ~affix:n msg))
       Core.Registry.names
 
-(* ---------- Report.fresh_path (bench artifact clobber fix) ---------- *)
+(* ---------- Report.fresh_path (artifact clobber fix) ---------- *)
 
-let test_fresh_path () =
-  let dir = Filename.temp_file "nuop-fresh" "" in
+let with_temp_dir f =
+  let dir = Filename.temp_file "nuop-dir" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o755;
   Fun.protect
     ~finally:(fun () ->
       Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
       Unix.rmdir dir)
-    (fun () ->
+    (fun () -> f dir)
+
+let test_fresh_path () =
+  with_temp_dir (fun dir ->
       let base = Filename.concat dir "BENCH_2026-01-01.json" in
       check_string "free path is untouched" base (Core.Report.fresh_path base);
       let touch f = Out_channel.with_open_text f (fun oc -> output_string oc "x") in
@@ -95,6 +99,37 @@ let test_fresh_path () =
       check_string "second collision takes -3"
         (Filename.concat dir "BENCH_2026-01-01-3.json")
         (Core.Report.fresh_path base))
+
+(* ---------- Ops.resolve_device (the CLI's --device) ---------- *)
+
+(* a file named like a registry device, in the working directory, must
+   not shadow the registry entry *)
+let test_resolve_device_registry_wins () =
+  let expected = Device.to_string (Device.Registry.build "sycamore") in
+  with_temp_dir (fun dir ->
+      let cwd = Sys.getcwd () in
+      Fun.protect
+        ~finally:(fun () -> Sys.chdir cwd)
+        (fun () ->
+          Sys.chdir dir;
+          Out_channel.with_open_text "sycamore" (fun oc ->
+              output_string oc {|{"not": "a device"}|});
+          check_string "the registry device" expected
+            (Device.to_string (Service.Ops.resolve_device "sycamore"))))
+
+let test_resolve_device_snapshot_path () =
+  let path = "golden/aspen8.json" in
+  check_string "the snapshot loads"
+    (Device.to_string (Device.of_file path))
+    (Device.to_string (Service.Ops.resolve_device path));
+  match Service.Ops.resolve_device "golden/no-such-device.json" with
+  | _ -> Alcotest.fail "resolved a spec that is neither name nor file"
+  | exception Invalid_argument msg ->
+    List.iter
+      (fun name ->
+        check_bool (Printf.sprintf "lists %s (%s)" name msg) true
+          (Astring.String.is_infix ~affix:name msg))
+      (Device.Registry.names ())
 
 (* ---------- protocol ---------- *)
 
@@ -516,6 +551,13 @@ let () =
         ] );
       ( "report",
         [ Alcotest.test_case "fresh_path suffixes" `Quick test_fresh_path ] );
+      ( "resolve_device",
+        [
+          Alcotest.test_case "registry name beats a same-named file" `Quick
+            test_resolve_device_registry_wins;
+          Alcotest.test_case "snapshot path loads" `Quick
+            test_resolve_device_snapshot_path;
+        ] );
       ( "protocol",
         [
           Alcotest.test_case "parse full request" `Quick test_parse_request;
