@@ -179,7 +179,7 @@ let devices_show_cmd =
           Printf.printf "    %-12s mean error %.4f%%  mean duration %.1f ns\n"
             (Gates.Gate_type.name ty)
             (100.0 *. Device.Calibration.mean_twoq_error cal ty)
-            (1e9 *. Device.Calibration.mean_twoq_duration cal ty)
+            (1e9 *. Device.Calibration.mean_twoq_duration cal (Gates.Gate_type.name ty))
         | _ -> ())
       (Isa.Set.gate_types isa)
   in
@@ -493,15 +493,14 @@ let calibration_cmd =
   let qubits = Arg.(value & opt int 54 & info [ "qubits"; "n" ] ~doc:"Device size.") in
   let types = Arg.(value & opt int 8 & info [ "types" ] ~doc:"Number of gate types.") in
   let run qubits types =
-    let m = Calibration.Model.default in
-    let pairs = Calibration.Model.grid_pairs qubits in
-    Printf.printf "%d qubits (~%d couplers), %d gate types:\n" qubits pairs types;
-    Printf.printf "  circuits per type per pair: %d\n" (Calibration.Model.circuits_per_type_pair m);
-    Printf.printf "  total calibration circuits: %.3e\n"
-      (float_of_int (Calibration.Model.total_circuits m ~n_pairs:pairs ~n_types:types));
+    let cost = Isa.Cost.of_type_count ~topology:(Isa.Cost.grid_topology qubits) types in
+    Printf.printf "%d qubits (~%d couplers), %d gate types:\n" qubits cost.Isa.Cost.n_pairs
+      types;
+    Printf.printf "  circuits per type per pair: %d\n"
+      (Calibration.Model.circuits_per_type_pair Calibration.Model.default);
+    Printf.printf "  total calibration circuits: %.3e\n" (float_of_int cost.Isa.Cost.circuits);
     Printf.printf "  time: %.0f h serial, %.0f h with parallel batches\n"
-      (Calibration.Model.time_hours_serial m ~n_pairs:pairs ~n_types:types)
-      (Calibration.Model.time_hours_parallel m ~n_types:types);
+      cost.Isa.Cost.hours_serial cost.Isa.Cost.hours_parallel;
     Printf.printf "  continuous fSim family overhead vs this set: %.0fx\n"
       (Calibration.Model.continuous_overhead_factor ~n_types:types)
   in

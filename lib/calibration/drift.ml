@@ -99,8 +99,8 @@ let best_policies ?(model = Model.default) ?(drift = default) ?(samples = 64)
         (List.hd candidates) (List.tl candidates))
     type_counts
 
-(* Apply an independent drift multiplier to every stored gate error —
-   used to simulate a stale device in the ablation bench. *)
+(* A calibration with an independent drift multiplier on every stored
+   gate error — used to simulate a stale device. *)
 let degrade_calibration cal ~rng ~drift ~hours_since_calibration =
   let multiplier () =
     match
@@ -111,17 +111,18 @@ let degrade_calibration cal ~rng ~drift ~hours_since_calibration =
   in
   Device.Calibration.map_twoq_errors cal (fun _edge _name e -> e *. multiplier ())
 
-(* A drifted snapshot of a whole device: deep-copy the calibration,
-   inflate every stored fixed-type error and the continuous-family scale
-   by independent multipliers (all >= 1 by construction), and record the
-   staleness in the provenance.  1Q and readout errors are left alone —
-   single-qubit gates recalibrate cheaply and continuously on real
-   hardware, the expensive drift is in the two-qubit entanglers (Sec
-   IX).  The input device is untouched. *)
+(* A drifted snapshot of a whole device: inflate every stored fixed-type
+   error and the continuous-family scale by independent multipliers (all
+   >= 1 by construction), and record the staleness in the provenance.
+   1Q and readout errors are left alone — single-qubit gates recalibrate
+   cheaply and continuously on real hardware, the expensive drift is in
+   the two-qubit entanglers (Sec IX).  The input device is untouched. *)
 let perturb rng p ~hours device =
   assert (hours > 0.0);
-  let cal = Device.Calibration.copy (Device.calibration device) in
-  degrade_calibration cal ~rng ~drift:p ~hours_since_calibration:hours;
+  let cal =
+    degrade_calibration (Device.calibration device) ~rng ~drift:p
+      ~hours_since_calibration:hours
+  in
   let family_multiplier =
     match List.rev (simulate_multiplier_path rng p ~hours) with
     | last :: _ -> last

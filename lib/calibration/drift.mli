@@ -59,9 +59,10 @@ val degrade_calibration :
   rng:Linalg.Rng.t ->
   drift:params ->
   hours_since_calibration:float ->
-  unit
-(** Apply independent drift multipliers to every stored gate error
-    in-place. *)
+  Device.Calibration.t
+(** The calibration with an independent drift multiplier applied to
+    every stored gate error (clamped to [1e-6, 0.5]), drawn in the error
+    table's fold order.  The input is unchanged. *)
 
 val perturb : Linalg.Rng.t -> params -> hours:float -> Device.t -> Device.t
 (** A drifted snapshot: every stored two-qubit error and the

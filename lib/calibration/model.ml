@@ -40,15 +40,6 @@ let circuits_per_type_pair m =
 
 let total_circuits m ~n_pairs ~n_types = n_pairs * n_types * circuits_per_type_pair m
 
-(* Coupler count of a near-square grid device with n qubits: an r x c
-   grid has 2rc - r - c edges. *)
-let grid_pairs n_qubits =
-  assert (n_qubits >= 2);
-  let r = int_of_float (Float.round (Float.sqrt (float_of_int n_qubits))) in
-  let r = max 1 r in
-  let c = (n_qubits + r - 1) / r in
-  (2 * r * c) - r - c
-
 (* Serial calibration walks every (pair, type); parallel calibration runs
    non-interacting pairs concurrently, needing one batch per "color" of
    the coupler graph (4 for a grid). *)

@@ -13,11 +13,13 @@ val default : t
 
 val circuits_per_type_pair : t -> int
 val total_circuits : t -> n_pairs:int -> n_types:int -> int
-val grid_pairs : int -> int
-(** Coupler count of a near-square grid device with n qubits. *)
 
 val time_hours_serial : t -> n_pairs:int -> n_types:int -> float
 val time_hours_parallel : ?batches:int -> t -> n_types:int -> float
+(** Parallel calibration time at a given batch count (default 4, a
+    grid's edge coloring), for callers with no topology such as
+    {!Drift.evaluate_policy}; {!time_hours_parallel_on} counts the
+    batches of a real device graph. *)
 
 val time_hours_parallel_on : t -> topology:Device.Topology.t -> n_types:int -> float
 (** Parallel calibration time with batch count from the real edge

@@ -109,7 +109,7 @@ let calibrated_durations ~cal ~to_device =
          same fallback Calibration itself applied before it validated
          adjacency. *)
       if Device.Topology.are_adjacent topo a b then
-        Device.Calibration.twoq_duration_by_name cal (a, b)
+        Device.Calibration.twoq_duration cal (a, b)
           (Gates.Gate.name (Qcir.Instr.gate instr))
       else d2
     | _ -> invalid_arg "Pass.calibrated_durations: gates beyond two qubits unsupported"

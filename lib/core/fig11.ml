@@ -27,18 +27,15 @@ let panel_a b =
       [ 8; 54; 100; 500; 1000 ]
   in
   Report.Builder.table b ~header:[ "qubits"; "pairs"; "types"; "circuits" ] rows;
-  let m = Calibration.Model.default in
+  let ten_types n_qubits =
+    float_of_int
+      (Isa.Cost.of_type_count ~topology:(Isa.Cost.grid_topology n_qubits) 10)
+        .Isa.Cost.circuits
+  in
   Report.Builder.textf b
     "\n54-qubit device, 10 types: %.2e circuits (paper: ~1e7). 1000 qubits:\n\
      %.2e circuits even for 10 types (paper: ~1e9 'nearly a billion').\n"
-    (float_of_int
-       (Calibration.Model.total_circuits m
-          ~n_pairs:(Calibration.Model.grid_pairs 54)
-          ~n_types:10))
-    (float_of_int
-       (Calibration.Model.total_circuits m
-          ~n_pairs:(Calibration.Model.grid_pairs 1000)
-          ~n_types:10))
+    (ten_types 54) (ten_types 1000)
 
 let panel_b b cfg =
   Report.Builder.subheading b

@@ -12,12 +12,17 @@ let doc ?(cfg = Config.default) () =
   Report.Builder.heading b "Fig 5: noise-adaptive approximate decomposition";
   (* The paper's walkthrough numbers: on (2,3) CZ is the high-fidelity
      gate (94%), on (3,4) the XY-family gate is (95%). *)
-  let cal = Device.Aspen8.ring_device () in
+  let cal =
+    Device.Calibration.map_twoq_errors (Device.Aspen8.ring_device ())
+      (fun edge name e ->
+        match (edge, name) with
+        | (2, 3), "CZ" -> 0.06
+        | (2, 3), "sqrt_iSWAP" -> 0.10
+        | (3, 4), "CZ" -> 0.09
+        | (3, 4), "sqrt_iSWAP" -> 0.05
+        | _ -> e)
+  in
   let isa = Isa.Set.make "CZ+sqrt_iSWAP" Gates.Gate_type.[ s3; s2 ] in
-  Device.Calibration.set_twoq_error cal (2, 3) Gates.Gate_type.s3 0.06;
-  Device.Calibration.set_twoq_error cal (2, 3) Gates.Gate_type.s2 0.10;
-  Device.Calibration.set_twoq_error cal (3, 4) Gates.Gate_type.s3 0.09;
-  Device.Calibration.set_twoq_error cal (3, 4) Gates.Gate_type.s2 0.05;
   (* pick an illustrative unitary for which the adaptive choice actually
      differs across the two edges, like the paper's Fig 2a example *)
   let options =

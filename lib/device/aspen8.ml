@@ -6,7 +6,8 @@
    from edge to edge.  Qubit pair (2,3) favours CZ at 94% and pair (3,4)
    favours the XY gate — the exact scenario of the paper's Fig 5
    walkthrough.  Arbitrary XY(theta) gate types draw uniformly from
-   95-99% fidelity, as the paper models (Sec VI, based on [3]). *)
+   95-99% fidelity, as the paper models (Sec VI, based on [3]), and so
+   does each edge's continuous XY-family error. *)
 
 open Gates
 
@@ -58,60 +59,53 @@ let type_durations =
       (xy_pi, 160e-9);
     ]
 
-let set_durations cal edges =
-  List.iter
-    (fun (ty, dur) ->
-      List.iter (fun e -> Calibration.set_twoq_duration cal e ty dur) edges)
-    type_durations
-
 let ring_device ?(seed = 11) ?(types = default_types) () =
   let topology = Topology.ring n_ring in
   let rng = Linalg.Rng.create seed in
-  (* Per-edge base for the continuous XY family: uniform in the paper's
-     95-99% fidelity band, with a mild angle dependence (error rates vary
-     with theta on real hardware, Sec IV-C). *)
-  let edges = Topology.edges topology in
-  let family_base = Hashtbl.create 16 in
-  List.iter
-    (fun e ->
-      let base = Linalg.Rng.uniform rng (1.0 -. xy_max_fidelity) (1.0 -. xy_min_fidelity) in
-      let amp = Linalg.Rng.uniform rng 0.0 (0.5 *. base) in
-      Hashtbl.replace family_base e (base, amp))
-    edges;
-  let family_error e angles =
-    let base, amp = Hashtbl.find family_base (Topology.canonical e) in
-    match Array.length angles with
-    | 0 -> base
-    | _ -> base +. (amp *. (0.5 -. (0.5 *. Float.cos angles.(0))))
+  let xy_error () =
+    Linalg.Rng.uniform rng (1.0 -. xy_max_fidelity) (1.0 -. xy_min_fidelity)
   in
-  let n = Topology.n_qubits topology in
-  let cal =
-    Calibration.make ~topology
-      ~oneq_error:(Array.make n oneq_error_rate)
-      ~readout_error:(Array.make n readout_error_rate)
-      ~t1:(Array.make n t1_seconds) ~t2:(Array.make n t2_seconds) ~duration_1q
-      ~duration_2q ~family_error ()
+  let edges = Topology.edges topology in
+  (* Per-edge base for the continuous XY family: uniform in the paper's
+     95-99% fidelity band.  Each edge takes a second draw, unused, so
+     that the seeded stream of every later draw keeps its place. *)
+  let family_base =
+    List.map
+      (fun e ->
+        let base = xy_error () in
+        ignore (Linalg.Rng.uniform rng 0.0 (0.5 *. base));
+        (e, base))
+      edges
   in
   (* index of an edge in the ring table: (k, k+1) -> k, (0, n-1) -> n-1 *)
   let ring_index (a, b) =
     if a = 0 && b = n_ring - 1 then n_ring - 1 else min a b
   in
-  List.iter
-    (fun ty ->
-      List.iter
-        (fun e ->
-          let cz_fid, xy_fid = ring_fidelities.(ring_index e) in
-          let err =
-            if is_cz_like ty then 1.0 -. cz_fid
-            else if is_xy_pi ty then 1.0 -. xy_fid
-            else
-              Linalg.Rng.uniform rng (1.0 -. xy_max_fidelity) (1.0 -. xy_min_fidelity)
-          in
-          Calibration.set_twoq_error cal e ty err)
-        edges)
-    types;
-  set_durations cal edges;
-  cal
+  let twoq_error =
+    List.concat_map
+      (fun ty ->
+        List.map
+          (fun e ->
+            let cz_fid, xy_fid = ring_fidelities.(ring_index e) in
+            let err =
+              if is_cz_like ty then 1.0 -. cz_fid
+              else if is_xy_pi ty then 1.0 -. xy_fid
+              else xy_error ()
+            in
+            (e, Gate_type.name ty, err))
+          edges)
+      types
+  in
+  let twoq_duration =
+    List.concat_map
+      (fun (ty, dur) -> List.map (fun e -> (e, Gate_type.name ty, dur)) edges)
+      type_durations
+  in
+  Calibration.make ~topology
+    ~oneq_error:(Array.make n_ring oneq_error_rate)
+    ~readout_error:(Array.make n_ring readout_error_rate)
+    ~t1:(Array.make n_ring t1_seconds) ~t2:(Array.make n_ring t2_seconds) ~duration_1q
+    ~duration_2q ~twoq_error ~twoq_duration ~family_base ()
 
 let fidelity_table () =
   List.init n_ring (fun k ->

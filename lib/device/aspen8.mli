@@ -4,14 +4,6 @@
     spread; arbitrary XY(theta) types draw uniformly from the 95-99%
     fidelity band the paper models. *)
 
-val n_ring : int
-val t1_seconds : float
-val t2_seconds : float
-val duration_1q : float
-val duration_2q : float
-val oneq_error_rate : float
-val readout_error_rate : float
-
 val default_types : Gates.Gate_type.t list
 (** Gate types populated by default: the XY-family members of Table II's
     R-sets plus CZ, SWAP, XY(pi). *)

@@ -1,10 +1,17 @@
-(** Per-device calibration data: gate fidelities, coherence and timing.
+(** Per-device calibration data: gate fidelities, coherence and timing,
+    as one immutable snapshot.
 
-    Fixed gate types have per-edge measured error rates; continuous
-    families are served by a per-edge error function of the family
-    angles. *)
+    Two-qubit errors and durations are keyed by canonical edge and
+    gate-type name.  A continuous family's error on an edge is the edge's
+    base error times one device-wide scale.  {!make} validates every
+    table once; nothing changes a calibration afterwards, and derived
+    snapshots ({!with_family_error_scale}, {!map_twoq_errors}) are new
+    values that share nothing mutable with their source. *)
 
 type t
+
+type entry = (int * int) * string * float
+(** One stored two-qubit value: [(edge, gate-type name, value)]. *)
 
 val make :
   topology:Topology.t ->
@@ -14,46 +21,42 @@ val make :
   t2:float array ->
   duration_1q:float ->
   duration_2q:float ->
-  family_error:((int * int) -> float array -> float) ->
+  twoq_error:entry list ->
+  twoq_duration:entry list ->
+  family_base:((int * int) * float) list ->
   ?family_error_scale:float ->
   unit ->
   t
+(** Build a calibration from complete tables; entries fill them in list
+    order.  Raises [Invalid_argument] naming the table (["twoq_error"],
+    ["twoq_duration"], ["base"], ["scale"] or a per-qubit array) when an
+    entry lies off the topology's edges, an error is outside [0, 1), a
+    duration or the family scale is not positive, a key appears twice,
+    an edge has no family base, or a per-qubit array has the wrong
+    length. *)
 
 val topology : t -> Topology.t
 
-val set_twoq_error : t -> int * int -> Gates.Gate_type.t -> float -> unit
-(** Record the measured error rate of a fixed gate type on an edge.
-    Raises [Invalid_argument] naming the pair and gate type when the pair
-    is not an edge of the topology. *)
-
 val twoq_error : t -> int * int -> Gates.Gate_type.t -> float
-(** Error rate of a gate type on an edge.  For family types, evaluates the
-    per-edge family error (angle-independent form).  Raises
-    [Invalid_argument] naming the pair and gate type when the pair is not
-    an edge of the topology, or when a fixed type has no data on the
-    edge. *)
-
-val family_angle_error : t -> int * int -> float array -> float
-(** Error rate for a continuous-family gate at specific angles. *)
+(** Error rate of a gate type on an edge: the stored entry for a fixed
+    type, the scaled family base (clamped to [1e-6, 0.5]) for a
+    continuous family.  Raises [Invalid_argument] naming the pair and
+    gate type when the pair is not an edge of the topology, or when a
+    fixed type has no data on the edge. *)
 
 val twoq_fidelity : t -> int * int -> Gates.Gate_type.t -> float
 
-val set_twoq_duration : t -> int * int -> Gates.Gate_type.t -> float -> unit
-(** Record the measured duration (seconds) of a gate type on an edge.
-    Raises [Invalid_argument] unless the duration is positive. *)
+val twoq_duration : t -> int * int -> string -> float
+(** Duration (seconds) of a gate type, by name, on an edge — compiled
+    instructions carry gate names.  Falls back to the device-wide
+    [duration_2q] scalar when the type has no entry.  Raises
+    [Invalid_argument] naming the pair and gate type when the pair is
+    not an edge of the topology. *)
 
-val twoq_duration : t -> int * int -> Gates.Gate_type.t -> float
-(** Duration of a gate type on an edge; falls back to the device-wide
-    [duration_2q] scalar when the type has no entry (the pre-refactor
-    behaviour).  Raises [Invalid_argument] naming the pair and gate type
-    when the pair is not an edge of the topology. *)
+val mean_twoq_duration : t -> string -> float
+(** Mean duration of a gate type, by name, across the device's edges. *)
 
-val twoq_duration_by_name : t -> int * int -> string -> float
-(** Same lookup keyed by gate name — the form compiled instructions use
-    (their gates carry names, not {!Gates.Gate_type.t} values). *)
-
-val mean_twoq_duration : t -> Gates.Gate_type.t -> float
-(** Mean duration of a type across the device's edges. *)
+val mean_twoq_error : t -> Gates.Gate_type.t -> float
 
 val oneq_error : t -> int -> float
 val oneq_fidelity : t -> int -> float
@@ -63,30 +66,23 @@ val t2 : t -> int -> float
 val duration_1q : t -> float
 val duration_2q : t -> float
 
+(** {2 Derived snapshots} *)
+
 val with_family_error_scale : t -> float -> t
-(** Degrade (or improve) only the continuous family's error rates — the
-    paper's Full_fSim 1x/1.5x/2x/2.5x study. *)
+(** The same calibration with another continuous-family scale — the
+    paper's Full_fSim 1x/1.5x/2x/2.5x study, and drift.  Raises
+    [Invalid_argument] unless the scale is positive. *)
 
-val with_error_scale : t -> float -> t
-(** Rescale every error rate — 1Q, 2Q, continuous-family and readout
-    alike (error-rate sweep experiments).  Durations and T1/T2 are
-    timing data, not error rates, and are left untouched. *)
-
-val map_twoq_errors : t -> ((int * int) -> string -> float -> float) -> unit
-(** In-place transform of every stored fixed-type error rate (clamped);
-    used by the calibration-drift simulation. *)
-
-val mean_twoq_error : t -> Gates.Gate_type.t -> float
+val map_twoq_errors : t -> ((int * int) -> string -> float -> float) -> t
+(** A calibration whose every stored fixed-type error is [f edge name e],
+    clamped to [1e-6, 0.5].  [f] sees the entries in the error table's
+    fold order, and the result keeps that order, so a seeded function
+    (calibration drift) draws the same stream on every call. *)
 
 (** {2 Snapshot access}
 
     Structural accessors used by device JSON snapshots and the drift
-    simulation.  They expose copies, never the internal tables. *)
-
-val copy : t -> t
-(** Deep copy: mutating the copy's errors or durations leaves the
-    original untouched (the continuous-family closure is shared — it is
-    immutable by construction). *)
+    simulation.  They return copies, never the internal tables. *)
 
 val oneq_errors : t -> float array
 val readout_errors : t -> float array
@@ -96,16 +92,10 @@ val t2_times : t -> float array
 val family_error_scale : t -> float
 
 val family_base_error : t -> int * int -> float
-(** The unscaled per-edge continuous-family base error (evaluated at the
-    empty angle vector) — the value device snapshots persist. *)
+(** The unscaled continuous-family base error of an edge. *)
 
-val twoq_error_entries : t -> ((int * int) * string * float) list
-(** Every stored fixed-type error as [(edge, type name, error)], sorted
-    for deterministic serialization. *)
+val twoq_error_entries : t -> entry list
+(** Every stored fixed-type error, sorted for deterministic
+    serialization. *)
 
-val twoq_duration_entries : t -> ((int * int) * string * float) list
-
-val set_twoq_error_by_name : t -> int * int -> string -> float -> unit
-(** {!set_twoq_error} keyed by gate name (snapshot loading). *)
-
-val set_twoq_duration_by_name : t -> int * int -> string -> float -> unit
+val twoq_duration_entries : t -> entry list

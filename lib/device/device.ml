@@ -8,11 +8,10 @@
    CLI and experiments, and the JSON codec makes snapshots storable,
    diffable and re-loadable (`nuop devices dump` / `--device FILE`).
 
-   Serialization note: the continuous-family error closure of
-   [Calibration.t] may depend on the family angles; a snapshot persists
-   the per-edge base evaluated at the empty angle vector, so any angle
-   dependence is flattened on a dump/load round trip.  Fixed-type errors
-   and durations round-trip exactly. *)
+   A snapshot stores every table of [Calibration.t] — fixed-type errors
+   and durations, the per-edge family bases and the family scale — so a
+   dump/load round trip is exact, and a loaded snapshot passes the same
+   validating [Calibration.make] as a registry build. *)
 
 module Topology = Topology
 module Calibration = Calibration
@@ -69,28 +68,28 @@ let aspen8 ?(seed = 11) ?(types = Aspen8.default_types) () =
     provenance = Provenance.fresh ~seed ();
   }
 
-let sycamore ?(seed = 23) ?vary ?types ?family_error_scale ?mu ?sigma ?oneq () =
-  let type_list = match types with None -> Sycamore.default_types | Some t -> t in
+let sycamore_device ~name ~description ~seed ?types calibration =
+  let types = Option.value types ~default:Sycamore.default_types in
   {
-    name = "sycamore54";
-    description = "Google Sycamore: 54 qubits on a 6x9 grid, N(0.62%, 0.24%) errors";
-    calibration =
-      Sycamore.device ~seed ?vary ?types ?family_error_scale ?mu ?sigma ?oneq ();
-    native_isa = Isa_set.make "sycamore-native" type_list;
+    name;
+    description;
+    calibration;
+    native_isa = Isa_set.make "sycamore-native" types;
     provenance = Provenance.fresh ~seed ();
   }
 
-let sycamore_line ?(seed = 23) ?vary ?types ?family_error_scale ?mu ?sigma ?oneq k =
-  let type_list = match types with None -> Sycamore.default_types | Some t -> t in
-  {
-    name = "sycamore";
-    description =
-      Printf.sprintf "Google Sycamore sub-device: line of %d qubits, same error model" k;
-    calibration =
-      Sycamore.line_device ~seed ?vary ?types ?family_error_scale ?mu ?sigma ?oneq k;
-    native_isa = Isa_set.make "sycamore-native" type_list;
-    provenance = Provenance.fresh ~seed ();
-  }
+let sycamore ?(seed = 23) ?vary ?types ?mu ?sigma ?oneq () =
+  sycamore_device ~name:"sycamore54"
+    ~description:"Google Sycamore: 54 qubits on a 6x9 grid, N(0.62%, 0.24%) errors" ~seed
+    ?types
+    (Sycamore.device ~seed ?vary ?types ?mu ?sigma ?oneq ())
+
+let sycamore_line ?(seed = 23) ?vary ?types ?mu ?sigma ?oneq k =
+  sycamore_device ~name:"sycamore"
+    ~description:
+      (Printf.sprintf "Google Sycamore sub-device: line of %d qubits, same error model" k)
+    ~seed ?types
+    (Sycamore.line_device ~seed ?vary ?types ?mu ?sigma ?oneq k)
 
 (* ---------- registry ---------- *)
 
@@ -363,20 +362,10 @@ let of_json j =
   let edges = List.map (edge_of_json "edges") (get_list "edges" topo_obj) in
   let topology = Topology.of_edges n edges in
   let family_obj = get "family" j in
-  let family_base = Hashtbl.create 64 in
-  List.iter
-    (fun e ->
-      let edge = Topology.canonical (edge_of_json "edge" (get "edge" e)) in
-      Hashtbl.replace family_base edge (get_float "error" e))
-    (get_list "base" family_obj);
-  (* Angle dependence is flattened: a loaded family serves its stored
-     per-edge base at every angle (see the module comment). *)
-  let family_error e _angles =
-    match Hashtbl.find_opt family_base (Topology.canonical e) with
-    | Some base -> base
-    | None ->
-      let a, b = Topology.canonical e in
-      fail "Device.of_json: no family base error for edge (%d,%d)" a b
+  let family_base =
+    List.map
+      (fun e -> (edge_of_json "edge" (get "edge" e), get_float "error" e))
+      (get_list "base" family_obj)
   in
   let calibration =
     Calibration.make ~topology
@@ -386,19 +375,11 @@ let of_json j =
       ~t2:(per_qubit_of_json ~n positive "t2" j)
       ~duration_1q:(in_range positive "duration_1q" (get_float "duration_1q" j))
       ~duration_2q:(in_range positive "duration_2q" (get_float "duration_2q" j))
-      ~family_error
+      ~twoq_error:(List.map (entry_of_json "error") (get_list "twoq_error" j))
+      ~twoq_duration:(List.map (entry_of_json "duration") (get_list "twoq_duration" j))
+      ~family_base
       ~family_error_scale:(get_float "scale" family_obj) ()
   in
-  List.iter
-    (fun e ->
-      let edge, type_name, err = entry_of_json "error" e in
-      Calibration.set_twoq_error_by_name calibration edge type_name err)
-    (get_list "twoq_error" j);
-  List.iter
-    (fun e ->
-      let edge, type_name, dur = entry_of_json "duration" e in
-      Calibration.set_twoq_duration_by_name calibration edge type_name dur)
-    (get_list "twoq_duration" j);
   let isa_obj = get "native_isa" j in
   let native_isa =
     Isa_set.make (get_string "name" isa_obj)

@@ -11,7 +11,6 @@ open Gates
 
 let rows = 6
 let cols = 9
-let n_qubits = rows * cols
 
 let err_mu = 0.0062
 let err_sigma = 0.0024
@@ -47,86 +46,49 @@ let type_durations =
       (swap_type, 78e-9);  (* 3x CZ *)
     ]
 
-let set_durations cal edges =
-  List.iter
-    (fun (ty, dur) ->
-      List.iter (fun e -> Calibration.set_twoq_duration cal e ty dur) edges)
-    type_durations
-
-let sample_error ?(mu = err_mu) ?(sigma = err_sigma) rng =
+let sample_error ~mu ~sigma rng =
   let e = Linalg.Rng.gaussian_mu_sigma rng ~mu ~sigma in
   Float.max err_min (Float.min err_max e)
 
-let device ?(seed = 23) ?(vary = true) ?(types = default_types)
-    ?(family_error_scale = 1.0) ?(mu = err_mu) ?(sigma = err_sigma)
-    ?(oneq = oneq_error_rate) () =
-  let topology = Topology.grid rows cols in
+let build ?(seed = 23) ?(vary = true) ?(types = default_types) ?(mu = err_mu)
+    ?(sigma = err_sigma) ?(oneq = oneq_error_rate) topology =
   let rng = Linalg.Rng.create seed in
   let edges = Topology.edges topology in
-  (* one base error per edge; used directly when [vary = false] and as the
-     continuous-family error either way *)
-  let edge_base = Hashtbl.create 128 in
-  List.iter (fun e -> Hashtbl.replace edge_base e (sample_error ~mu ~sigma rng)) edges;
+  (* one base error per edge: every type's error when [vary = false], and
+     the continuous-family error either way *)
+  let edge_base = List.map (fun e -> (e, sample_error ~mu ~sigma rng)) edges in
   let family_rng = Linalg.Rng.child rng in
-  let family_base = Hashtbl.create 128 in
-  List.iter
-    (fun e ->
-      let v = if vary then sample_error ~mu ~sigma family_rng else Hashtbl.find edge_base e in
-      Hashtbl.replace family_base e v)
-    edges;
-  let family_error e _angles = Hashtbl.find family_base (Topology.canonical e) in
-  let cal =
-    Calibration.make ~topology
-      ~oneq_error:(Array.make n_qubits oneq)
-      ~readout_error:(Array.make n_qubits readout_error_rate)
-      ~t1:(Array.make n_qubits t1_seconds)
-      ~t2:(Array.make n_qubits t2_seconds)
-      ~duration_1q ~duration_2q ~family_error ~family_error_scale ()
+  let family_base =
+    if vary then List.map (fun e -> (e, sample_error ~mu ~sigma family_rng)) edges
+    else edge_base
   in
-  List.iter
-    (fun ty ->
-      List.iter
-        (fun e ->
-          let err = if vary then sample_error ~mu ~sigma rng else Hashtbl.find edge_base e in
-          Calibration.set_twoq_error cal e ty err)
-        edges)
-    types;
-  set_durations cal edges;
-  cal
+  let twoq_error =
+    List.concat_map
+      (fun ty ->
+        List.map
+          (fun (e, base) ->
+            (e, Gate_type.name ty, if vary then sample_error ~mu ~sigma rng else base))
+          edge_base)
+      types
+  in
+  let twoq_duration =
+    List.concat_map
+      (fun (ty, dur) -> List.map (fun e -> (e, Gate_type.name ty, dur)) edges)
+      type_durations
+  in
+  let n = Topology.n_qubits topology in
+  Calibration.make ~topology ~oneq_error:(Array.make n oneq)
+    ~readout_error:(Array.make n readout_error_rate)
+    ~t1:(Array.make n t1_seconds) ~t2:(Array.make n t2_seconds) ~duration_1q ~duration_2q
+    ~twoq_error ~twoq_duration ~family_base ()
+
+let device ?seed ?vary ?types ?mu ?sigma ?oneq () =
+  build ?seed ?vary ?types ?mu ?sigma ?oneq (Topology.grid rows cols)
 
 (* A small sub-device for the 3-6 qubit benchmarks: first [k] qubits of a
    grid row (a line), with the same error model. *)
-let line_device ?(seed = 23) ?(vary = true) ?(types = default_types)
-    ?(family_error_scale = 1.0) ?(mu = err_mu) ?(sigma = err_sigma)
-    ?(oneq = oneq_error_rate) k =
-  assert (k >= 2 && k <= 30);
-  let topology = Topology.line k in
-  let rng = Linalg.Rng.create seed in
-  let edges = Topology.edges topology in
-  let edge_base = Hashtbl.create 16 in
-  List.iter (fun e -> Hashtbl.replace edge_base e (sample_error ~mu ~sigma rng)) edges;
-  let family_rng = Linalg.Rng.child rng in
-  let family_base = Hashtbl.create 16 in
-  List.iter
-    (fun e ->
-      let v = if vary then sample_error ~mu ~sigma family_rng else Hashtbl.find edge_base e in
-      Hashtbl.replace family_base e v)
-    edges;
-  let family_error e _angles = Hashtbl.find family_base (Topology.canonical e) in
-  let cal =
-    Calibration.make ~topology
-      ~oneq_error:(Array.make k oneq)
-      ~readout_error:(Array.make k readout_error_rate)
-      ~t1:(Array.make k t1_seconds) ~t2:(Array.make k t2_seconds) ~duration_1q
-      ~duration_2q ~family_error ~family_error_scale ()
-  in
-  List.iter
-    (fun ty ->
-      List.iter
-        (fun e ->
-          let err = if vary then sample_error ~mu ~sigma rng else Hashtbl.find edge_base e in
-          Calibration.set_twoq_error cal e ty err)
-        edges)
-    types;
-  set_durations cal edges;
-  cal
+let line_device ?seed ?vary ?types ?mu ?sigma ?oneq k =
+  if k < 2 || k > 30 then
+    invalid_arg
+      (Printf.sprintf "qubits must be between 2 and 30 for a Sycamore line (got %d)" k);
+  build ?seed ?vary ?types ?mu ?sigma ?oneq (Topology.line k)

@@ -2,20 +2,9 @@
 
     Gate error rates follow the distributions stated in Sec VI of the
     paper: SYC errors ~ N(0.62%, 0.24%), other types iid from the same
-    distribution.  [vary:false] disables cross-type variation (Fig 10e). *)
-
-val rows : int
-val cols : int
-val n_qubits : int
-
-val err_mu : float
-val err_sigma : float
-val t1_seconds : float
-val t2_seconds : float
-val duration_1q : float
-val duration_2q : float
-val oneq_error_rate : float
-val readout_error_rate : float
+    distribution.  [vary:false] disables cross-type variation (Fig 10e);
+    [mu], [sigma] and [oneq] override the two-qubit error distribution
+    and the one-qubit error rate (the Fig 7 and Fig 10(f) sweeps). *)
 
 val default_types : Gates.Gate_type.t list
 (** S1-S7 plus SWAP (Table II's Google sets). *)
@@ -29,22 +18,22 @@ val device :
   ?seed:int ->
   ?vary:bool ->
   ?types:Gates.Gate_type.t list ->
-  ?family_error_scale:float ->
   ?mu:float ->
   ?sigma:float ->
   ?oneq:float ->
   unit ->
   Calibration.t
+(** The full device: 54 qubits on a 6x9 grid. *)
 
 val line_device :
   ?seed:int ->
   ?vary:bool ->
   ?types:Gates.Gate_type.t list ->
-  ?family_error_scale:float ->
   ?mu:float ->
   ?sigma:float ->
   ?oneq:float ->
   int ->
   Calibration.t
 (** A k-qubit line with Sycamore's error model — the placement used for
-    the 3-6 qubit benchmark simulations. *)
+    the 3-6 qubit benchmark simulations.  Raises [Invalid_argument] with a
+    message starting "qubits" unless 2 <= k <= 30. *)

@@ -3,12 +3,11 @@
 
    Wraps Calibration.Model with the two pieces of device knowledge the
    raw model leaves to its callers: the pair count is the device graph's
-   edge count (the near-square-grid approximation [grid_pairs] becomes
-   the concrete [grid_topology]), and the parallel-batch count comes
-   from the graph's greedy edge coloring (4 on grids) instead of a
-   hard-coded constant.  A continuous family costs
-   [Calibration.Model.continuous_family_types] calibrated types
-   (Foxen et al.'s 525 fSim instances). *)
+   edge count (a near-square grid of n qubits is [grid_topology n]), and
+   the parallel-batch count comes from the graph's greedy edge coloring
+   (4 on large grids) instead of a hard-coded constant.  A continuous
+   family costs [Calibration.Model.continuous_family_types] calibrated
+   types (Foxen et al.'s 525 fSim instances). *)
 
 type t = {
   n_pairs : int;
@@ -29,8 +28,7 @@ let effective_types set =
 
 let grid_topology n_qubits =
   if n_qubits < 2 then invalid_arg "Isa.Cost.grid_topology: need at least 2 qubits";
-  (* same rounding as Calibration.Model.grid_pairs, so the edge count of
-     the returned grid equals grid_pairs n_qubits exactly *)
+  (* r = round(sqrt n) rows of c = ceil(n / r): 2rc - r - c couplers *)
   let r = max 1 (int_of_float (Float.round (Float.sqrt (float_of_int n_qubits)))) in
   let c = (n_qubits + r - 1) / r in
   Device.Topology.grid r c

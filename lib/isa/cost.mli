@@ -21,8 +21,8 @@ val effective_types : Set.t -> int
     {!Calibration.Model.continuous_family_types}. *)
 
 val grid_topology : int -> Device.Topology.t
-(** Near-square grid with n qubits, rounded exactly as
-    {!Calibration.Model.grid_pairs} so the edge counts agree.  Raises
+(** Near-square grid holding n qubits: round(sqrt n) rows of
+    ceil(n / rows) qubits (97 couplers at 54 qubits).  Raises
     [Invalid_argument] below 2 qubits. *)
 
 val of_type_count :

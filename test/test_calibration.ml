@@ -9,28 +9,25 @@ let test_per_type_pair_breakdown () =
   (* 5 angle tune-ups x 100 + 250 tomography + 1000 x 10 XEB *)
   check_int "per pair" ((5 * 100) + 250 + 10000) (Calibration.Model.circuits_per_type_pair m)
 
+(* coupler counts of the near-square grids Isa.Cost.grid_topology builds
+   (pinned in test_grid_pairs): 97 at 54 qubits, 1984 at 1000 *)
 let test_headline_numbers () =
   (* 54-qubit device, 10 gate types: ~1e7 circuits (Sec IX) *)
-  let c =
-    Calibration.Model.total_circuits m
-      ~n_pairs:(Calibration.Model.grid_pairs 54)
-      ~n_types:10
-  in
+  let c = Calibration.Model.total_circuits m ~n_pairs:97 ~n_types:10 in
   check_bool "order 1e7" true (c > 5_000_000 && c < 20_000_000)
 
 let test_thousand_qubits () =
-  let c =
-    Calibration.Model.total_circuits m
-      ~n_pairs:(Calibration.Model.grid_pairs 1000)
-      ~n_types:10
-  in
+  let c = Calibration.Model.total_circuits m ~n_pairs:1984 ~n_types:10 in
   check_bool "order 1e8+" true (c > 100_000_000)
 
 let test_grid_pairs () =
+  let pairs n = Device.Topology.edge_count (Isa.Cost.grid_topology n) in
   (* 54 qubits as a near-square grid: 7x8 = 56 slots -> 2*7*8 - 7 - 8 = 97 *)
-  check_int "54" 97 (Calibration.Model.grid_pairs 54);
+  check_int "54" 97 (pairs 54);
   (* 9 qubits = 3x3 grid: 12 edges *)
-  check_int "9" 12 (Calibration.Model.grid_pairs 9)
+  check_int "9" 12 (pairs 9);
+  (* 1000 qubits: 32x32 = 1024 slots -> 2*32*32 - 32 - 32 = 1984 *)
+  check_int "1000" 1984 (pairs 1000)
 
 let test_linear_scaling () =
   let c1 = Calibration.Model.total_circuits m ~n_pairs:100 ~n_types:1 in

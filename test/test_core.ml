@@ -41,21 +41,24 @@ let test_study_metrics_distinct () =
 let test_study_state_fidelity_noiseless () =
   (* with an ideal device the QFT success metric must be ~1 *)
   let topology = Device.Topology.line 3 in
+  let edges = Device.Topology.edges topology in
   let cal =
     Device.Calibration.make ~topology ~oneq_error:[| 0.0; 0.0; 0.0 |]
       ~readout_error:[| 0.0; 0.0; 0.0 |]
       ~t1:[| infinity; infinity; infinity |]
       ~t2:[| infinity; infinity; infinity |]
       ~duration_1q:0.0 ~duration_2q:0.0
-      ~family_error:(fun _ _ -> 1e-6)
+      ~twoq_error:
+        (List.concat_map
+           (fun e ->
+             List.map
+               (fun ty -> (e, Gates.Gate_type.name ty, 1e-6))
+               (Isa.Set.gate_types Isa.Set.g2))
+           edges)
+      ~twoq_duration:[]
+      ~family_base:(List.map (fun e -> (e, 1e-6)) edges)
       ()
   in
-  List.iter
-    (fun e ->
-      List.iter
-        (fun ty -> Device.Calibration.set_twoq_error cal e ty 1e-6)
-        (Isa.Set.gate_types Isa.Set.g2))
-    (Device.Topology.edges topology);
   let device =
     Device.v ~name:"ideal-line3" ~description:"noiseless 3-qubit line"
       ~calibration:cal ~native_isa:Isa.Set.g2 ()

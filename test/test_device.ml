@@ -76,23 +76,28 @@ let test_canonical () =
 
 (* ---------- Calibration ---------- *)
 
-let make_cal () =
+(* a 3-qubit line with CZ data on (0,1) only: 1.2% error, 45 ns *)
+let make_cal ?(twoq_error = [ ((0, 1), "CZ", 0.012) ])
+    ?(twoq_duration = [ ((0, 1), "CZ", 45e-9) ])
+    ?(family_base = [ ((0, 1), 0.005); ((1, 2), 0.005) ]) () =
   let topology = Device.Topology.line 3 in
   Device.Calibration.make ~topology ~oneq_error:[| 0.001; 0.002; 0.003 |]
     ~readout_error:[| 0.01; 0.02; 0.03 |] ~t1:[| 20e-6; 20e-6; 20e-6 |]
-    ~t2:[| 10e-6; 10e-6; 10e-6 |] ~duration_1q:25e-9 ~duration_2q:32e-9
-    ~family_error:(fun _ _ -> 0.005)
-    ()
+    ~t2:[| 10e-6; 10e-6; 10e-6 |] ~duration_1q:25e-9 ~duration_2q:32e-9 ~twoq_error
+    ~twoq_duration ~family_base ()
 
 let test_calibration_set_get () =
   let cal = make_cal () in
-  Device.Calibration.set_twoq_error cal (0, 1) Gates.Gate_type.s3 0.012;
   check_float "lookup" 0.012 (Device.Calibration.twoq_error cal (0, 1) Gates.Gate_type.s3);
   (* canonical edge ordering: (1, 0) finds the same entry *)
   check_float "reversed edge" 0.012
     (Device.Calibration.twoq_error cal (1, 0) Gates.Gate_type.s3);
   check_float "fidelity" 0.988
-    (Device.Calibration.twoq_fidelity cal (0, 1) Gates.Gate_type.s3)
+    (Device.Calibration.twoq_fidelity cal (0, 1) Gates.Gate_type.s3);
+  (* an entry given on the reversed edge lands on the canonical key *)
+  let reversed = make_cal ~twoq_error:[ ((1, 0), "CZ", 0.02) ] () in
+  check_float "stored reversed" 0.02
+    (Device.Calibration.twoq_error reversed (0, 1) Gates.Gate_type.s3)
 
 let test_calibration_missing_raises () =
   let cal = make_cal () in
@@ -109,20 +114,50 @@ let test_calibration_non_edge_raises () =
     (Invalid_argument
        "Calibration.twoq_error: (0,2) is not an edge of the topology (gate type CZ)")
     (fun () -> ignore (Device.Calibration.twoq_error cal (0, 2) Gates.Gate_type.s3));
-  Alcotest.check_raises "set_twoq_error"
+  Alcotest.check_raises "make"
     (Invalid_argument
-       "Calibration.set_twoq_error: (0,2) is not an edge of the topology (gate type CZ)")
-    (fun () -> Device.Calibration.set_twoq_error cal (0, 2) Gates.Gate_type.s3 0.01);
+       "Calibration.make: field \"twoq_error\": CZ on (0,2) is not on an edge of the topology")
+    (fun () -> ignore (make_cal ~twoq_error:[ ((0, 2), "CZ", 0.01) ] ()));
   Alcotest.check_raises "twoq_duration"
     (Invalid_argument
        "Calibration.twoq_duration: (0,2) is not an edge of the topology (gate type CZ)")
-    (fun () ->
-      ignore (Device.Calibration.twoq_duration cal (0, 2) Gates.Gate_type.s3));
+    (fun () -> ignore (Device.Calibration.twoq_duration cal (0, 2) "CZ"));
   (* canonical edge ordering applies before the check: (2,0) = (0,2) *)
   Alcotest.check_raises "reversed"
     (Invalid_argument
        "Calibration.twoq_error: (0,2) is not an edge of the topology (gate type CZ)")
     (fun () -> ignore (Device.Calibration.twoq_error cal (2, 0) Gates.Gate_type.s3))
+
+(* every table is checked once, at construction, with one message form
+   naming the table (test_snapshot_values_validated covers the family
+   tables and exact duplicates through the JSON loader) *)
+let test_calibration_make_validates () =
+  List.iter
+    (fun (field, build) ->
+      match build () with
+      | _ -> Alcotest.fail (field ^ ": invalid tables built a calibration")
+      | exception Invalid_argument msg ->
+        check_bool
+          (Printf.sprintf "%s named in %s" field msg)
+          true
+          (Astring.String.is_infix ~affix:(Printf.sprintf "%S" field) msg))
+    [
+      ("twoq_error", fun () -> make_cal ~twoq_error:[ ((0, 1), "CZ", 1.5) ] ());
+      ("twoq_error", fun () -> make_cal ~twoq_error:[ ((0, 1), "CZ", -0.01) ] ());
+      ( "twoq_error",
+        fun () -> make_cal ~twoq_error:[ ((0, 1), "CZ", 0.01); ((1, 0), "CZ", 0.02) ] () );
+      ("twoq_duration", fun () -> make_cal ~twoq_duration:[ ((0, 2), "CZ", 4e-8) ] ());
+      ( "scale",
+        fun () -> Device.Calibration.with_family_error_scale (make_cal ()) (-3.0) );
+      ( "oneq_error",
+        fun () ->
+          Device.Calibration.make ~topology:(Device.Topology.line 3) ~oneq_error:[| 0.0 |]
+            ~readout_error:[| 0.0; 0.0; 0.0 |] ~t1:[| 1e-5; 1e-5; 1e-5 |]
+            ~t2:[| 1e-5; 1e-5; 1e-5 |] ~duration_1q:1e-8 ~duration_2q:1e-8
+            ~twoq_error:[] ~twoq_duration:[]
+            ~family_base:[ ((0, 1), 0.0); ((1, 2), 0.0) ]
+            () );
+    ]
 
 let test_calibration_family () =
   let cal = make_cal () in
@@ -131,59 +166,98 @@ let test_calibration_family () =
   let scaled = Device.Calibration.with_family_error_scale cal 2.0 in
   check_float "scaled" 0.010
     (Device.Calibration.twoq_error scaled (0, 1) Gates.Gate_type.Fsim_family);
+  check_float "original scale kept" 0.005
+    (Device.Calibration.twoq_error cal (0, 1) Gates.Gate_type.Fsim_family);
   (* fixed types unaffected by family scale *)
-  Device.Calibration.set_twoq_error cal (0, 1) Gates.Gate_type.s3 0.012;
-  Device.Calibration.set_twoq_error scaled (0, 1) Gates.Gate_type.s3 0.012;
   check_float "fixed unchanged" 0.012
-    (Device.Calibration.twoq_error scaled (0, 1) Gates.Gate_type.s3)
+    (Device.Calibration.twoq_error scaled (0, 1) Gates.Gate_type.s3);
+  (* the scaled family saturates at the 0.5 clamp *)
+  check_float "clamped" 0.5
+    (Device.Calibration.twoq_error
+       (Device.Calibration.with_family_error_scale cal 1000.0)
+       (0, 1) Gates.Gate_type.Xy_family)
 
+(* the one error map: pure, clamped, and blind to everything but the
+   stored fixed-type errors *)
 let test_calibration_error_scale () =
-  let cal = make_cal () in
-  Device.Calibration.set_twoq_error cal (0, 1) Gates.Gate_type.s3 0.012;
-  Device.Calibration.set_twoq_duration cal (0, 1) Gates.Gate_type.s3 45e-9;
-  let scaled = Device.Calibration.with_error_scale cal 2.0 in
+  let cal = make_cal ~twoq_error:[ ((0, 1), "CZ", 0.012); ((1, 2), "CZ", 0.3) ] () in
+  let scaled = Device.Calibration.map_twoq_errors cal (fun _ _ e -> 2.0 *. e) in
   check_float "2q scaled" 0.024
     (Device.Calibration.twoq_error scaled (0, 1) Gates.Gate_type.s3);
-  check_float "1q scaled" 0.002 (Device.Calibration.oneq_error scaled 0);
-  (* every error rate scales — readout included *)
-  check_float "readout scaled" 0.02 (Device.Calibration.readout_error scaled 0);
-  (* durations and coherence are timing, not error rates: untouched *)
-  check_float "2q duration kept" 45e-9
-    (Device.Calibration.twoq_duration scaled (0, 1) Gates.Gate_type.s3);
+  check_float "2q clamped" 0.5
+    (Device.Calibration.twoq_error scaled (1, 2) Gates.Gate_type.s3);
+  check_float "family kept" 0.005
+    (Device.Calibration.twoq_error scaled (0, 1) Gates.Gate_type.Fsim_family);
+  check_float "1q kept" 0.001 (Device.Calibration.oneq_error scaled 0);
+  check_float "readout kept" 0.01 (Device.Calibration.readout_error scaled 0);
+  check_float "2q duration kept" 45e-9 (Device.Calibration.twoq_duration scaled (0, 1) "CZ");
   check_float "1q duration kept" 25e-9 (Device.Calibration.duration_1q scaled);
   check_float "t1 kept" 20e-6 (Device.Calibration.t1 scaled 0);
   (* original untouched *)
-  check_float "original" 0.012 (Device.Calibration.twoq_error cal (0, 1) Gates.Gate_type.s3);
-  check_float "original readout" 0.01 (Device.Calibration.readout_error cal 0)
+  check_float "original" 0.012 (Device.Calibration.twoq_error cal (0, 1) Gates.Gate_type.s3)
+
+(* a derived snapshot shares nothing that can change: mapping a scaled
+   copy leaves the calibration it came from as it was *)
+let test_calibration_derived_independent () =
+  let cal = Device.Aspen8.ring_device () in
+  let before = Device.Calibration.twoq_error_entries cal in
+  let scaled = Device.Calibration.with_family_error_scale cal 2.0 in
+  let bumped = Device.Calibration.map_twoq_errors scaled (fun _ _ _ -> 0.2) in
+  check_float "derived" 0.2 (Device.Calibration.twoq_error bumped (0, 1) Gates.Gate_type.s3);
+  check_bool "source entries" true (Device.Calibration.twoq_error_entries cal = before);
+  check_bool "scaled entries" true (Device.Calibration.twoq_error_entries scaled = before)
+
+(* drift draws one multiplier per entry in the error table's fold order:
+   a mapped calibration must fold in its source's order, so a drifted
+   snapshot drifts again along the same stream (the 54-qubit table
+   resizes several times while it fills) *)
+let test_calibration_map_keeps_order () =
+  let visits cal =
+    let order = ref [] in
+    ignore
+      (Device.Calibration.map_twoq_errors cal (fun edge name e ->
+           order := (edge, name) :: !order;
+           e));
+    List.rev !order
+  in
+  List.iter
+    (fun cal ->
+      let mapped = Device.Calibration.map_twoq_errors cal (fun _ _ e -> e *. 1.5) in
+      check_bool "same fold order" true (visits cal = visits mapped))
+    [ Device.Sycamore.device (); Device.Aspen8.ring_device () ]
 
 let test_calibration_durations () =
   let cal = make_cal () in
-  (* scalar fallback before any per-type entry exists *)
-  check_float "fallback" 32e-9
-    (Device.Calibration.twoq_duration cal (0, 1) Gates.Gate_type.s3);
-  Device.Calibration.set_twoq_duration cal (0, 1) Gates.Gate_type.s3 45e-9;
-  check_float "lookup" 45e-9
-    (Device.Calibration.twoq_duration cal (0, 1) Gates.Gate_type.s3);
+  check_float "lookup" 45e-9 (Device.Calibration.twoq_duration cal (0, 1) "CZ");
   (* canonical edge ordering: (1, 0) finds the same entry *)
-  check_float "reversed edge" 45e-9
-    (Device.Calibration.twoq_duration cal (1, 0) Gates.Gate_type.s3);
-  check_float "by name" 45e-9 (Device.Calibration.twoq_duration_by_name cal (0, 1) "CZ");
-  (* other edge and other type still fall back to the scalar *)
-  check_float "other edge" 32e-9
-    (Device.Calibration.twoq_duration cal (1, 2) Gates.Gate_type.s3);
-  check_float "other type" 32e-9
-    (Device.Calibration.twoq_duration cal (0, 1) Gates.Gate_type.s4);
+  check_float "reversed edge" 45e-9 (Device.Calibration.twoq_duration cal (1, 0) "CZ");
+  (* other edge and other type fall back to the scalar *)
+  check_float "other edge" 32e-9 (Device.Calibration.twoq_duration cal (1, 2) "CZ");
+  check_float "other type" 32e-9 (Device.Calibration.twoq_duration cal (0, 1) "iSWAP");
   check_float "mean over edges" ((45e-9 +. 32e-9) /. 2.0)
-    (Device.Calibration.mean_twoq_duration cal Gates.Gate_type.s3);
+    (Device.Calibration.mean_twoq_duration cal "CZ");
   Alcotest.check_raises "rejects non-positive"
-    (Invalid_argument "Calibration.set_twoq_duration: need dur > 0") (fun () ->
-      Device.Calibration.set_twoq_duration cal (0, 1) Gates.Gate_type.s3 0.0)
+    (Invalid_argument
+       "Calibration.make: field \"twoq_duration\": CZ on (0,1) must be positive (got 0)")
+    (fun () -> ignore (make_cal ~twoq_duration:[ ((0, 1), "CZ", 0.0) ] ()))
 
 let test_calibration_accessors () =
   let cal = make_cal () in
   check_float "t1" 20e-6 (Device.Calibration.t1 cal 0);
   check_float "readout" 0.02 (Device.Calibration.readout_error cal 1);
-  check_float "d2q" 32e-9 (Device.Calibration.duration_2q cal)
+  check_float "d2q" 32e-9 (Device.Calibration.duration_2q cal);
+  check_float "base" 0.005 (Device.Calibration.family_base_error cal (1, 0));
+  (* the arrays handed to make are copied in, and copied out *)
+  let oneq = [| 0.001; 0.002; 0.003 |] in
+  let cal =
+    Device.Calibration.make ~topology:(Device.Topology.line 3) ~oneq_error:oneq
+      ~readout_error:[| 0.0; 0.0; 0.0 |] ~t1:[| 1e-5; 1e-5; 1e-5 |]
+      ~t2:[| 1e-5; 1e-5; 1e-5 |] ~duration_1q:1e-8 ~duration_2q:1e-8 ~twoq_error:[]
+      ~twoq_duration:[] ~family_base:[ ((0, 1), 0.0); ((1, 2), 0.0) ] ()
+  in
+  oneq.(0) <- 0.4;
+  (Device.Calibration.oneq_errors cal).(0) <- 0.4;
+  check_float "1q kept" 0.001 (Device.Calibration.oneq_error cal 0)
 
 (* ---------- Aspen-8 ---------- *)
 
@@ -202,9 +276,9 @@ let test_aspen_durations () =
   List.iter
     (fun (ty, d) ->
       check_float (Gates.Gate_type.name ty) d
-        (Device.Calibration.twoq_duration cal (0, 1) ty);
+        (Device.Calibration.twoq_duration cal (0, 1) (Gates.Gate_type.name ty));
       check_float "mean = uniform table" d
-        (Device.Calibration.mean_twoq_duration cal ty))
+        (Device.Calibration.mean_twoq_duration cal (Gates.Gate_type.name ty)))
     Device.Aspen8.type_durations
 
 let test_aspen_best_varies () =
@@ -264,9 +338,22 @@ let test_sycamore_durations () =
       List.iter
         (fun (ty, d) ->
           check_float (Gates.Gate_type.name ty) d
-            (Device.Calibration.twoq_duration cal (0, 1) ty))
+            (Device.Calibration.twoq_duration cal (0, 1) (Gates.Gate_type.name ty)))
         Device.Sycamore.type_durations)
     [ Device.Sycamore.device (); Device.Sycamore.line_device 4 ]
+
+(* sizes outside the line builder's range are input errors, worded like
+   the service's width checks *)
+let test_sycamore_line_range () =
+  List.iter
+    (fun k ->
+      match Device.Sycamore.line_device k with
+      | _ -> Alcotest.fail (Printf.sprintf "built a %d-qubit line" k)
+      | exception Invalid_argument msg ->
+        check_bool msg true (Astring.String.is_prefix ~affix:"qubits" msg))
+    [ -1; 0; 1; 31 ];
+  check_int "30 qubits" 30
+    (Device.Topology.n_qubits (Device.Calibration.topology (Device.Sycamore.line_device 30)))
 
 let test_sycamore_mu_override () =
   let cal = Device.Sycamore.line_device ~mu:0.0002 ~sigma:1e-5 ~oneq:3e-5 6 in
@@ -337,6 +424,17 @@ let test_snapshot_values_validated () =
            edges)
     | j -> j
   in
+  let each f = function Njson.List l -> Njson.List (List.map f l) | j -> j in
+  let append x = function Njson.List l -> Njson.List (l @ [ x ]) | j -> j in
+  let repeat_first = function
+    | Njson.List (x :: _ as l) -> Njson.List (l @ [ x ])
+    | j -> j
+  in
+  let base a b =
+    Njson.Obj
+      [ ("edge", Njson.List [ Njson.Int a; Njson.Int b ]); ("error", Njson.Float 0.02) ]
+  in
+  let family field f = set "family" (set field f) in
   List.iter
     (fun (field, mutate) ->
       match Device.of_string (Njson.to_string (mutate golden)) with
@@ -359,6 +457,15 @@ let test_snapshot_values_validated () =
       ("drifted_hours", set "provenance" (set "drifted_hours" (value infinity)));
       ("n_qubits", set "topology" (set "n_qubits" (value 8.7)));
       ("edges", set "topology" (set "edges" fractional_edge));
+      ("base", family "base" (each (set "error" (value 5.0))));
+      ("scale", family "scale" (value (-3.0)));
+      ("scale", family "scale" (value 0.0));
+      ("base", family "base" drop_one);
+      ("base", family "base" (fun _ -> Njson.List []));
+      ("base", family "base" (append (base 0 4)));
+      ("base", family "base" (append (base 1 0)));
+      ("twoq_error", set "twoq_error" repeat_first);
+      ("twoq_duration", set "twoq_duration" repeat_first);
     ]
 
 let test_device_registry_lookup () =
@@ -483,6 +590,10 @@ let () =
           Alcotest.test_case "non-edge raises" `Quick test_calibration_non_edge_raises;
           Alcotest.test_case "family errors" `Quick test_calibration_family;
           Alcotest.test_case "error scaling" `Quick test_calibration_error_scale;
+          Alcotest.test_case "make validates tables" `Quick test_calibration_make_validates;
+          Alcotest.test_case "derived snapshots independent" `Quick
+            test_calibration_derived_independent;
+          Alcotest.test_case "map keeps fold order" `Quick test_calibration_map_keeps_order;
           Alcotest.test_case "per-type durations" `Quick test_calibration_durations;
           Alcotest.test_case "accessors" `Quick test_calibration_accessors;
         ] );
@@ -500,6 +611,7 @@ let () =
           Alcotest.test_case "vary flag" `Quick test_sycamore_vary_flag;
           Alcotest.test_case "duration table" `Quick test_sycamore_durations;
           Alcotest.test_case "mu override" `Quick test_sycamore_mu_override;
+          Alcotest.test_case "line range" `Quick test_sycamore_line_range;
         ] );
       ( "device",
         [

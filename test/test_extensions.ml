@@ -172,10 +172,14 @@ let test_drift_policy_monotone_in_types () =
 let test_drift_degrade_calibration () =
   let cal = Device.Sycamore.line_device 4 in
   let before = Device.Calibration.twoq_error cal (0, 1) Gates.Gate_type.s1 in
-  Calibration.Drift.degrade_calibration cal ~rng:(Rng.create 9)
-    ~drift:Calibration.Drift.default ~hours_since_calibration:48.0;
-  let after = Device.Calibration.twoq_error cal (0, 1) Gates.Gate_type.s1 in
-  check_bool "error did not improve" true (after >= before -. 1e-12)
+  let degraded =
+    Calibration.Drift.degrade_calibration cal ~rng:(Rng.create 9)
+      ~drift:Calibration.Drift.default ~hours_since_calibration:48.0
+  in
+  let after = Device.Calibration.twoq_error degraded (0, 1) Gates.Gate_type.s1 in
+  check_bool "error did not improve" true (after >= before -. 1e-12);
+  check_float "input unchanged" before
+    (Device.Calibration.twoq_error cal (0, 1) Gates.Gate_type.s1)
 
 (* ---------- Mitigation ---------- *)
 

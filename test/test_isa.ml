@@ -58,19 +58,23 @@ let test_effective_types () =
   check_int "Full_fSim" Calibration.Model.continuous_family_types
     (Isa.Cost.effective_types Isa.Set.full_fsim)
 
+(* the near-square grid model: r = round(sqrt n) rows of c = ceil(n / r),
+   so 2rc - r - c couplers *)
 let test_grid_topology_matches_model () =
   List.iter
     (fun n ->
+      let r = int_of_float (Float.round (Float.sqrt (float_of_int n))) in
+      let c = (n + r - 1) / r in
       check_int
         (Printf.sprintf "edges at %d qubits" n)
-        (Calibration.Model.grid_pairs n)
+        ((2 * r * c) - r - c)
         (Device.Topology.edge_count (Isa.Cost.grid_topology n)))
     [ 2; 4; 9; 12; 54; 100; 1000 ]
 
 let test_cost_backcompat () =
   let m = Calibration.Model.default in
   let c = Isa.Cost.grid ~n_qubits:54 Isa.Set.g7 in
-  check_int "circuits" (Calibration.Model.total_circuits m ~n_pairs:(Calibration.Model.grid_pairs 54) ~n_types:8)
+  check_int "circuits" (Calibration.Model.total_circuits m ~n_pairs:97 ~n_types:8)
     c.Isa.Cost.circuits;
   check_int "batches on the 54q grid" 4 c.Isa.Cost.batches;
   Alcotest.(check (float 1e-9)) "hours"

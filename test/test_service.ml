@@ -311,8 +311,8 @@ let test_ops_device_path_refused () =
             (Astring.String.is_infix ~affix:name known))
         (Device.Registry.names ()))
 
-(* out-of-range widths and counts used to reach the app builders'
-   assertions and come back as [internal] errors *)
+(* out-of-range widths and counts used to reach the app and device
+   builders' assertions and come back as [internal] errors *)
 let test_ops_out_of_range_params_are_typed () =
   List.iter
     (fun (line, field) ->
@@ -334,6 +334,7 @@ let test_ops_out_of_range_params_are_typed () =
       ({|{"op":"score","app":"qft","qubits":0}|}, "qubits");
       ({|{"op":"compile","app":"qv","qubits":-2}|}, "qubits");
       ({|{"op":"compile","app":"qaoa","qubits":1}|}, "qubits");
+      ({|{"op":"compile","app":"qft","qubits":31,"device":"sycamore"}|}, "qubits");
     ]
 
 (* ---------- properties: the resident server against its laws ---------- *)
