@@ -744,10 +744,10 @@ let trace_check_cmd =
     match Obs.Trace.check_file file with
     | Ok s ->
       Printf.printf
-        "%s: %d events — %d spans (max depth %d), %d counters, %d gauges, %d log \
-         messages; spans nest and balance\n"
+        "%s: %d events — %d spans (max depth %d), %d counters, %d log messages; \
+         spans nest and balance\n"
         file s.Obs.Trace.events s.Obs.Trace.spans s.Obs.Trace.max_depth
-        s.Obs.Trace.counters s.Obs.Trace.gauges s.Obs.Trace.messages
+        s.Obs.Trace.counters s.Obs.Trace.messages
     | Error reason -> invalid_arg (Printf.sprintf "trace file %s: %s" file reason)
   in
   Cmd.v

@@ -18,9 +18,9 @@
 
 open Linalg
 
-type params = { theta : float; beta : float }
-
-let default_params = { theta = 0.6; beta = 0.4 }
+(* hopping and on-site interaction angles *)
+let theta = 0.6
+let beta = 0.4
 
 let sites ~n_qubits = n_qubits / 2
 
@@ -28,14 +28,14 @@ let sites ~n_qubits = n_qubits / 2
 let up _m k = 2 * k
 let down _m k = (2 * k) + 1
 
-let trotter_step ?(params = default_params) n_qubits =
+let trotter_step n_qubits =
   if n_qubits < 4 || n_qubits mod 2 <> 0 then
     invalid_arg "Fermi_hubbard.trotter_step: need an even qubit count >= 4";
   let m = sites ~n_qubits in
   let c = ref (Qcir.Circuit.empty n_qubits) in
   let add gate qs = c := Qcir.Circuit.add_gate !c gate qs in
-  let hop = Gates.Gate.hopping params.theta in
-  let zz = Gates.Gate.zz params.beta in
+  let hop = Gates.Gate.hopping theta in
+  let zz = Gates.Gate.zz beta in
   let interaction () =
     for k = 0 to m - 1 do
       add zz [| up m k; down m k |]
@@ -70,7 +70,7 @@ let trotter_step ?(params = default_params) n_qubits =
   interaction ();
   !c
 
-let circuit ?(params = default_params) n_qubits = trotter_step ~params n_qubits
+let circuit n_qubits = trotter_step n_qubits
 
 (* Hopping unitary with a random angle (Fig 8 characterization). *)
 let random_unitary rng = Gates.Twoq.hopping (Rng.uniform rng 0.1 (Float.pi /. 2.0))

@@ -11,12 +11,12 @@ let edge_count t = List.length t.edges
 (* Erdos-Renyi with edge probability 1/2 — each n-qubit instance has
    ~n^2/4 ZZ interactions (we read Sec VI's "~n^3/4" as a typo for this;
    see DESIGN.md). *)
-let erdos_renyi rng ?(p = 0.5) n =
+let erdos_renyi rng n =
   assert (n >= 2);
   let edges = ref [] in
   for a = 0 to n - 2 do
     for b = a + 1 to n - 1 do
-      if Rng.float rng < p then edges := (a, b) :: !edges
+      if Rng.float rng < 0.5 then edges := (a, b) :: !edges
     done
   done;
   (* MaxCut on an edgeless graph is degenerate; guarantee at least one *)

@@ -8,7 +8,9 @@ val n : t -> int
 val edges : t -> (int * int) list
 val edge_count : t -> int
 
-val erdos_renyi : Rng.t -> ?p:float -> int -> t
+val erdos_renyi : Rng.t -> int -> t
+(** G(n, 1/2), with the edge (0, 1) when the draw leaves none. *)
+
 val complete : int -> t
 val ring : int -> t
 val three_regular : Rng.t -> int -> t

@@ -57,15 +57,15 @@ type policy_point = {
       (** duty_cycle x (1 - multiplier x base_error)^gates_per_program *)
 }
 
-(* Evaluate one (gate-type count, recalibration period) policy.  The
-   score multiplies availability by the program fidelity of a reference
-   workload under the inflated error rate. *)
-let evaluate_policy ?(model = Model.default) ?(drift = default) ?(samples = 64)
-    ~rng ~n_types ~period_hours ~base_error ~gates_per_program () =
+(* Evaluate one (gate-type count, recalibration period) policy under the
+   default cost model and drift.  The score multiplies availability by
+   the program fidelity of a reference workload under the inflated error
+   rate. *)
+let evaluate_policy ~rng ~n_types ~period_hours ~base_error ~gates_per_program =
   assert (period_hours > 0.0);
-  let calibration_hours = Model.time_hours_parallel model ~n_types in
+  let calibration_hours = Model.time_hours_parallel Model.default ~n_types in
   let duty_cycle = period_hours /. (period_hours +. calibration_hours) in
-  let error_multiplier = mean_multiplier ~samples rng drift ~period_hours in
+  let error_multiplier = mean_multiplier rng default ~period_hours in
   let inflated = Float.min 0.5 (base_error *. error_multiplier) in
   let program_fidelity = (1.0 -. inflated) ** float_of_int gates_per_program in
   {
@@ -77,20 +77,17 @@ let evaluate_policy ?(model = Model.default) ?(drift = default) ?(samples = 64)
     effective_fidelity_score = duty_cycle *. program_fidelity;
   }
 
-let default_periods = [ 4.0; 8.0; 16.0; 24.0; 48.0; 96.0 ]
+let periods = [ 4.0; 8.0; 16.0; 24.0; 48.0; 96.0 ]
 
 (* For each gate-type count, the best recalibration period and its
    score. *)
-let best_policies ?(model = Model.default) ?(drift = default) ?(samples = 64)
-    ?(periods = default_periods) ~rng ~type_counts ~base_error
-    ~gates_per_program () =
+let best_policies ~rng ~type_counts ~base_error ~gates_per_program =
   List.map
     (fun n_types ->
       let candidates =
         List.map
           (fun period_hours ->
-            evaluate_policy ~model ~drift ~samples ~rng ~n_types ~period_hours
-              ~base_error ~gates_per_program ())
+            evaluate_policy ~rng ~n_types ~period_hours ~base_error ~gates_per_program)
           periods
       in
       List.fold_left

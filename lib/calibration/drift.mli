@@ -28,31 +28,24 @@ type policy_point = {
 }
 
 val evaluate_policy :
-  ?model:Model.t ->
-  ?drift:params ->
-  ?samples:int ->
   rng:Linalg.Rng.t ->
   n_types:int ->
   period_hours:float ->
   base_error:float ->
   gates_per_program:int ->
-  unit ->
   policy_point
-
-val default_periods : float list
+(** One (gate-type count, recalibration period) policy under
+    {!Model.default}'s parallel calibration time and {!default} drift,
+    its staleness averaged over 64 sampled paths. *)
 
 val best_policies :
-  ?model:Model.t ->
-  ?drift:params ->
-  ?samples:int ->
-  ?periods:float list ->
   rng:Linalg.Rng.t ->
   type_counts:int list ->
   base_error:float ->
   gates_per_program:int ->
-  unit ->
   policy_point list
-(** Best recalibration period per gate-type count. *)
+(** Best recalibration period per gate-type count, among 4, 8, 16, 24,
+    48 and 96 hours, each scored by {!evaluate_policy}. *)
 
 val degrade_calibration :
   Device.Calibration.t ->

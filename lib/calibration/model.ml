@@ -46,8 +46,8 @@ let total_circuits m ~n_pairs ~n_types = n_pairs * n_types * circuits_per_type_p
 let time_hours_serial m ~n_pairs ~n_types =
   m.hours_per_type_per_pair *. float_of_int (n_pairs * n_types)
 
-let time_hours_parallel ?(batches = 4) m ~n_types =
-  m.hours_per_type_per_pair *. float_of_int (batches * n_types)
+let time_hours_parallel m ~n_types =
+  m.hours_per_type_per_pair *. float_of_int (4 * n_types)
 
 (* Coloring-aware parallel calibration: batches = proper edge-coloring
    classes of the coupler graph (edges in one class share no qubit). *)

@@ -15,9 +15,9 @@ val circuits_per_type_pair : t -> int
 val total_circuits : t -> n_pairs:int -> n_types:int -> int
 
 val time_hours_serial : t -> n_pairs:int -> n_types:int -> float
-val time_hours_parallel : ?batches:int -> t -> n_types:int -> float
-(** Parallel calibration time at a given batch count (default 4, a
-    grid's edge coloring), for callers with no topology such as
+val time_hours_parallel : t -> n_types:int -> float
+(** Parallel calibration time in 4 batches (a grid's edge coloring),
+    for callers with no topology such as
     {!Drift.evaluate_policy}; {!time_hours_parallel_on} counts the
     batches of a real device graph. *)
 

@@ -52,11 +52,11 @@ let enumerate_paths topology k ~limit =
   done;
   !found
 
-let best_line ?(limit = 4000) cal isa k =
+let best_line cal isa k =
   let topology = Device.Calibration.topology cal in
   if k = 1 then Some [| 0 |]
   else begin
-    match enumerate_paths topology k ~limit with
+    match enumerate_paths topology k ~limit:4000 with
     | [] -> None
     | paths ->
       let scored = List.map (fun p -> (path_score cal isa p, p)) paths in

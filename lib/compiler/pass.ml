@@ -34,7 +34,7 @@ let default_options =
   {
     nuop = Decompose.Nuop.default_options;
     approximate = true;
-    exact_threshold = 1.0 -. 1e-6;
+    exact_threshold = Decompose.Nuop.default_threshold;
     adaptive = true;
   }
 
@@ -200,13 +200,13 @@ let edge_cost ~cal ~isa edge =
   in
   if best = infinity then 0.0 else best
 
-let route ?(directional = true) () =
+let route () =
   make "route" (fun ctx ->
       let open Context in
       let placement = Context.placement_exn ctx in
       let topology = Device.Calibration.topology ctx.cal in
       let routed =
-        Router.route ~directional
+        Router.route
           ~edge_cost:(edge_cost ~cal:ctx.cal ~isa:ctx.isa)
           ~topology ~placement ctx.circuit
       in
@@ -315,7 +315,7 @@ let merge_oneq =
 
 (* ---------- trivial-gate elision ---------- *)
 
-let elide_rewrite ?(tol = 1e-7) circuit errors =
+let elide_rewrite circuit errors =
   let n = Qcir.Circuit.n_qubits circuit in
   let rev_out = ref [] in
   let idx = ref 0 in
@@ -324,17 +324,17 @@ let elide_rewrite ?(tol = 1e-7) circuit errors =
       let err = errors.(!idx) in
       incr idx;
       let m = Gates.Gate.matrix (Qcir.Instr.gate instr) in
-      if not (Mat.equal_up_to_phase ~eps:tol m (Mat.identity (Mat.rows m))) then
+      if not (Mat.equal_up_to_phase ~eps:1e-7 m (Mat.identity (Mat.rows m))) then
         rev_out := (instr, err) :: !rev_out)
     circuit;
   let pairs = List.rev !rev_out in
   ( Qcir.Circuit.of_instrs n (List.map fst pairs),
     Array.of_list (List.map snd pairs) )
 
-let elide_trivial ?tol () =
+let elide_trivial =
   make "elide-id" (fun ctx ->
       let open Context in
-      let circuit, errors = elide_rewrite ?tol ctx.circuit ctx.errors in
+      let circuit, errors = elide_rewrite ctx.circuit ctx.errors in
       ctx.circuit <- circuit;
       ctx.errors <- errors;
       ctx.schedule <- None)
@@ -384,4 +384,4 @@ let default_stack = [ placement; route (); lower; compact; schedule_pass ]
 
 (* Default stack plus the peephole passes the refactor unlocked. *)
 let optimized_stack =
-  [ placement; route (); lower; merge_oneq; elide_trivial (); compact; schedule_pass ]
+  [ placement; route (); lower; merge_oneq; elide_trivial; compact; schedule_pass ]

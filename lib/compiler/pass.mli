@@ -72,10 +72,9 @@ val placement : t
 (** Noise-aware best-line placement ([Mapping.best_line]); a placement
     already present in the context (caller-provided) is kept. *)
 
-val route : ?directional:bool -> unit -> t
+val route : unit -> t
 (** SWAP-insertion routing ({!Router.route}) with the instruction set's
-    calibrated error rates as the tie-break edge cost.
-    [directional:false] forces the legacy first-operand walk. *)
+    calibrated error rates as the tie-break edge cost. *)
 
 val lower : t
 (** Noise-adaptive NuOp lowering: each routed two-qubit application
@@ -88,9 +87,9 @@ val merge_oneq : t
     Eq 2's F_h charges.  Preserves the circuit unitary up to global
     phase. *)
 
-val elide_trivial : ?tol:float -> unit -> t
+val elide_trivial : t
 (** Drops instructions whose gate is the identity up to global phase
-    within [tol] (default 1e-7) — e.g. zero-angle decompositions. *)
+    within 1e-7 — e.g. zero-angle decompositions. *)
 
 val compact : t
 (** Renumbers the circuit onto the qubits it actually touches, recording
@@ -134,7 +133,7 @@ val errors_of_decomposition :
 (** {2 Rewrites behind the peephole passes} (exposed for tests/benches) *)
 
 val merge_oneq_rewrite : Qcir.Circuit.t -> float array -> Qcir.Circuit.t * float array
-val elide_rewrite : ?tol:float -> Qcir.Circuit.t -> float array -> Qcir.Circuit.t * float array
+val elide_rewrite : Qcir.Circuit.t -> float array -> Qcir.Circuit.t * float array
 
 (** {2 Stacks} *)
 

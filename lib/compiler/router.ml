@@ -9,11 +9,11 @@
    sets exploit.
 
    Both walk directions cost the same number of SWAPs for the current
-   gate, but they leave different layouts behind.  With [directional]
-   (the default) the router scores each direction by the SWAPs the next
-   two-qubit gate touching either operand would then need, breaking ties
-   toward cheaper edges when an [edge_cost] (e.g. calibrated error rates)
-   is supplied, and toward the legacy first-operand walk otherwise. *)
+   gate, but they leave different layouts behind.  The router scores each
+   direction by the SWAPs the next two-qubit gate touching either operand
+   would then need, breaking ties toward cheaper edges when an
+   [edge_cost] (e.g. calibrated error rates) is supplied, and toward
+   walking the first operand otherwise. *)
 
 type routed = {
   circuit : Qcir.Circuit.t;  (** on device qubits, all 2Q gates adjacent *)
@@ -33,7 +33,7 @@ let chain_second path =
   let n = Array.length path in
   List.init (n - 2) (fun i -> (path.(n - 1 - i), path.(n - 2 - i)))
 
-let route ?(directional = true) ?edge_cost ~topology ~placement circuit =
+let route ?edge_cost ~topology ~placement circuit =
   let n_logical = Qcir.Circuit.n_qubits circuit in
   assert (Array.length placement = n_logical);
   Array.iter
@@ -86,22 +86,18 @@ let route ?(directional = true) ?edge_cost ~topology ~placement circuit =
           let path =
             Array.of_list (Device.Topology.shortest_path topology layout.(la) layout.(lb))
           in
-          let first = chain_first path in
+          let first = chain_first path and second = chain_second path in
+          let evaluate chain =
+            let l = Array.copy layout and inv = Array.copy inverse in
+            List.iter (apply_swap_on l inv) chain;
+            future_swaps index la lb l
+          in
+          let ff = evaluate first and fs = evaluate second in
           let chain =
-            if not directional then first
-            else begin
-              let second = chain_second path in
-              let evaluate chain =
-                let l = Array.copy layout and inv = Array.copy inverse in
-                List.iter (apply_swap_on l inv) chain;
-                future_swaps index la lb l
-              in
-              let ff = evaluate first and fs = evaluate second in
-              if fs < ff then second
-              else if ff < fs then first
-              else if chain_cost second < chain_cost first -. 1e-15 then second
-              else first
-            end
+            if fs < ff then second
+            else if ff < fs then first
+            else if chain_cost second < chain_cost first -. 1e-15 then second
+            else first
           in
           List.iter
             (fun (pa, pb) ->

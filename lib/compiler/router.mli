@@ -8,7 +8,6 @@ type routed = {
 }
 
 val route :
-  ?directional:bool ->
   ?edge_cost:(int * int -> float) ->
   topology:Device.Topology.t ->
   placement:int array ->
@@ -17,9 +16,8 @@ val route :
 (** [route ~topology ~placement circuit] relabels logical qubits onto the
     placement and inserts application-level SWAP gates where needed.
     Both walk directions need the same SWAPs for the current gate, so
-    with [directional] (default [true]) the router picks the endpoint to
-    walk by the SWAPs the next gate touching either operand would then
-    need; ties break toward the chain with the lower [edge_cost] sum
-    (e.g. calibrated error rates) when given, and toward walking the
-    first operand (the legacy behaviour, forced by [directional:false])
-    otherwise.  Raises on gates beyond two qubits. *)
+    the router picks the endpoint to walk by the SWAPs the next gate
+    touching either operand would then need; ties break toward the chain
+    with the lower [edge_cost] sum (e.g. calibrated error rates) when
+    given, and toward walking the first operand otherwise.  Raises on
+    gates beyond two qubits. *)

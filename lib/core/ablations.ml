@@ -141,7 +141,7 @@ let ablation_drift b cfg =
           Report.f4 p.Calibration.Drift.effective_fidelity_score;
         ])
       (Calibration.Drift.best_policies ~rng ~type_counts:[ 1; 2; 4; 8; 16; 64 ]
-         ~base_error:0.0062 ~gates_per_program:60 ())
+         ~base_error:0.0062 ~gates_per_program:60)
   in
   Report.Builder.table b
     ~header:

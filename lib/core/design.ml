@@ -42,8 +42,7 @@ let doc ?(cfg = Config.default) () =
   let nuop = cfg.Config.nuop in
   let options =
     {
-      Isa.Search.default_options with
-      max_types = cfg.Config.design_max_types;
+      Isa.Search.max_types = cfg.Config.design_max_types;
       beam_width = cfg.Config.design_beam;
       nuop;
     }
@@ -83,8 +82,7 @@ let doc ?(cfg = Config.default) () =
     List.map
       (fun set ->
         ( set,
-          Isa.Score.score ~options:nuop ~threshold:options.Isa.Search.threshold
-            ~error_rate:options.Isa.Search.error_rate ~samples set,
+          Isa.Score.score ~options:nuop ~samples set,
           Isa.Cost.on ~topology set ))
       Isa.Set.[ g7; r5; full_fsim ]
   in

@@ -34,11 +34,11 @@ let run_suite b cfg device ~label ~metric circuits ~sets =
 
 (* Full_fSim with its average error rates degraded 1.5x/2x/2.5x — the
    calibration-difficulty sensitivity study on panels a-c. *)
-let full_fsim_degraded cfg base_seed ~metric circuits scales =
+let full_fsim_degraded cfg ~metric circuits scales =
   let options = { Compiler.Pipeline.default_options with nuop = cfg.Config.nuop } in
   List.map
     (fun scale ->
-      let device = Device.sycamore_line ~seed:base_seed 6 in
+      let device = Device.sycamore_line 6 in
       let device =
         Device.with_calibration device
           (Device.Calibration.with_family_error_scale (Device.calibration device) scale)
@@ -155,7 +155,7 @@ let doc ?(cfg = Config.default) () =
   in
   Report.Builder.metric b "qv_hop_best" (best qv_results);
   print_degraded b "(a)"
-    (full_fsim_degraded cfg 23 ~metric:Study.Hop qv [ 1.5; 2.0; 2.5 ]);
+    (full_fsim_degraded cfg ~metric:Study.Hop qv [ 1.5; 2.0; 2.5 ]);
   let qaoa = Apps.Qaoa.circuits rng ~count:cfg.Config.qaoa_count 4 in
   let qaoa_results =
     run_suite b cfg device
@@ -164,7 +164,7 @@ let doc ?(cfg = Config.default) () =
   in
   Report.Builder.metric b "qaoa_xed_best" (best qaoa_results);
   print_degraded b "(b)"
-    (full_fsim_degraded cfg 23 ~metric:Study.Xed qaoa [ 1.5; 2.0; 2.5 ]);
+    (full_fsim_degraded cfg ~metric:Study.Xed qaoa [ 1.5; 2.0; 2.5 ]);
   let qft = make_qft_circuits cfg 4 in
   let _ =
     run_suite b cfg device

@@ -19,12 +19,7 @@ let error_rates cfg =
 let evaluate cfg ~approximate ~mu circuits metric =
   let device = Device.sycamore_line ~types:[ Gates.Gate_type.s1 ] ~mu ~sigma:(mu /. 2.5) 6 in
   let options =
-    {
-      Compiler.Pipeline.default_options with
-      nuop = cfg.Config.nuop;
-      approximate;
-      exact_threshold = 1.0 -. 1e-6;
-    }
+    { Compiler.Pipeline.default_options with nuop = cfg.Config.nuop; approximate }
   in
   let r = Study.evaluate_suite ~options ~device ~isa:Isa.Set.s1 ~metric circuits in
   r.Study.mean_metric

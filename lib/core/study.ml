@@ -38,7 +38,6 @@ let esp ~device (compiled : Compiler.Pipeline.compiled) =
   let dev q = compiled.Compiler.Pipeline.qubit_map.(q) in
   (Metrics.Esp.estimate ~twoq_errors:compiled.Compiler.Pipeline.twoq_errors
      ~oneq_error:(fun q -> Device.Calibration.oneq_error cal (dev q))
-     ~readout_error:(fun q -> Device.Calibration.readout_error cal (dev q))
      ~t1:(fun q -> Device.Calibration.t1 cal (dev q))
      ~t2:(fun q -> Device.Calibration.t2 cal (dev q))
      compiled.Compiler.Pipeline.schedule)

@@ -17,9 +17,9 @@
    table (never the whole table): the entries other domains inserted
    moments ago survive, so an insert can never wipe a concurrent
    domain's in-flight result and force its next lookup to recompute.
-   The LRU cutoff is found by expected-O(n) quickselect on the (distinct)
-   generation stamps, not a full sort — insert cost at capacity stays
-   linear in the table size, once per cap/2 inserts.
+   The LRU cutoff comes from sorting the (distinct) generation stamps:
+   one O(n log n) sort per cap/2 inserts, so O(log n) per insert
+   amortized.
 
    The cache is shared across the Domain pool used by the parallel suite
    evaluator: the table is guarded by a mutex and the hit/miss counters
@@ -80,41 +80,10 @@ let with_lock f =
   Mutex.lock lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
 
-(* Rearrange [order] so its [drop] oldest (key, gen) pairs occupy
-   indices 0 .. drop-1.  Generation stamps are distinct (the clock is
-   bumped on every touch), so a plain quickselect with median-of-three
-   pivoting terminates in expected O(n) — no full sort per eviction. *)
-let quickselect order drop =
-  let swap i j =
-    let t = order.(i) in
-    order.(i) <- order.(j);
-    order.(j) <- t
-  in
-  let gen i = snd order.(i) in
-  let rec loop lo hi k =
-    if lo < hi then begin
-      let mid = lo + ((hi - lo) / 2) in
-      if gen mid < gen lo then swap mid lo;
-      if gen hi < gen lo then swap hi lo;
-      if gen hi < gen mid then swap hi mid;
-      swap mid hi;
-      let pivot = gen hi in
-      let store = ref lo in
-      for i = lo to hi - 1 do
-        if gen i < pivot then begin
-          swap i !store;
-          incr store
-        end
-      done;
-      swap !store hi;
-      if k < !store then loop lo (!store - 1) k
-      else if k > !store then loop (!store + 1) hi k
-    end
-  in
-  loop 0 (Array.length order - 1) drop
-
 (* Drop the least-recently-used entries until only [keep] remain.
-   Called with the lock held. *)
+   Generation stamps are distinct (the clock is bumped on every touch),
+   so the survivors do not depend on the sort's tie order.  Called with
+   the lock held. *)
 let evict_lru ~keep =
   let n = Hashtbl.length table in
   if n > keep then begin
@@ -125,9 +94,8 @@ let evict_lru ~keep =
         order.(!i) <- (key, e.gen);
         incr i)
       table;
-    let drop = n - keep in
-    if drop < n then quickselect order drop;
-    for k = 0 to drop - 1 do
+    Array.sort (fun (_, a) (_, b) -> Int.compare a b) order;
+    for k = 0 to n - keep - 1 do
       Hashtbl.remove table (fst order.(k))
     done
   end

@@ -31,7 +31,7 @@ let reconstruct d =
 let u3_of params base =
   Gates.Oneq.u3 params.(base) params.(base + 1) params.(base + 2)
 
-let decompose ?(attempts = 6) u =
+let decompose u =
   if Mat.rows u <> 4 || Mat.cols u <> 4 then invalid_arg "Kak.decompose: need 4x4";
   let c1, c2, c3 = Weyl.coordinates u in
   let core = Weyl.canonical_gate c1 c2 c3 in
@@ -64,7 +64,7 @@ let decompose ?(attempts = 6) u =
       | _ -> attempt (k - 1) best
     end
   in
-  match attempt attempts None with
+  match attempt 6 None with
   | Some r when r.Optimize.Bfgs.f < 1e-8 ->
     let p = r.Optimize.Bfgs.x in
     let a1 = u3_of p 0 and a2 = u3_of p 3 and b1 = u3_of p 6 and b2 = u3_of p 9 in

@@ -14,10 +14,11 @@ type t = {
   global_phase : float;
 }
 
-val decompose : ?attempts:int -> Mat.t -> t
+val decompose : Mat.t -> t
 (** Verified factorization (the result reconstructs the input up to
-    phase within 1e-6); raises [Failed] if verification fails and
-    [Invalid_argument] on non-4x4 input. *)
+    phase within 1e-6), fitted from up to 6 seeded random starts; raises
+    [Failed] if verification fails and [Invalid_argument] on non-4x4
+    input. *)
 
 val reconstruct : t -> Mat.t
 (** (A1 (x) A2) N(c) (B1 (x) B2) times the global phase. *)

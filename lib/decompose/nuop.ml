@@ -100,9 +100,11 @@ let fd_curve ?(options = default_options) gate_type ~target =
   in
   Array.of_list (grow options.min_layers [])
 
+let default_threshold = 1.0 -. 1e-6
+
 (* Smallest layer count reaching the threshold; falls back to the best
    found if the threshold is unreachable within max_layers. *)
-let exact_of_curve ?(threshold = 1.0 -. 1e-6) gate_type curve =
+let exact_of_curve ?(threshold = default_threshold) gate_type curve =
   assert (Array.length curve > 0);
   let best = ref None in
   (try
@@ -117,7 +119,7 @@ let exact_of_curve ?(threshold = 1.0 -. 1e-6) gate_type curve =
    with Exit -> ());
   match !best with Some d -> d | None -> assert false
 
-let decompose_exact ?(options = default_options) ?(threshold = 1.0 -. 1e-6)
+let decompose_exact ?(options = default_options) ?(threshold = default_threshold)
     gate_type ~target =
   exact_of_curve ~threshold gate_type (fd_curve ~options gate_type ~target)
 

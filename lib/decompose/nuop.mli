@@ -42,6 +42,10 @@ val fd_curve :
     until F_d converges or [max_layers] is reached.  Shared by both
     decomposition modes and memoized by {!Cache}. *)
 
+val default_threshold : float
+(** 1 - 1e-6: the F_d an exact decomposition must reach.  Every
+    exact-count reader defaults to it. *)
+
 val exact_of_curve :
   ?threshold:float -> Gates.Gate_type.t -> (int * float array * float) array -> t
 
@@ -50,7 +54,8 @@ val approx_of_curve :
 
 val decompose_exact :
   ?options:options -> ?threshold:float -> Gates.Gate_type.t -> target:Mat.t -> t
-(** Smallest template reaching the F_d threshold (default 1 - 1e-6);
+(** Smallest template reaching the F_d threshold (default
+    {!default_threshold});
     falls back to the best template found within [max_layers]. *)
 
 val decompose_approx :

@@ -59,7 +59,7 @@ let type_durations =
       (xy_pi, 160e-9);
     ]
 
-let ring_device ?(seed = 11) ?(types = default_types) () =
+let ring_device ?(seed = 11) () =
   let topology = Topology.ring n_ring in
   let rng = Linalg.Rng.create seed in
   let xy_error () =
@@ -94,7 +94,7 @@ let ring_device ?(seed = 11) ?(types = default_types) () =
             in
             (e, Gate_type.name ty, err))
           edges)
-      types
+      default_types
   in
   let twoq_duration =
     List.concat_map

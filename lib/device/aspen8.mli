@@ -13,7 +13,9 @@ val type_durations : (Gates.Gate_type.t * float) list
     instance; CZ holds the full 180 ns flux pulse, SWAP costs three.
     Types not listed fall back to the 180 ns device scalar. *)
 
-val ring_device : ?seed:int -> ?types:Gates.Gate_type.t list -> unit -> Calibration.t
+val ring_device : ?seed:int -> unit -> Calibration.t
+(** The ring populated with {!default_types}, drawn from RNG [seed]
+    (default 11). *)
 
 val fidelity_table : unit -> ((int * int) * float * float) list
 (** The Fig 3 table: edge, CZ fidelity, XY(pi) fidelity. *)

@@ -25,7 +25,7 @@ module Provenance = struct
     drifted_hours : float;  (** hours of simulated drift applied *)
   }
 
-  let fresh ?seed ?calibrated_at () = { seed; calibrated_at; drifted_hours = 0.0 }
+  let fresh ?seed () = { seed; calibrated_at = None; drifted_hours = 0.0 }
 end
 
 type t = {
@@ -36,9 +36,8 @@ type t = {
   provenance : Provenance.t;
 }
 
-let v ~name ~description ~calibration ~native_isa ?(provenance = Provenance.fresh ())
-    () =
-  { name; description; calibration; native_isa; provenance }
+let v ~name ~description ~calibration ~native_isa =
+  { name; description; calibration; native_isa; provenance = Provenance.fresh () }
 
 let name d = d.name
 let description d = d.description
@@ -59,37 +58,36 @@ let add_drift d ~hours =
 
 (* ---------- named builders ---------- *)
 
-let aspen8 ?(seed = 11) ?(types = Aspen8.default_types) () =
+let aspen8 ?(seed = 11) () =
   {
     name = "aspen8";
     description = "Rigetti Aspen-8: 8-qubit ring, CZ/XY(pi) tables of Fig 3";
-    calibration = Aspen8.ring_device ~seed ~types ();
-    native_isa = Isa_set.make "aspen8-native" types;
+    calibration = Aspen8.ring_device ~seed ();
+    native_isa = Isa_set.make "aspen8-native" Aspen8.default_types;
     provenance = Provenance.fresh ~seed ();
   }
 
-let sycamore_device ~name ~description ~seed ?types calibration =
-  let types = Option.value types ~default:Sycamore.default_types in
+(* the Sycamore builders draw from RNG seed 23 *)
+let sycamore_device ~name ~description ?(types = Sycamore.default_types) calibration =
   {
     name;
     description;
     calibration;
     native_isa = Isa_set.make "sycamore-native" types;
-    provenance = Provenance.fresh ~seed ();
+    provenance = Provenance.fresh ~seed:23 ();
   }
 
-let sycamore ?(seed = 23) ?vary ?types ?mu ?sigma ?oneq () =
+let sycamore () =
   sycamore_device ~name:"sycamore54"
-    ~description:"Google Sycamore: 54 qubits on a 6x9 grid, N(0.62%, 0.24%) errors" ~seed
-    ?types
-    (Sycamore.device ~seed ?vary ?types ?mu ?sigma ?oneq ())
+    ~description:"Google Sycamore: 54 qubits on a 6x9 grid, N(0.62%, 0.24%) errors"
+    (Sycamore.device ())
 
-let sycamore_line ?(seed = 23) ?vary ?types ?mu ?sigma ?oneq k =
+let sycamore_line ?vary ?types ?mu ?sigma ?oneq k =
   sycamore_device ~name:"sycamore"
     ~description:
       (Printf.sprintf "Google Sycamore sub-device: line of %d qubits, same error model" k)
-    ~seed ?types
-    (Sycamore.line_device ~seed ?vary ?types ?mu ?sigma ?oneq k)
+    ?types
+    (Sycamore.line_device ?vary ?types ?mu ?sigma ?oneq k)
 
 (* ---------- registry ---------- *)
 

@@ -50,9 +50,9 @@ let sample_error ~mu ~sigma rng =
   let e = Linalg.Rng.gaussian_mu_sigma rng ~mu ~sigma in
   Float.max err_min (Float.min err_max e)
 
-let build ?(seed = 23) ?(vary = true) ?(types = default_types) ?(mu = err_mu)
-    ?(sigma = err_sigma) ?(oneq = oneq_error_rate) topology =
-  let rng = Linalg.Rng.create seed in
+let build ?(vary = true) ?(types = default_types) ?(mu = err_mu) ?(sigma = err_sigma)
+    ?(oneq = oneq_error_rate) topology =
+  let rng = Linalg.Rng.create 23 in
   let edges = Topology.edges topology in
   (* one base error per edge: every type's error when [vary = false], and
      the continuous-family error either way *)
@@ -82,13 +82,12 @@ let build ?(seed = 23) ?(vary = true) ?(types = default_types) ?(mu = err_mu)
     ~t1:(Array.make n t1_seconds) ~t2:(Array.make n t2_seconds) ~duration_1q ~duration_2q
     ~twoq_error ~twoq_duration ~family_base ()
 
-let device ?seed ?vary ?types ?mu ?sigma ?oneq () =
-  build ?seed ?vary ?types ?mu ?sigma ?oneq (Topology.grid rows cols)
+let device () = build (Topology.grid rows cols)
 
 (* A small sub-device for the 3-6 qubit benchmarks: first [k] qubits of a
    grid row (a line), with the same error model. *)
-let line_device ?seed ?vary ?types ?mu ?sigma ?oneq k =
+let line_device ?vary ?types ?mu ?sigma ?oneq k =
   if k < 2 || k > 30 then
     invalid_arg
       (Printf.sprintf "qubits must be between 2 and 30 for a Sycamore line (got %d)" k);
-  build ?seed ?vary ?types ?mu ?sigma ?oneq (Topology.line k)
+  build ?vary ?types ?mu ?sigma ?oneq (Topology.line k)

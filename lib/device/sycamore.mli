@@ -2,9 +2,7 @@
 
     Gate error rates follow the distributions stated in Sec VI of the
     paper: SYC errors ~ N(0.62%, 0.24%), other types iid from the same
-    distribution.  [vary:false] disables cross-type variation (Fig 10e);
-    [mu], [sigma] and [oneq] override the two-qubit error distribution
-    and the one-qubit error rate (the Fig 7 and Fig 10(f) sweeps). *)
+    distribution, all drawn from RNG seed 23. *)
 
 val default_types : Gates.Gate_type.t list
 (** S1-S7 plus SWAP (Table II's Google sets). *)
@@ -14,19 +12,11 @@ val type_durations : (Gates.Gate_type.t * float) list
     instance: SYC at 12 ns up to SWAP at 78 ns (3x CZ).  Types not
     listed fall back to the 32 ns device scalar. *)
 
-val device :
-  ?seed:int ->
-  ?vary:bool ->
-  ?types:Gates.Gate_type.t list ->
-  ?mu:float ->
-  ?sigma:float ->
-  ?oneq:float ->
-  unit ->
-  Calibration.t
-(** The full device: 54 qubits on a 6x9 grid. *)
+val device : unit -> Calibration.t
+(** The full device: 54 qubits on a 6x9 grid, populated with
+    {!default_types}. *)
 
 val line_device :
-  ?seed:int ->
   ?vary:bool ->
   ?types:Gates.Gate_type.t list ->
   ?mu:float ->
@@ -35,5 +25,9 @@ val line_device :
   int ->
   Calibration.t
 (** A k-qubit line with Sycamore's error model — the placement used for
-    the 3-6 qubit benchmark simulations.  Raises [Invalid_argument] with a
-    message starting "qubits" unless 2 <= k <= 30. *)
+    the 3-6 qubit benchmark simulations.  [vary:false] disables
+    cross-type variation (Fig 10e); [types] replaces {!default_types};
+    [mu], [sigma] and [oneq] override the two-qubit error distribution
+    and the one-qubit error rate (the Fig 7 and Fig 10(f) sweeps).
+    Raises [Invalid_argument] with a message starting "qubits" unless
+    2 <= k <= 30. *)

@@ -33,8 +33,9 @@ let grid_topology n_qubits =
   let c = (n_qubits + r - 1) / r in
   Device.Topology.grid r c
 
-let of_type_count ?(model = Calibration.Model.default) ~topology n_types =
+let of_type_count ~topology n_types =
   if n_types <= 0 then invalid_arg "Isa.Cost.of_type_count: need at least one type";
+  let model = Calibration.Model.default in
   let n_pairs = Device.Topology.edge_count topology in
   {
     n_pairs;
@@ -45,5 +46,5 @@ let of_type_count ?(model = Calibration.Model.default) ~topology n_types =
     hours_parallel = Calibration.Model.time_hours_parallel_on model ~topology ~n_types;
   }
 
-let on ?model ~topology set = of_type_count ?model ~topology (effective_types set)
-let grid ?model ~n_qubits set = on ?model ~topology:(grid_topology n_qubits) set
+let on ~topology set = of_type_count ~topology (effective_types set)
+let grid ~n_qubits set = on ~topology:(grid_topology n_qubits) set

@@ -25,10 +25,10 @@ val grid_topology : int -> Device.Topology.t
     ceil(n / rows) qubits (97 couplers at 54 qubits).  Raises
     [Invalid_argument] below 2 qubits. *)
 
-val of_type_count :
-  ?model:Calibration.Model.t -> topology:Device.Topology.t -> int -> t
-(** Cost of calibrating a given number of effective types on the
-    topology; raises [Invalid_argument] on a non-positive count. *)
+val of_type_count : topology:Device.Topology.t -> int -> t
+(** Cost under {!Calibration.Model.default} of calibrating a given number
+    of effective types on the topology; raises [Invalid_argument] on a
+    non-positive count. *)
 
-val on : ?model:Calibration.Model.t -> topology:Device.Topology.t -> Set.t -> t
-val grid : ?model:Calibration.Model.t -> n_qubits:int -> Set.t -> t
+val on : topology:Device.Topology.t -> Set.t -> t
+val grid : n_qubits:int -> Set.t -> t

@@ -17,7 +17,7 @@
    bit-identical at any pool size. *)
 
 let default_error_rate = 0.0062
-let default_threshold = 1.0 -. 1e-6
+let default_threshold = Decompose.Nuop.default_threshold
 
 type per_app = { app : string; app_mean_layers : float; app_mean_fidelity : float }
 

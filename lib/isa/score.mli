@@ -16,7 +16,8 @@ val default_error_rate : float
     hardware fidelity for the F_h term. *)
 
 val default_threshold : float
-(** 1 - 1e-6, the exact-decomposition fidelity threshold. *)
+(** {!Decompose.Nuop.default_threshold}, the exact-decomposition
+    fidelity threshold. *)
 
 type per_app = { app : string; app_mean_layers : float; app_mean_fidelity : float }
 

@@ -13,24 +13,10 @@
    topology — form the expressivity-vs-calibration trade-off curve;
    [pareto] filters it to the undominated frontier. *)
 
-type options = {
-  max_types : int;
-  beam_width : int;
-  nuop : Decompose.Nuop.options;
-  threshold : float;
-  error_rate : float;
-  domains : int option;
-}
+type options = { max_types : int; beam_width : int; nuop : Decompose.Nuop.options }
 
 let default_options =
-  {
-    max_types = 8;
-    beam_width = 2;
-    nuop = Decompose.Nuop.default_options;
-    threshold = Score.default_threshold;
-    error_rate = Score.default_error_rate;
-    domains = None;
-  }
+  { max_types = 8; beam_width = 2; nuop = Decompose.Nuop.default_options }
 
 type point = { set : Set.t; score : Score.t; cost : Cost.t }
 
@@ -69,10 +55,7 @@ let run ?(options = default_options) ~samples ~topology pool =
          [] pool)
   in
   if pool = [] then invalid_arg "Isa.Search.run: empty candidate pool";
-  let tbl =
-    Score.table ~options:options.nuop ~threshold:options.threshold
-      ~error_rate:options.error_rate ?domains:options.domains ~samples pool
-  in
+  let tbl = Score.table ~options:options.nuop ~samples pool in
   let max_types = min (max 1 options.max_types) (List.length pool) in
   let beam_width = max 1 options.beam_width in
   let rank (ka, a) (kb, b) =

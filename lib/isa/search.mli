@@ -8,9 +8,6 @@ type options = {
   max_types : int;  (** largest set size explored (default 8) *)
   beam_width : int;  (** sets kept per size level (default 2) *)
   nuop : Decompose.Nuop.options;
-  threshold : float;  (** exact-decomposition fidelity threshold *)
-  error_rate : float;  (** per-layer hardware error for the F_h term *)
-  domains : int option;  (** Domain-pool size override for scoring *)
 }
 
 val default_options : options
@@ -29,8 +26,9 @@ val run :
   point list
 (** One point per set size 1..[max_types] (pool deduplicated by type
     name; raises [Invalid_argument] when empty).  The scoring table is
-    built once, so the search costs one decomposition per (pool type,
-    sample unitary) regardless of how many subsets it ranks.  Fully
+    built once, at {!Score}'s default threshold and error rate, so the
+    search costs one decomposition per (pool type, sample unitary)
+    regardless of how many subsets it ranks.  Fully
     deterministic: ties break by mean layers, then by the sorted
     type-name key. *)
 

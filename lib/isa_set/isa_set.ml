@@ -13,6 +13,16 @@ let make name gate_types =
     invalid_arg
       (Printf.sprintf "Isa.Set.make: %S has no gate types (every set needs at least one)"
          name);
+  let rec check_distinct = function
+    | [] -> ()
+    | ty :: rest ->
+      if List.exists (Gate_type.equal ty) rest then
+        invalid_arg
+          (Printf.sprintf "Isa.Set.make: %S lists gate type %S more than once" name
+             (Gate_type.name ty));
+      check_distinct rest
+  in
+  check_distinct gate_types;
   { name; gate_types }
 
 let name t = t.name

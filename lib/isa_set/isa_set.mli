@@ -5,7 +5,9 @@ type t
 val make : string -> Gates.Gate_type.t list -> t
 (** Raises [Invalid_argument] on an empty gate-type list: a set with no
     two-qubit types cannot decompose anything, and downstream scorers
-    would silently fold over nothing. *)
+    would silently fold over nothing.  Also raises [Invalid_argument],
+    naming the set and the type, when a gate type (by name) is listed
+    twice. *)
 
 val name : t -> string
 val gate_types : t -> Gates.Gate_type.t list

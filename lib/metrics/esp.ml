@@ -6,7 +6,9 @@
 
      ESP = prod_i (1 - e_i)                 per-instruction gate fidelity
          * prod_q D(idle_q; T1_q, T2_q)     idle-time decoherence
-         * prod_q (1 - r_q)                 readout (optional)
+
+   Readout is left out, as the density simulator's state fidelities
+   leave it out.
 
    The decoherence factor mirrors the damping channels the density
    simulator applies (Channel.damping_params): a qubit idling for time
@@ -19,7 +21,6 @@
 type t = {
   gate_fidelity : float;  (** prod over instructions of (1 - error) *)
   decoherence_factor : float;  (** prod over qubits of the idle-decay factor *)
-  readout_factor : float;  (** prod over qubits of (1 - readout error) *)
   esp : float;  (** the headline product *)
 }
 
@@ -32,8 +33,7 @@ let qubit_decoherence ~t1 ~t2 idle =
     (1.0 -. (0.5 *. p_amp)) *. (1.0 -. (0.5 *. p_phase))
   end
 
-let estimate ?(include_readout = false) ~twoq_errors ~oneq_error ~readout_error ~t1
-    ~t2 schedule =
+let estimate ~twoq_errors ~oneq_error ~t1 ~t2 schedule =
   let gate_fidelity = ref 1.0 in
   Schedule.iter_moments
     (fun m ->
@@ -48,20 +48,14 @@ let estimate ?(include_readout = false) ~twoq_errors ~oneq_error ~readout_error 
           | _ -> invalid_arg "Esp.estimate: gates beyond two qubits are not supported")
         m.Schedule.instrs)
     schedule;
-  let decoherence_factor = ref 1.0 and readout_factor = ref 1.0 in
+  let decoherence_factor = ref 1.0 in
   for q = 0 to Schedule.n_qubits schedule - 1 do
     decoherence_factor :=
       !decoherence_factor
-      *. qubit_decoherence ~t1:(t1 q) ~t2:(t2 q) (Schedule.idle_time schedule q);
-    readout_factor := !readout_factor *. (1.0 -. readout_error q)
+      *. qubit_decoherence ~t1:(t1 q) ~t2:(t2 q) (Schedule.idle_time schedule q)
   done;
-  let esp =
-    !gate_fidelity *. !decoherence_factor
-    *. if include_readout then !readout_factor else 1.0
-  in
   {
     gate_fidelity = !gate_fidelity;
     decoherence_factor = !decoherence_factor;
-    readout_factor = !readout_factor;
-    esp;
+    esp = !gate_fidelity *. !decoherence_factor;
   }

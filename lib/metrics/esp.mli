@@ -7,26 +7,21 @@
 type t = {
   gate_fidelity : float;  (** prod over instructions of (1 - error) *)
   decoherence_factor : float;  (** prod over qubits of the idle-decay factor *)
-  readout_factor : float;  (** prod over qubits of (1 - readout error) *)
-  esp : float;
-      (** [gate_fidelity * decoherence_factor], times [readout_factor]
-          when requested *)
+  esp : float;  (** [gate_fidelity * decoherence_factor] *)
 }
 
 val estimate :
-  ?include_readout:bool ->
   twoq_errors:float array ->
   oneq_error:(int -> float) ->
-  readout_error:(int -> float) ->
   t1:(int -> float) ->
   t2:(int -> float) ->
   Schedule.t ->
   t
 (** [twoq_errors] is indexed by instruction index (the compiler's
-    per-instruction annotations); [oneq_error], [readout_error], [t1],
-    [t2] are per qubit in the schedule's space.  [include_readout]
-    defaults to [false] — density-sim state fidelities exclude readout,
-    so the differential suite compares without it. *)
+    per-instruction annotations); [oneq_error], [t1], [t2] are per qubit
+    in the schedule's space.  Readout is left out, as density-sim state
+    fidelities leave it out, so the differential suite compares like
+    with like. *)
 
 val qubit_decoherence : t1:float -> t2:float -> float -> float
 (** The idle-decay factor of one qubit idling for the given time:

@@ -11,7 +11,7 @@
      formatters, so artifact names never depend on the local timezone);
    - {!Span} is a hierarchical timed span: enter/exit pairs carrying
      string attributes, nested per domain, cheap when disabled;
-   - {!Counter}/{!Gauge} are domain-safe atomics in a named registry;
+   - {!Counter} is a domain-safe atomic in a named registry;
    - {!Log} is leveled stderr logging with built-in warn-once and a
      [NUOP_LOG_LEVEL] filter;
    - {!Sink} is the pluggable event consumer: null (the default — the
@@ -96,7 +96,6 @@ type event =
       attrs : (string * string) list;
     }
   | Counter_value of { name : string; value : int; t : float }
-  | Gauge_value of { name : string; value : float; t : float }
   | Message of { level : level; text : string; t : float }
 
 (* ---------- sinks ---------- *)
@@ -142,7 +141,6 @@ module Sink = struct
         Printf.sprintf "[obs] < %s #%d %.3f ms%s" name id (1000.0 *. elapsed)
           (render_attrs attrs)
       | Counter_value { name; value; _ } -> Printf.sprintf "[obs] # %s = %d" name value
-      | Gauge_value { name; value; _ } -> Printf.sprintf "[obs] ~ %s = %g" name value
       | Message { level; text; _ } ->
         Printf.sprintf "[obs] %s %s" (level_name level) text
     in
@@ -155,9 +153,9 @@ module Sink = struct
     }
 end
 
-(* ---------- counters and gauges ---------- *)
+(* ---------- counters ---------- *)
 
-(* Named registries so a trace can snapshot every metric at close time.
+(* A named registry so a trace can snapshot every counter at close time.
    The cells are atomics — increments from Domain-pool workers are exact
    without any lock — while the registry itself is mutex-guarded
    (creation is rare). *)
@@ -193,36 +191,6 @@ module Counter = struct
     Fun.protect
       ~finally:(fun () -> Mutex.unlock lock)
       (fun () -> Hashtbl.fold (fun _ c acc -> (c.name, Atomic.get c.cell) :: acc) registry [])
-    |> List.sort compare
-end
-
-module Gauge = struct
-  type t = { name : string; cell : float Atomic.t }
-
-  let registry : (string, t) Hashtbl.t = Hashtbl.create 16
-  let lock = Mutex.create ()
-
-  let create name =
-    Mutex.lock lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock lock)
-      (fun () ->
-        match Hashtbl.find_opt registry name with
-        | Some g -> g
-        | None ->
-          let g = { name; cell = Atomic.make 0.0 } in
-          Hashtbl.add registry name g;
-          g)
-
-  let name g = g.name
-  let set g v = Atomic.set g.cell v
-  let get g = Atomic.get g.cell
-
-  let all () =
-    Mutex.lock lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock lock)
-      (fun () -> Hashtbl.fold (fun _ g acc -> (g.name, Atomic.get g.cell) :: acc) registry [])
     |> List.sort compare
 end
 
@@ -408,14 +376,6 @@ module Trace = struct
           ("value", Njson.Int value);
           ("t", Njson.Float t);
         ]
-    | Gauge_value { name; value; t } ->
-      Njson.Obj
-        [
-          ("ev", Njson.String "gauge");
-          ("name", Njson.String name);
-          ("value", Njson.Float value);
-          ("t", Njson.Float t);
-        ]
     | Message { level; text; t } ->
       Njson.Obj
         [
@@ -439,17 +399,14 @@ module Trace = struct
          ]);
     { Sink.emit = (fun ev -> line (event_json ev)); flush = (fun () -> Stdlib.flush oc) }
 
-  (* A closing trace snapshots every registered counter and gauge, so
-     the file records final totals even though increments themselves are
-     never individually emitted (they would dominate the file). *)
+  (* A closing trace snapshots every registered counter, so the file
+     records final totals even though increments themselves are never
+     individually emitted (they would dominate the file). *)
   let snapshot_metrics () =
     let t = Clock.now () in
     List.iter
       (fun (name, value) -> Sink.emit (Counter_value { name; value; t }))
-      (Counter.all ());
-    List.iter
-      (fun (name, value) -> Sink.emit (Gauge_value { name; value; t }))
-      (Gauge.all ())
+      (Counter.all ())
 
   type session = { oc : out_channel; mutable open_ : bool }
 
@@ -508,7 +465,6 @@ module Trace = struct
     spans : int;  (** completed spans *)
     max_depth : int;  (** deepest nesting across all domains *)
     counters : int;
-    gauges : int;
     messages : int;
   }
 
@@ -536,7 +492,7 @@ module Trace = struct
     let open_ids : (int, unit) Hashtbl.t = Hashtbl.create 64 in
     let seen_ids : (int, unit) Hashtbl.t = Hashtbl.create 64 in
     let spans = ref 0 and max_depth = ref 0 in
-    let counters = ref 0 and gauges = ref 0 and messages = ref 0 in
+    let counters = ref 0 and messages = ref 0 in
     try
       if lines = [] then raise (Check_failed "empty trace (no meta record)");
       List.iteri
@@ -597,10 +553,6 @@ module Trace = struct
               ignore (str ~line "name" json);
               ignore (int ~line "value" json);
               incr counters
-            | "gauge" ->
-              ignore (str ~line "name" json);
-              ignore (num ~line "value" json);
-              incr gauges
             | "log" ->
               (match level_of_string (str ~line "level" json) with
               | Some _ -> ()
@@ -625,7 +577,6 @@ module Trace = struct
           spans = !spans;
           max_depth = !max_depth;
           counters = !counters;
-          gauges = !gauges;
           messages = !messages;
         }
     with Check_failed reason -> Error reason

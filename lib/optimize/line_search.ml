@@ -6,19 +6,19 @@
 
 type result = { step : float; f_new : float; evals : int }
 
-let default_c1 = 1e-4
-let default_shrink = 0.5
-let default_max_trials = 40
+(* Armijo constant, geometric shrink per rejected trial, trial budget *)
+let c1 = 1e-4
+let shrink = 0.5
+let max_trials = 40
 
 (* [search f x d ~f0 ~slope ~trial] finds t with
-   f(x + t d) <= f0 + c1 * t * slope, where slope = grad . d < 0.  The
-   trial points are written into the caller's [trial] buffer, so no
-   array is allocated. *)
-let search ?(c1 = default_c1) ?(shrink = default_shrink)
-    ?(max_trials = default_max_trials) ?(t0 = 1.0) f x d ~f0 ~slope ~trial =
+   f(x + t d) <= f0 + c1 * t * slope, where slope = grad . d < 0,
+   starting from the full step t = 1.  The trial points are written into
+   the caller's [trial] buffer, so no array is allocated. *)
+let search f x d ~f0 ~slope ~trial =
   let n = Array.length x in
   assert (Array.length d = n && Array.length trial = n);
-  let t = ref t0 and k = ref 0 and accepted = ref false in
+  let t = ref 1.0 and k = ref 0 and accepted = ref false in
   let best_step = ref 0.0 and best_f = ref f0 in
   while (not !accepted) && !k < max_trials do
     for i = 0 to n - 1 do

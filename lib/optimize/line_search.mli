@@ -6,15 +6,7 @@ type result = {
   evals : int;  (** number of objective evaluations used *)
 }
 
-val default_c1 : float
-val default_shrink : float
-val default_max_trials : int
-
 val search :
-  ?c1:float ->
-  ?shrink:float ->
-  ?max_trials:int ->
-  ?t0:float ->
   (float array -> float) ->
   float array ->
   float array ->
@@ -24,7 +16,10 @@ val search :
   result
 (** [search f x d ~f0 ~slope ~trial] finds a step [t] along direction [d]
     from [x] satisfying the Armijo condition
-    [f(x + t d) <= f0 + c1 t slope].  [slope] must be the directional
-    derivative [grad f(x) . d] (negative for a descent direction).  Trial
-    points are written into [trial] (same length as [x], not aliasing
-    it), so no array is allocated. *)
+    [f(x + t d) <= f0 + c1 t slope] with [c1 = 1e-4].  It starts from
+    the full step [t = 1] and makes at most 40 trials, each a tenth to a
+    half of the last; when none is accepted it returns the best trial
+    seen, or step 0 if none improved on [f0].  [slope] must be the
+    directional derivative [grad f(x) . d] (negative for a descent
+    direction).  Trial points are written into [trial] (same length as
+    [x], not aliasing it), so no array is allocated. *)

@@ -41,8 +41,6 @@ let c_accepted = Obs.Counter.create "service.accepted"
 let c_completed = Obs.Counter.create "service.completed"
 let c_rejected = Obs.Counter.create "service.rejected"
 let c_timeout = Obs.Counter.create "service.timeout"
-let g_queue_depth = Obs.Gauge.create "service.queue_depth"
-let g_in_flight = Obs.Gauge.create "service.in_flight"
 
 let draining t = Queue.closed t.queue
 
@@ -94,15 +92,12 @@ let timeout_error d =
    last thing to happen so the trace timestamps cover the whole job. *)
 let process t job =
   Atomic.incr t.in_flight;
-  Obs.Gauge.set g_in_flight (float_of_int (Atomic.get t.in_flight));
-  Obs.Gauge.set g_queue_depth (float_of_int (Queue.length t.queue));
   let span = Obs.Span.enter "service.request" in
   let finish outcome line =
     ignore
       (Obs.Span.exit span
          ~attrs:[ ("op", Protocol.op_name job.req.Protocol.op); ("outcome", outcome) ]);
     Atomic.decr t.in_flight;
-    Obs.Gauge.set g_in_flight (float_of_int (Atomic.get t.in_flight));
     job.reply line
   in
   let id = job.req.Protocol.id in
@@ -184,8 +179,7 @@ let submit_line t ~reply line =
       let job = { req; deadline; reply } in
       if Queue.try_push t.queue job then begin
         Atomic.incr t.stats.accepted;
-        Obs.Counter.incr c_accepted;
-        Obs.Gauge.set g_queue_depth (float_of_int (Queue.length t.queue))
+        Obs.Counter.incr c_accepted
       end
       else
         reject t ~reply ~id
@@ -202,7 +196,6 @@ let drain t =
       if not t.drained then begin
         t.drained <- true;
         Array.iter Domain.join t.workers;
-        Obs.Gauge.set g_queue_depth 0.0;
         Obs.Sink.flush ()
       end)
 

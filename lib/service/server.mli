@@ -16,9 +16,8 @@
       workers finish every accepted job, then joins them.
 
     Every request runs under an [Obs.Span] ("service.request", attrs
-    op/outcome) with queue-depth and in-flight gauges and
-    accepted/completed/rejected/timeout counters, so [--trace] yields a
-    per-request timeline.
+    op/outcome) and accepted/completed/rejected/timeout counters, so
+    [--trace] yields a per-request timeline.
 
     Workers execute jobs under {!Concurrent.Domain_pool.sequential_scope}, so the
     compile stack's inner parallel maps fall back to their sequential

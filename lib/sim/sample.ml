@@ -1,6 +1,6 @@
-(* Measurement sampling from probability vectors (the paper's 10000-shot
-   experiments; the experiment drivers default to exact probabilities and
-   use this module when shot noise is requested). *)
+(* Measurement sampling from probability vectors, as in the paper's
+   10000-shot experiments.  The experiment drivers and commands use exact
+   probabilities; this is a library helper that only the tests call. *)
 
 open Linalg
 

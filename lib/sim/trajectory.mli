@@ -9,13 +9,14 @@ val run_one : Rng.t -> noise_model -> Qcir.Circuit.t -> State.t
 (** One stochastic trajectory (normalized pure state). *)
 
 val mean_ideal_overlap :
-  ?seed:int ->
   trajectories:int ->
   noise_model ->
   Qcir.Circuit.t ->
   ideal:State.t ->
   float
-(** E[sum_x p_noisy(x) p_ideal(x)] — the overlap needed by linear XEB. *)
+(** E[sum_x p_noisy(x) p_ideal(x)] — the overlap needed by linear XEB.
+    The trajectories draw from a private RNG seeded 5, so each call is
+    deterministic. *)
 
 val mean_probabilities :
   ?seed:int -> trajectories:int -> noise_model -> Qcir.Circuit.t -> float array

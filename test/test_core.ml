@@ -61,7 +61,7 @@ let test_study_state_fidelity_noiseless () =
   in
   let device =
     Device.v ~name:"ideal-line3" ~description:"noiseless 3-qubit line"
-      ~calibration:cal ~native_isa:Isa.Set.g2 ()
+      ~calibration:cal ~native_isa:Isa.Set.g2
   in
   let circuit = Apps.Qft.circuit 3 in
   let e =

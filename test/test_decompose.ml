@@ -482,7 +482,7 @@ let survivors () =
       | Error e -> Alcotest.fail e)
 
 let test_cache_eviction_survivor_set () =
-  (* deterministic check of the quickselect cutoff: inserting k0..k63 in
+  (* deterministic check of the LRU cutoff: inserting k0..k63 in
      order at capacity 32 evicts down to 16 exactly twice (at the 33rd
      and 49th inserts), so the survivors are exactly {k32..k63} *)
   with_capacity 32 (fun () ->
@@ -497,9 +497,9 @@ let test_cache_eviction_survivor_set () =
 
 let test_cache_insert_cost_bounded () =
   (* regression: eviction used to sort the whole table on every insert
-     past capacity; quickselect keeps sustained inserts cheap.  5000
-     synthetic inserts at capacity 256 finish comfortably inside a very
-     generous wall-time budget even on loaded CI machines *)
+     past capacity; evicting down to half the cap keeps sustained inserts
+     cheap.  5000 synthetic inserts at capacity 256 finish comfortably
+     inside a very generous wall-time budget even on loaded CI machines *)
   with_capacity 256 (fun () ->
       let t0 = Sys.time () in
       for i = 0 to 4999 do

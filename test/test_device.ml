@@ -466,6 +466,8 @@ let test_snapshot_values_validated () =
       ("base", family "base" (append (base 1 0)));
       ("twoq_error", set "twoq_error" repeat_first);
       ("twoq_duration", set "twoq_duration" repeat_first);
+      (* a native set listing its first type twice names that type *)
+      ("sqrt_iSWAP", set "native_isa" (set "types" repeat_first));
     ]
 
 let test_device_registry_lookup () =

@@ -157,8 +157,8 @@ let test_drift_grows_with_period () =
 let test_drift_policy_monotone_in_types () =
   let rng = Rng.create 8 in
   let policies =
-    Calibration.Drift.best_policies ~samples:64 ~rng ~type_counts:[ 1; 8; 64 ]
-      ~base_error:0.005 ~gates_per_program:50 ()
+    Calibration.Drift.best_policies ~rng ~type_counts:[ 1; 8; 64 ]
+      ~base_error:0.005 ~gates_per_program:50
   in
   match policies with
   | [ a; b; c ] ->

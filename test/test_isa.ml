@@ -30,6 +30,11 @@ let test_make_rejects_empty () =
        "Isa.Set.make: \"Empty\" has no gate types (every set needs at least one)")
     (fun () -> ignore (Isa.Set.make "Empty" []))
 
+let test_make_rejects_repeated_type () =
+  Alcotest.check_raises "repeated type"
+    (Invalid_argument "Isa.Set.make: \"Twice\" lists gate type \"CZ\" more than once")
+    (fun () -> ignore (Isa.Set.make "Twice" Gates.Gate_type.[ s3; s1; s3 ]))
+
 let test_find_case_insensitive () =
   let name_of o = Option.map Isa.Set.name o in
   Alcotest.(check (option string)) "g7 finds G7" (Some "G7") (name_of (Isa.Set.find "g7"));
@@ -129,7 +134,7 @@ let test_search_smoke () =
   Decompose.Cache.clear ();
   let samples = small_samples 7 in
   let options =
-    { Isa.Search.default_options with nuop = small_nuop; max_types = 2; beam_width = 1 }
+    { Isa.Search.nuop = small_nuop; max_types = 2; beam_width = 1 }
   in
   let topology = Isa.Cost.grid_topology 54 in
   let points =
@@ -305,6 +310,8 @@ let () =
       ( "set",
         [
           Alcotest.test_case "make rejects empty" `Quick test_make_rejects_empty;
+          Alcotest.test_case "make rejects a repeated type" `Quick
+            test_make_rejects_repeated_type;
           Alcotest.test_case "find is case-insensitive" `Quick test_find_case_insensitive;
           Alcotest.test_case "find_exn lists known names" `Quick test_find_exn_lists_names;
         ] );

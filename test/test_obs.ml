@@ -1,5 +1,5 @@
 (* The telemetry subsystem (lib/obs): clock formatting, leveled logging
-   with warn-once, counter/gauge registries, span nesting through an
+   with warn-once, the counter registry, span nesting through an
    in-memory sink, the nuop-trace/1 validator, Domain-pool stress, the
    repo-wide grep ban on raw timers/stderr outside lib/obs, and the
    telemetry properties against the trace validator. *)
@@ -92,7 +92,7 @@ let test_warn_once () =
   check_bool "once per key, reset re-arms" true
     (lines = [ "first k1"; "first k2"; "k1 after reset" ])
 
-(* ---------- counters and gauges ---------- *)
+(* ---------- counters ---------- *)
 
 let test_counter_registry () =
   let a = Obs.Counter.create "test.obs.counter" in
@@ -106,12 +106,6 @@ let test_counter_registry () =
     (List.mem_assoc "test.obs.counter" (Obs.Counter.all ()));
   Obs.Counter.reset a;
   check_int "reset" 0 (Obs.Counter.get b)
-
-let test_gauge_registry () =
-  let g = Obs.Gauge.create "test.obs.gauge" in
-  Obs.Gauge.set g 2.5;
-  check_bool "set/get" true (Obs.Gauge.get g = 2.5);
-  check_bool "registered" true (List.mem_assoc "test.obs.gauge" (Obs.Gauge.all ()))
 
 (* ---------- spans through an in-memory sink ---------- *)
 
@@ -390,7 +384,6 @@ let () =
       ( "metrics",
         [
           Alcotest.test_case "counter registry" `Quick test_counter_registry;
-          Alcotest.test_case "gauge registry" `Quick test_gauge_registry;
         ] );
       ( "spans",
         [

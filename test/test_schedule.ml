@@ -221,7 +221,6 @@ let schedule_properties =
         let esp =
           (Metrics.Esp.estimate ~twoq_errors
              ~oneq_error:(fun _ -> oneq)
-             ~readout_error:(fun _ -> 0.0)
              ~t1:(fun _ -> t1)
              ~t2:(fun _ -> t2)
              schedule)
