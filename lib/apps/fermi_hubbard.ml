@@ -28,9 +28,9 @@ let sites ~n_qubits = n_qubits / 2
 let up _m k = 2 * k
 let down _m k = (2 * k) + 1
 
-let trotter_step n_qubits =
+let circuit n_qubits =
   if n_qubits < 4 || n_qubits mod 2 <> 0 then
-    invalid_arg "Fermi_hubbard.trotter_step: need an even qubit count >= 4";
+    invalid_arg "Fermi_hubbard.circuit: need an even qubit count >= 4";
   let m = sites ~n_qubits in
   let c = ref (Qcir.Circuit.empty n_qubits) in
   let add gate qs = c := Qcir.Circuit.add_gate !c gate qs in
@@ -69,8 +69,6 @@ let trotter_step n_qubits =
   hopping_layer 1;
   interaction ();
   !c
-
-let circuit n_qubits = trotter_step n_qubits
 
 (* Hopping unitary with a random angle (Fig 8 characterization). *)
 let random_unitary rng = Gates.Twoq.hopping (Rng.uniform rng 0.1 (Float.pi /. 2.0))

@@ -4,12 +4,10 @@
 open Linalg
 
 val sites : n_qubits:int -> int
-val trotter_step : int -> Qcir.Circuit.t
+val circuit : int -> Qcir.Circuit.t
 (** One Trotter step on an even number (>= 4) of qubits: 2n ZZ
     interactions and ~4n hopping interactions, as in Sec VI, at hopping
     angle 0.6 and interaction angle 0.4. *)
-
-val circuit : int -> Qcir.Circuit.t
 
 val random_unitary : Rng.t -> Mat.t
 (** Random-angle hopping interaction (Fig 8 characterization). *)

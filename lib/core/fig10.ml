@@ -62,6 +62,49 @@ let print_degraded b label rows =
          ])
        rows)
 
+(* One panel-f cell: compile the FH step for [isa] on an [n_qubits]
+   line at average 2Q error [mu] and estimate its XEB fidelity from
+   trajectories; returns the printed fidelity and the 2Q gate count. *)
+let panel_f_cell options cfg (n_qubits, mu, isa) =
+  let circuit = Apps.Fermi_hubbard.circuit n_qubits in
+  (* the sweep scales the whole noise model: 1Q errors stay one order
+     of magnitude below 2Q errors, as on the real device *)
+  let device = Device.sycamore_line ~mu ~sigma:(mu /. 2.5) ~oneq:(mu /. 6.0) n_qubits in
+  let placement =
+    Option.get (Compiler.Mapping.best_line (Device.calibration device) isa n_qubits)
+  in
+  let compiled = Compiler.Pipeline.compile ~options ~device ~isa ~placement circuit in
+  (* isolate the swept variable (gate error): hold decoherence at zero,
+     as the paper's error-rate axis does *)
+  let nm =
+    {
+      (Compiler.Pipeline.noise_model ~device compiled) with
+      Sim.Noisy.t1 = (fun _ -> infinity);
+      t2 = (fun _ -> infinity);
+    }
+  in
+  (* trajectory XEB against the exact-compiled reference *)
+  let reference =
+    Compiler.Pipeline.compile
+      ~options:{ options with approximate = false }
+      ~device ~isa ~placement circuit
+  in
+  let ideal = Sim.State.run_circuit reference.circuit in
+  let ideal_self =
+    let p = Sim.State.probabilities ideal in
+    Metrics.Dist.overlap p p
+  in
+  let overlap =
+    Sim.Trajectory.mean_ideal_overlap ~trajectories:cfg.Config.trajectories nm
+      compiled.circuit ~ideal
+  in
+  let fid =
+    Metrics.Xeb.from_overlap
+      ~n_qubits:(Qcir.Circuit.n_qubits compiled.circuit)
+      ~overlap_noisy_ideal:overlap ~overlap_ideal_ideal:ideal_self
+  in
+  (Report.f4 fid, compiled.twoq_count)
+
 let panel_f b cfg =
   Report.Builder.subheading b
     "(f) Fermi-Hubbard at 10/20 qubits vs hardware error rate (trajectories)";
@@ -72,65 +115,29 @@ let panel_f b cfg =
     List.init n (fun k ->
         0.0002 +. (float_of_int k /. float_of_int (max 1 (n - 1)) *. (0.0036 -. 0.0002)))
   in
-  List.iter
-    (fun n_qubits ->
-      let circuit = Apps.Fermi_hubbard.circuit n_qubits in
+  (* every (size, error rate, set) cell compiles and simulates on its
+     own, and each trajectory estimate draws from a private Rng, so the
+     cells run on the Domain pool and come back in input order, bit for
+     bit what a sequential sweep gives *)
+  let cells =
+    List.concat_map
+      (fun n_qubits ->
+        List.concat_map (fun mu -> List.map (fun isa -> (n_qubits, mu, isa)) sets) sweep)
+      cfg.Config.fh_sizes
+  in
+  let results = Array.of_list (Concurrent.Domain_pool.map (panel_f_cell options cfg) cells) in
+  let per_row = List.length sets in
+  List.iteri
+    (fun i n_qubits ->
       let rows =
-        List.map
-          (fun mu ->
-            let cells =
-              List.map
-                (fun isa ->
-                  (* the sweep scales the whole noise model: 1Q errors
-                     stay one order of magnitude below 2Q errors, as on
-                     the real device *)
-                  let device =
-                    Device.sycamore_line ~mu ~sigma:(mu /. 2.5)
-                      ~oneq:(mu /. 6.0) n_qubits
-                  in
-                  let placement =
-                    Option.get
-                      (Compiler.Mapping.best_line (Device.calibration device) isa
-                         n_qubits)
-                  in
-                  let compiled =
-                    Compiler.Pipeline.compile ~options ~device ~isa ~placement circuit
-                  in
-                  (* isolate the swept variable (gate error): hold
-                     decoherence at zero, as the paper's error-rate axis
-                     does *)
-                  let nm =
-                    {
-                      (Compiler.Pipeline.noise_model ~device compiled) with
-                      Sim.Noisy.t1 = (fun _ -> infinity);
-                      t2 = (fun _ -> infinity);
-                    }
-                  in
-                  (* trajectory XEB against the exact-compiled reference *)
-                  let reference =
-                    Compiler.Pipeline.compile
-                      ~options:{ options with approximate = false }
-                      ~device ~isa ~placement circuit
-                  in
-                  let ideal = Sim.State.run_circuit reference.circuit in
-                  let ideal_self =
-                    let p = Sim.State.probabilities ideal in
-                    Metrics.Dist.overlap p p
-                  in
-                  let overlap =
-                    Sim.Trajectory.mean_ideal_overlap
-                      ~trajectories:cfg.Config.trajectories nm compiled.circuit ~ideal
-                  in
-                  let fid =
-                    Metrics.Xeb.from_overlap
-                      ~n_qubits:(Qcir.Circuit.n_qubits compiled.circuit)
-                      ~overlap_noisy_ideal:overlap ~overlap_ideal_ideal:ideal_self
-                  in
-                  (Report.f4 fid, compiled.twoq_count))
-                sets
-            in
+        List.mapi
+          (fun j mu ->
+            let first = ((i * List.length sweep) + j) * per_row in
             Printf.sprintf "%.3f%%" (100.0 *. mu)
-            :: List.concat_map (fun (f, g) -> [ f; string_of_int g ]) cells)
+            :: List.concat
+                 (List.init per_row (fun k ->
+                      let f, g = results.(first + k) in
+                      [ f; string_of_int g ])))
           sweep
       in
       Report.Builder.subheading b (Printf.sprintf "FH %d qubits" n_qubits);

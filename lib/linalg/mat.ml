@@ -397,6 +397,11 @@ let pp ppf t =
 
 let to_string t = Fmt.str "%a" pp t
 
+(* Decimal digits of [n >= 0], most significant first. *)
+let rec add_digits buf n =
+  if n >= 10 then add_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (Char.code '0' + (n mod 10)))
+
 (* Stable content key for memoization: round entries to 1e-12. *)
 let digest t =
   let buf = Buffer.create (16 * t.rows * t.cols) in
@@ -408,7 +413,16 @@ let digest t =
       let r = Float.round (v *. 1e12) in
       (* avoid distinguishing -0. from 0. *)
       let r = if r = 0.0 then 0.0 else r in
-      Buffer.add_string buf (string_of_float r);
+      (* the bytes of [string_of_float r] without formatting a float:
+         below 1e12 the integer-valued [r] prints as its decimal digits
+         and a "."; from 1e12 on it prints with an exponent, and nan and
+         the infinities print as words, so those keep [string_of_float] *)
+      if Float.abs r < 1e12 then begin
+        if r < 0.0 then Buffer.add_char buf '-';
+        add_digits buf (Float.to_int (Float.abs r));
+        Buffer.add_char buf '.'
+      end
+      else Buffer.add_string buf (string_of_float r);
       Buffer.add_char buf ';')
     t.d;
   Digest.string (Buffer.contents buf)

@@ -10,7 +10,6 @@ val make : string -> Mat.t list -> t
 
 val name : t -> string
 val kraus : t -> Mat.t list
-val dim : t -> int
 
 val superoperator : t -> Mat.t
 (** S = sum_m K_m (x) conj(K_m); a d^2 x d^2 matrix applied by the

@@ -46,14 +46,14 @@ let apply_unitary t u qubits =
 let apply_instr t instr =
   apply_unitary t (Gates.Gate.matrix (Qcir.Instr.gate instr)) (Qcir.Instr.qubits instr)
 
-let apply_channel t channel qubits =
-  let d = Channel.dim channel in
-  assert (1 lsl Array.length qubits = d);
-  let s = Channel.superoperator channel in
+let apply_superoperator t s qubits =
   let doubled =
     Array.append qubits (Array.map (fun q -> q + t.n_qubits) qubits)
   in
   State.apply_matrix t.vec s doubled
+
+let apply_channel t channel qubits =
+  apply_superoperator t (Channel.superoperator channel) qubits
 
 let of_statevector sv =
   let n = State.n_qubits sv in

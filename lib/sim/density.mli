@@ -23,7 +23,13 @@ val purity : t -> float
 
 val apply_unitary : t -> Mat.t -> int array -> unit
 val apply_instr : t -> Qcir.Instr.t -> unit
+val apply_superoperator : t -> Mat.t -> int array -> unit
+(** [apply_superoperator t s qubits] applies a channel given as its
+    {!Channel.superoperator} [s] to [qubits]; [s] is read, never
+    written, so one superoperator serves any number of applications. *)
+
 val apply_channel : t -> Channel.t -> int array -> unit
+(** {!apply_superoperator} of the channel's {!Channel.superoperator}. *)
 
 val of_statevector : State.t -> t
 val fidelity_with_pure : t -> State.t -> float

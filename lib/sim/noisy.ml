@@ -32,19 +32,45 @@ let ideal =
     duration_2q = 0.0;
   }
 
-let apply_decoherence model rho q duration =
+(* The distinct channels of one run.  A circuit applies few distinct
+   channels many times (a mean perfbench study item applies 214, about 8
+   of them distinct), so each is built by its Channel constructor (Kraus
+   set, trace check, superoperator) on first use and its superoperator
+   reused after.  The key is the constructor and its exact parameter.
+   Each run owns its table: nothing is shared across runs or domains,
+   and every run of a circuit allocates alike. *)
+type kind = Depolarizing_1q | Depolarizing_2q | Amplitude_damping | Phase_damping
+
+let constructor = function
+  | Depolarizing_1q -> Channel.depolarizing_1q
+  | Depolarizing_2q -> Channel.depolarizing_2q
+  | Amplitude_damping -> Channel.amplitude_damping
+  | Phase_damping -> Channel.phase_damping
+
+let apply_channel channels rho kind param qubits =
+  let s =
+    match Hashtbl.find_opt channels (kind, param) with
+    | Some s -> s
+    | None ->
+      let s = Channel.superoperator (constructor kind param) in
+      Hashtbl.add channels (kind, param) s;
+      s
+  in
+  Density.apply_superoperator rho s qubits
+
+let apply_decoherence model channels rho q duration =
   if Float.is_finite (model.t1 q) && duration > 0.0 then begin
     let gamma, lambda =
       Channel.damping_params ~t1:(model.t1 q) ~t2:(model.t2 q) ~duration
     in
-    if gamma > 0.0 then
-      Density.apply_channel rho (Channel.amplitude_damping gamma) [| q |];
-    if lambda > 0.0 then
-      Density.apply_channel rho (Channel.phase_damping lambda) [| q |]
+    if gamma > 0.0 then apply_channel channels rho Amplitude_damping gamma [| q |];
+    if lambda > 0.0 then apply_channel channels rho Phase_damping lambda [| q |]
   end
 
 let run model circuit =
+  Obs.Span.with_ "sim.density.run" @@ fun () ->
   let rho = Density.create (Qcir.Circuit.n_qubits circuit) in
+  let channels = Hashtbl.create 16 in
   let index = ref 0 in
   Qcir.Circuit.iter
     (fun instr ->
@@ -53,12 +79,12 @@ let run model circuit =
       (match Array.length qs with
       | 1 ->
         let p = model.oneq_error qs.(0) in
-        if p > 0.0 then Density.apply_channel rho (Channel.depolarizing_1q p) qs;
-        apply_decoherence model rho qs.(0) model.duration_1q
+        if p > 0.0 then apply_channel channels rho Depolarizing_1q p qs;
+        apply_decoherence model channels rho qs.(0) model.duration_1q
       | 2 ->
         let p = model.twoq_error !index instr in
-        if p > 0.0 then Density.apply_channel rho (Channel.depolarizing_2q p) qs;
-        Array.iter (fun q -> apply_decoherence model rho q model.duration_2q) qs
+        if p > 0.0 then apply_channel channels rho Depolarizing_2q p qs;
+        Array.iter (fun q -> apply_decoherence model channels rho q model.duration_2q) qs
       | _ -> invalid_arg "Noisy.run: gates beyond two qubits are not supported");
       incr index)
     circuit;
@@ -82,8 +108,10 @@ let run_scheduled ?schedule model circuit =
   let sched =
     match schedule with Some s -> s | None -> model_schedule model circuit
   in
+  Obs.Span.with_ "sim.density.run" @@ fun () ->
   let n = Qcir.Circuit.n_qubits circuit in
   let rho = Density.create n in
+  let channels = Hashtbl.create 16 in
   Schedule.iter_moments
     (fun moment ->
       List.iter
@@ -93,14 +121,14 @@ let run_scheduled ?schedule model circuit =
           match Array.length qs with
           | 1 ->
             let p = model.oneq_error qs.(0) in
-            if p > 0.0 then Density.apply_channel rho (Channel.depolarizing_1q p) qs
+            if p > 0.0 then apply_channel channels rho Depolarizing_1q p qs
           | 2 ->
             let p = model.twoq_error idx instr in
-            if p > 0.0 then Density.apply_channel rho (Channel.depolarizing_2q p) qs
+            if p > 0.0 then apply_channel channels rho Depolarizing_2q p qs
           | _ -> invalid_arg "Noisy.run_scheduled: gates beyond two qubits unsupported")
         moment.Schedule.instrs;
       for q = 0 to n - 1 do
-        apply_decoherence model rho q moment.Schedule.duration
+        apply_decoherence model channels rho q moment.Schedule.duration
       done)
     sched;
   rho

@@ -114,6 +114,7 @@ let run_one rng (model : noise_model) circuit =
    E_traj[ sum_x p_traj(x) p_ideal(x) ], from a private stream seeded 5. *)
 let mean_ideal_overlap ~trajectories model circuit ~ideal =
   assert (trajectories > 0);
+  Obs.Span.with_ "sim.trajectory.run" @@ fun () ->
   let rng = Rng.create 5 in
   let dim = State.dim ideal in
   let acc = ref 0.0 in
@@ -131,6 +132,7 @@ let mean_ideal_overlap ~trajectories model circuit ~ideal =
    diagonal). *)
 let mean_probabilities ?(seed = 5) ~trajectories model circuit =
   assert (trajectories > 0);
+  Obs.Span.with_ "sim.trajectory.run" @@ fun () ->
   let rng = Rng.create seed in
   let dim = 1 lsl Qcir.Circuit.n_qubits circuit in
   let acc = Array.make dim 0.0 in

@@ -119,7 +119,7 @@ let test_fh_census () =
 
 let test_fh_validation () =
   Alcotest.check_raises "odd size"
-    (Invalid_argument "Fermi_hubbard.trotter_step: need an even qubit count >= 4")
+    (Invalid_argument "Fermi_hubbard.circuit: need an even qubit count >= 4")
     (fun () -> ignore (Apps.Fermi_hubbard.circuit 5))
 
 let test_fh_interleaved_layout () =

@@ -333,6 +333,15 @@ let test_cache_hit () =
   let _ = Decompose.Cache.fd_curve ~options:fast_options Gates.Gate_type.s2 ~target:u in
   check_int "grows on new type" (size1 + 1) (Decompose.Cache.size ())
 
+let test_cache_key_pinned () =
+  (* curve snapshots (nuop-curves/1, NUOP_CACHE_FILE) are keyed by these
+     bytes: a key that drifts turns every saved curve into a miss *)
+  Alcotest.(check string)
+    "SWAP / SYC key"
+    "5a3245022e13c5ad27191ac872034375|SYC|1-6|s4|r7|cv0.99999998999999995|b120;9.9999999999999995e-08;1e-10;9.9999999999999998e-13;9.9999999999999995e-08"
+    (Decompose.Cache.make_key ~target:Gates.Twoq.swap ~gate_type:Gates.Gate_type.s1
+       ~options:Decompose.Nuop.default_options)
+
 let test_cache_stats_concurrent () =
   (* hammer the cache from the Domain pool: every lookup is counted
      exactly once, and the table converges to one entry per distinct key *)
@@ -1013,6 +1022,7 @@ let () =
         [
           Alcotest.test_case "curve monotone" `Quick test_fd_curve_monotone;
           Alcotest.test_case "cache hit" `Quick test_cache_hit;
+          Alcotest.test_case "key pinned" `Quick test_cache_key_pinned;
           Alcotest.test_case "cache consistent" `Quick test_cache_modes_consistent;
           Alcotest.test_case "cache stats concurrent" `Quick
             test_cache_stats_concurrent;

@@ -222,6 +222,21 @@ let test_mat_digest_stable () =
   check_bool "different digest" false
     (String.equal (Digest.to_hex (Mat.digest a)) (Digest.to_hex (Mat.digest b)))
 
+(* The digest as first written: every rounded entry printed by
+   [string_of_float].  Persisted curve keys hold these bytes, so
+   [Mat.digest] must keep producing them. *)
+let reference_digest t =
+  let buf = Buffer.create 256 in
+  Buffer.add_string buf (Printf.sprintf "%dx%d" (Mat.rows t) (Mat.cols t));
+  Array.iter
+    (fun v ->
+      let r = Float.round (v *. 1e12) in
+      let r = if r = 0.0 then 0.0 else r in
+      Buffer.add_string buf (string_of_float r);
+      Buffer.add_char buf ';')
+    (Mat.unsafe_data t);
+  Digest.string (Buffer.contents buf)
+
 let test_mat_of_rows_validation () =
   Alcotest.check_raises "ragged" (Invalid_argument "Mat.of_rows: ragged rows")
     (fun () -> ignore (Mat.of_rows [ [ Cplx.one ]; [ Cplx.one; Cplx.zero ] ]))
@@ -391,8 +406,26 @@ let bit_identical a b =
          same_bits x.re y.re && same_bits x.im y.im))
     (Mat.to_lists a) (Mat.to_lists b)
 
+(* A Haar SU(4) with some entry parts replaced by values at the edges
+   of the digest's number printing: signed zeros, +-1 (rounded to
+   +-1e12, printed with an exponent), a value rounded to 12 digits, one
+   rounded to zero, and nan. *)
+let digest_edge_values =
+  [| 0.0; -0.0; 1.0; -1.0; 3.7; 1e-13; -1e-13; 0.999999999999; -0.5; Float.nan |]
+
+let su4_with_edges rng =
+  let u = G.su4 rng in
+  let part x =
+    if Rng.int rng 3 = 0 then digest_edge_values.(Rng.int rng (Array.length digest_edge_values))
+    else x
+  in
+  Mat.map (fun (z : Complex.t) -> { Complex.re = part z.re; im = part z.im }) u
+
 let mat_properties =
   [
+    Proptest.test "digest equals the string_of_float reference" ~count:100
+      (arb ~print:pm su4_with_edges)
+      (fun u -> String.equal (Mat.digest u) (reference_digest u));
     Proptest.test "mul matches the schoolbook product" ~count:25
       (arb ~print:pm2 mat_pair)
       (fun (a, b) -> Mat.equal ~eps:1e-10 (Mat.mul a b) (mul_reference a b));

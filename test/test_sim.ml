@@ -274,19 +274,20 @@ let reference_indexed_moments circuit =
     circuit;
   List.init (!last + 1) (fun k -> List.rev !buckets.(k))
 
+(* T1/T2 decay of qubit [q] over [duration], each channel built afresh. *)
+let reference_decoherence (model : Sim.Noisy.noise_model) rho q duration =
+  if Float.is_finite (model.Sim.Noisy.t1 q) && duration > 0.0 then begin
+    let gamma, lambda =
+      Sim.Channel.damping_params ~t1:(model.Sim.Noisy.t1 q) ~t2:(model.Sim.Noisy.t2 q)
+        ~duration
+    in
+    if gamma > 0.0 then
+      Sim.Density.apply_channel rho (Sim.Channel.amplitude_damping gamma) [| q |];
+    if lambda > 0.0 then
+      Sim.Density.apply_channel rho (Sim.Channel.phase_damping lambda) [| q |]
+  end
+
 let reference_run_scheduled (model : Sim.Noisy.noise_model) circuit =
-  let apply_decoherence rho q duration =
-    if Float.is_finite (model.Sim.Noisy.t1 q) && duration > 0.0 then begin
-      let gamma, lambda =
-        Sim.Channel.damping_params ~t1:(model.Sim.Noisy.t1 q)
-          ~t2:(model.Sim.Noisy.t2 q) ~duration
-      in
-      if gamma > 0.0 then
-        Sim.Density.apply_channel rho (Sim.Channel.amplitude_damping gamma) [| q |];
-      if lambda > 0.0 then
-        Sim.Density.apply_channel rho (Sim.Channel.phase_damping lambda) [| q |]
-    end
-  in
   let n = Qcir.Circuit.n_qubits circuit in
   let rho = Sim.Density.create n in
   List.iter
@@ -310,14 +311,14 @@ let reference_run_scheduled (model : Sim.Noisy.noise_model) circuit =
           | _ -> Alcotest.fail "reference: >2q gate")
         moment;
       for q = 0 to n - 1 do
-        apply_decoherence rho q !duration
+        reference_decoherence model rho q !duration
       done)
     (reference_indexed_moments circuit);
   rho
 
-let full_noise () =
+let full_noise ?(twoq = 0.02) ?(oneq = 0.001) () =
   {
-    (noise_with ~twoq:0.02 ~oneq:0.001 ~readout:0.01 ()) with
+    (noise_with ~twoq ~oneq ~readout:0.01 ()) with
     Sim.Noisy.t1 = (fun q -> 15e-6 +. (1e-6 *. float_of_int q));
     t2 = (fun q -> 11e-6 +. (0.5e-6 *. float_of_int q));
     duration_1q = 25e-9;
@@ -368,6 +369,103 @@ let test_scheduled_explicit_schedule_matches_default () =
       (Sim.Noisy.run_scheduled ~schedule:(Sim.Noisy.model_schedule model c) model c)
   in
   check_bool "identical" true (a = b)
+
+(* ---------- acting-qubits runner differential reference ---------- *)
+
+(* The acting-qubits runner as it was before channels were shared
+   within a run: every channel (Kraus set, trace check, superoperator)
+   built afresh at every instruction.  [Noisy.run] must reproduce it
+   bit for bit. *)
+let reference_run (model : Sim.Noisy.noise_model) circuit =
+  let rho = Sim.Density.create (Qcir.Circuit.n_qubits circuit) in
+  let index = ref 0 in
+  Qcir.Circuit.iter
+    (fun instr ->
+      Sim.Density.apply_instr rho instr;
+      let qs = Qcir.Instr.qubits instr in
+      (match Array.length qs with
+      | 1 ->
+        let p = model.Sim.Noisy.oneq_error qs.(0) in
+        if p > 0.0 then Sim.Density.apply_channel rho (Sim.Channel.depolarizing_1q p) qs;
+        reference_decoherence model rho qs.(0) model.Sim.Noisy.duration_1q
+      | 2 ->
+        let p = model.Sim.Noisy.twoq_error !index instr in
+        if p > 0.0 then Sim.Density.apply_channel rho (Sim.Channel.depolarizing_2q p) qs;
+        Array.iter (fun q -> reference_decoherence model rho q model.Sim.Noisy.duration_2q) qs
+      | _ -> Alcotest.fail "reference: >2q gate");
+      incr index)
+    circuit;
+  rho
+
+(* Every density-matrix entry equal bit for bit (signed zeros too). *)
+let same_bits a b =
+  let n = Sim.Density.n_qubits a in
+  let bits x = Int64.bits_of_float x in
+  n = Sim.Density.n_qubits b
+  && List.for_all
+       (fun r ->
+         List.for_all
+           (fun c ->
+             let x = Sim.Density.get a r c and y = Sim.Density.get b r c in
+             bits x.re = bits y.re && bits x.im = bits y.im)
+           (List.init (1 lsl n) Fun.id))
+       (List.init (1 lsl n) Fun.id)
+
+(* All noise on, under three ways of drawing the channel parameters:
+   one 2Q rate for every instruction (each channel reused many times), a
+   depolarizing rate of its own for every 2Q instruction and every
+   qubit (only the damping channels repeat), and equal 1Q and 2Q
+   depolarizing rates (two constructors, one parameter). *)
+let channel_sharing_models =
+  [
+    full_noise ();
+    {
+      (full_noise ()) with
+      Sim.Noisy.twoq_error = (fun idx _ -> 0.01 +. (1e-4 *. float_of_int idx));
+      oneq_error = (fun q -> 0.001 *. float_of_int (q + 1));
+    };
+    full_noise ~twoq:0.02 ~oneq:0.02 ();
+  ]
+
+let prop_run_matches_reference =
+  Proptest.test "run bit-identical to per-instruction channels" ~count:12
+    (Proptest.circuit ~n_qubits:3 ())
+    (fun c ->
+      List.for_all
+        (fun model -> same_bits (reference_run model c) (Sim.Noisy.run model c))
+        channel_sharing_models)
+
+let test_traced_runs_span_and_match () =
+  (* a traced run records the simulators' spans and returns the
+     untraced run's bits *)
+  let rng = Rng.create 46 in
+  let c = Apps.Qaoa.circuit rng 3 in
+  let model = full_noise () in
+  let ideal = Sim.State.run_circuit c in
+  let runs () =
+    ( Sim.Noisy.run model c,
+      Sim.Noisy.run_scheduled model c,
+      Sim.Trajectory.mean_ideal_overlap ~trajectories:4 model c ~ideal,
+      Sim.Trajectory.mean_probabilities ~trajectories:4 model c )
+  in
+  let d0, s0, o0, p0 = runs () in
+  let events = ref [] in
+  Obs.Sink.install
+    { Obs.Sink.emit = (fun ev -> events := ev :: !events); flush = (fun () -> ()) };
+  let d1, s1, o1, p1 = Fun.protect ~finally:Obs.Sink.uninstall runs in
+  let spans name =
+    List.length
+      (List.filter
+         (function Obs.Span_end { name = n; _ } -> String.equal n name | _ -> false)
+         !events)
+  in
+  Alcotest.(check int) "density spans" 2 (spans "sim.density.run");
+  Alcotest.(check int) "trajectory spans" 2 (spans "sim.trajectory.run");
+  check_bool "run bits" true (same_bits d0 d1);
+  check_bool "run_scheduled bits" true (same_bits s0 s1);
+  check_bool "overlap bits" true (Int64.bits_of_float o0 = Int64.bits_of_float o1);
+  check_bool "probability bits" true
+    (Array.for_all2 (fun a b -> Int64.bits_of_float a = Int64.bits_of_float b) p0 p1)
 
 (* ---------- Trajectory ---------- *)
 
@@ -547,6 +645,9 @@ let () =
             test_scheduled_bit_identical_fig9;
           Alcotest.test_case "explicit schedule = default" `Quick
             test_scheduled_explicit_schedule_matches_default;
+          prop_run_matches_reference;
+          Alcotest.test_case "traced runs span and match" `Quick
+            test_traced_runs_span_and_match;
         ] );
       ( "trajectory",
         [
