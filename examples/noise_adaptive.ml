@@ -20,7 +20,7 @@ let () =
     (fun edge ->
       let a, b = edge in
       let d =
-        Compiler.Pipeline.decompose_on_edge
+        Compiler.Pass.decompose_on_edge
           ~options:Compiler.Pipeline.default_options ~cal ~isa ~edge ~target
       in
       Printf.printf "(%d,%d)    %-12.3f %-12.3f %s x%d (Fu=%.4f)\n" a b

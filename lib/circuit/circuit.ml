@@ -34,7 +34,6 @@ let append a b =
 let iter f t = List.iter f (instrs t)
 let fold f init t = List.fold_left f init (instrs t)
 let map_instrs f t = of_instrs t.n_qubits (List.concat_map f (instrs t))
-let map_qubits f t = of_instrs t.n_qubits (List.map (Instr.map_qubits f) (instrs t))
 
 let two_qubit_count t =
   fold (fun acc i -> if Instr.is_two_qubit i then acc + 1 else acc) 0 t

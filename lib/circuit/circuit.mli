@@ -23,8 +23,6 @@ val fold : ('a -> Instr.t -> 'a) -> 'a -> t -> 'a
 val map_instrs : (Instr.t -> Instr.t list) -> t -> t
 (** Replace each instruction by a list (used by decomposition passes). *)
 
-val map_qubits : (int -> int) -> t -> t
-
 val two_qubit_count : t -> int
 val one_qubit_count : t -> int
 val count_gate_name : t -> string -> int

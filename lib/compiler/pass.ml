@@ -56,11 +56,22 @@ module Context = struct
         (** timed executable of [circuit] (set by the schedule pass) *)
   }
 
+  (* Every compile starts here, so an instruction set listing a type the
+     device has no error data for is refused before placement, whatever
+     the circuit holds. *)
   let create ?(options = default_options) ~device ~isa ?placement circuit =
+    let cal = Device.calibration device in
+    List.iter
+      (fun ty ->
+        if not (Device.Calibration.calibrates cal ty) then
+          invalid_arg
+            (Printf.sprintf "instruction set %s uses %s, which device %s does not calibrate"
+               (Isa.Set.name isa) (Gates.Gate_type.name ty) (Device.name device)))
+      (Isa.Set.gate_types isa);
     let n_logical = Qcir.Circuit.n_qubits circuit in
     {
       device;
-      cal = Device.calibration device;
+      cal;
       isa;
       options;
       n_logical;

@@ -44,6 +44,9 @@ module Context : sig
     ?placement:int array ->
     Qcir.Circuit.t ->
     t
+  (** Raises [Invalid_argument] naming the set, the device and the type
+      when the instruction set lists a fixed gate type the device's
+      calibration holds no error for on any edge. *)
 
   val placement_exn : t -> int array
   (** The placement, or [Invalid_argument] if no placement pass ran. *)

@@ -30,8 +30,6 @@ type compiled = {
   critical_depth : int;  (** [Schedule.depth schedule]: moment count *)
 }
 
-let decompose_on_edge = Pass.decompose_on_edge
-
 let compiled_of_context (ctx : Pass.Context.t) =
   let open Pass.Context in
   if not ctx.compacted then
@@ -62,82 +60,6 @@ let compile_with_metrics ?(options = default_options) ?(stack = Pass.default_sta
 
 let compile ?options ?stack ~device ~isa ?placement circuit =
   fst (compile_with_metrics ?options ?stack ~device ~isa ?placement circuit)
-
-(* The pre-pass-manager monolith, retained verbatim as a differential
-   reference: the default stack must reproduce it bit-for-bit (a test
-   compares both on the fig9/fig10 quick-scale configurations). *)
-let compile_reference ?(options = default_options) ~cal ~isa ?placement circuit =
-  let topology = Device.Calibration.topology cal in
-  let n_logical = Qcir.Circuit.n_qubits circuit in
-  let placement =
-    match placement with
-    | Some p -> p
-    | None -> (
-      match Mapping.best_line cal isa n_logical with
-      | Some p -> p
-      | None ->
-        invalid_arg
-          (Printf.sprintf "Pipeline.compile: no %d-qubit line in the device" n_logical))
-  in
-  let routed =
-    Router.route ~edge_cost:(Pass.edge_cost ~cal ~isa) ~topology ~placement circuit
-  in
-  (* decompose every routed instruction, tracking per-instruction errors *)
-  let rev_instrs = ref [] and rev_errors = ref [] in
-  let twoq_count = ref 0 in
-  let emit instr err =
-    rev_instrs := instr :: !rev_instrs;
-    rev_errors := err :: !rev_errors;
-    if Qcir.Instr.is_two_qubit instr then incr twoq_count
-  in
-  Qcir.Circuit.iter
-    (fun instr ->
-      let qs = Qcir.Instr.qubits instr in
-      match Array.length qs with
-      | 1 -> emit instr 0.0
-      | 2 ->
-        let edge = (qs.(0), qs.(1)) in
-        let target = Gates.Gate.matrix (Qcir.Instr.gate instr) in
-        let d = Pass.decompose_on_edge ~options ~cal ~isa ~edge ~target in
-        let instrs = Decompose.Nuop.to_instrs d ~qubits:(qs.(0), qs.(1)) in
-        let errs = Pass.errors_of_decomposition ~cal ~edge d instrs in
-        List.iter2 emit instrs errs
-      | _ -> invalid_arg "Pipeline.compile: gates beyond two qubits unsupported")
-    routed.Router.circuit;
-  let instrs = List.rev !rev_instrs and errors = List.rev !rev_errors in
-  (* compact onto used qubits *)
-  let used = Hashtbl.create 16 in
-  List.iter (fun i -> Array.iter (fun q -> Hashtbl.replace used q ()) (Qcir.Instr.qubits i)) instrs;
-  Array.iter (fun q -> Hashtbl.replace used q ()) placement;
-  let qubit_map = Hashtbl.fold (fun q () acc -> q :: acc) used [] |> List.sort compare |> Array.of_list in
-  let device_to_compact = Hashtbl.create 16 in
-  Array.iteri (fun c q -> Hashtbl.replace device_to_compact q c) qubit_map;
-  let compact_instrs =
-    List.map (Qcir.Instr.map_qubits (Hashtbl.find device_to_compact)) instrs
-  in
-  let compact_circuit =
-    Qcir.Circuit.of_instrs (Array.length qubit_map) compact_instrs
-  in
-  let final_layout =
-    Array.map (Hashtbl.find device_to_compact) routed.Router.final_layout
-  in
-  let schedule =
-    Schedule.of_circuit compact_circuit
-      ~durations:(Pass.calibrated_durations ~cal ~to_device:(fun q -> qubit_map.(q)))
-  in
-  {
-    circuit = compact_circuit;
-    twoq_errors = Array.of_list errors;
-    qubit_map;
-    final_layout;
-    n_logical;
-    swap_count = routed.Router.swap_count;
-    twoq_count = !twoq_count;
-    isa;
-    schedule;
-    duration = Schedule.total_duration schedule;
-    critical_depth = Schedule.depth schedule;
-  }
 
 let noise_model ~device compiled =
   let cal = Device.calibration device in

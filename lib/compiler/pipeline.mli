@@ -27,16 +27,6 @@ type compiled = {
   critical_depth : int;  (** [Schedule.depth schedule]: moment count *)
 }
 
-val decompose_on_edge :
-  options:options ->
-  cal:Device.Calibration.t ->
-  isa:Isa.Set.t ->
-  edge:int * int ->
-  target:Linalg.Mat.t ->
-  Decompose.Nuop.t
-(** Best decomposition of one application unitary on a device edge across
-    the instruction set's gate types (see {!Pass.decompose_on_edge}). *)
-
 val compile :
   ?options:options ->
   ?stack:Pass.t list ->
@@ -57,19 +47,6 @@ val compile_with_metrics :
   Qcir.Circuit.t ->
   compiled * Pass_manager.pass_metrics list
 (** Like {!compile}, also returning the per-pass metrics. *)
-
-val compile_reference :
-  ?options:options ->
-  cal:Device.Calibration.t ->
-  isa:Isa.Set.t ->
-  ?placement:int array ->
-  Qcir.Circuit.t ->
-  compiled
-(** The pre-pass-manager monolithic implementation, retained as a
-    differential reference: {!compile} with the default stack must
-    reproduce it bit-for-bit (the test-suite compares both).  Kept on the
-    bare [Calibration.t] it predates — the comparison pins down that the
-    [Device.t] plumbing changes nothing. *)
 
 val compiled_of_context : Pass.Context.t -> compiled
 (** Extract the result from a context after a stack ending in the

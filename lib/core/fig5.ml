@@ -29,7 +29,7 @@ let doc ?(cfg = Config.default) () =
     { Compiler.Pipeline.default_options with nuop = cfg.Config.nuop }
   in
   let choice edge u =
-    (Compiler.Pipeline.decompose_on_edge ~options ~cal ~isa ~edge ~target:u)
+    (Compiler.Pass.decompose_on_edge ~options ~cal ~isa ~edge ~target:u)
       .Decompose.Nuop.gate_type
   in
   let rec find_example rng tries =
@@ -47,7 +47,7 @@ let doc ?(cfg = Config.default) () =
   in
   let describe edge =
     let d =
-      Compiler.Pipeline.decompose_on_edge ~options ~cal ~isa ~edge ~target:u
+      Compiler.Pass.decompose_on_edge ~options ~cal ~isa ~edge ~target:u
     in
     let qa, qb = edge in
     Report.Builder.textf b "qubits (%d,%d):" qa qb;

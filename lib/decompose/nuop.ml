@@ -193,8 +193,3 @@ let to_circuit d ~n_qubits ~qubits =
 let implemented_unitary d =
   let template = Template.create d.gate_type ~layers:d.layers in
   Mat.copy (Template.evaluate template d.params)
-
-let pp ppf d =
-  Fmt.pf ppf "%s x%d (Fd=%.6f, Fh=%.4f, Fu=%.4f)"
-    (Gates.Gate_type.name d.gate_type)
-    d.layers d.fd d.fh (overall_fidelity d)

@@ -73,5 +73,3 @@ val to_circuit : t -> n_qubits:int -> qubits:int * int -> Qcir.Circuit.t
 
 val implemented_unitary : t -> Mat.t
 (** The unitary the decomposition actually implements (for tests). *)
-
-val pp : Format.formatter -> t -> unit

@@ -20,6 +20,7 @@ type t = {
   duration_1q : float;  (** seconds *)
   duration_2q : float;  (** seconds; the default when a type has no entry *)
   twoq_error : (int * int * string, float) Hashtbl.t;
+  error_types : string list;  (** the distinct type names [twoq_error] holds *)
   twoq_duration : (int * int * string, float) Hashtbl.t;
       (** measured per-edge, per-gate-type durations (keyed like
           [twoq_error]); [duration_2q] is the fallback for types
@@ -96,6 +97,8 @@ let make ~topology ~oneq_error ~readout_error ~t1 ~t2 ~duration_1q ~duration_2q
     duration_1q;
     duration_2q;
     twoq_error = twoq_table ~topology "twoq_error" probability twoq_error;
+    error_types =
+      List.sort_uniq String.compare (List.map (fun (_, name, _) -> name) twoq_error);
     twoq_duration = twoq_table ~topology "twoq_duration" positive twoq_duration;
     family_base;
     family_error_scale;
@@ -129,6 +132,13 @@ let twoq_error t edge gate_type =
     clamp_error (t.family_error_scale *. Hashtbl.find t.family_base (a, b))
 
 let twoq_fidelity t edge gate_type = 1.0 -. twoq_error t edge gate_type
+
+let calibrates t gate_type =
+  match gate_type with
+  | Gates.Gate_type.Fixed _ -> List.mem (Gates.Gate_type.name gate_type) t.error_types
+  | Gates.Gate_type.Fsim_family | Gates.Gate_type.Xy_family
+  | Gates.Gate_type.Cphase_family ->
+    true
 
 let twoq_duration t edge name =
   let a, b = check_edge t "twoq_duration" edge name in

@@ -46,6 +46,12 @@ val twoq_error : t -> int * int -> Gates.Gate_type.t -> float
 
 val twoq_fidelity : t -> int * int -> Gates.Gate_type.t -> float
 
+val calibrates : t -> Gates.Gate_type.t -> bool
+(** Whether a fixed gate type has an error entry on at least one edge;
+    always true for a continuous family, whose error every edge's family
+    base gives.  One lookup among the type names the error table holds,
+    recorded by {!make}. *)
+
 val twoq_duration : t -> int * int -> string -> float
 (** Duration (seconds) of a gate type, by name, on an edge — compiled
     instructions carry gate names.  Falls back to the device-wide

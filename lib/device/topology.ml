@@ -169,8 +169,3 @@ let coloring_classes t =
 
 let max_degree t =
   Array.fold_left (fun acc l -> max acc (List.length l)) 0 t.adj
-
-let pp ppf t =
-  Fmt.pf ppf "@[<v>topology %d qubits, %d edges@," t.n_qubits (edge_count t);
-  List.iter (fun (a, b) -> Fmt.pf ppf "  %d -- %d@," a b) (edges t);
-  Fmt.pf ppf "@]"

@@ -42,5 +42,3 @@ val coloring_classes : t -> int
     batches). *)
 
 val max_degree : t -> int
-
-val pp : Format.formatter -> t -> unit

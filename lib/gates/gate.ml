@@ -54,5 +54,3 @@ let su4 ?(label = "su4") matrix =
   if Mat.rows matrix <> 4 || Mat.cols matrix <> 4 then
     invalid_arg "Gate.su4: expected a 4x4 matrix";
   make label matrix
-
-let pp ppf t = Fmt.pf ppf "%s/%d" t.name t.arity

@@ -34,5 +34,3 @@ val hopping : float -> t
 
 val su4 : ?label:string -> Mat.t -> t
 (** Wrap an arbitrary 4x4 unitary as an application gate. *)
-
-val pp : Format.formatter -> t -> unit

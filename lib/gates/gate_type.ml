@@ -26,7 +26,6 @@ let name = function
   | Cphase_family -> "full_cphase"
 
 let equal a b = String.equal (name a) (name b)
-let compare a b = String.compare (name a) (name b)
 
 let param_count = function
   | Fixed _ -> 0
@@ -65,5 +64,3 @@ let s7 = fixed "fsim(pi/6,pi)" (Twoq.fsim (Float.pi /. 6.0) Float.pi)
 let swap_type = fixed "SWAP" Twoq.swap
 let cnot_type = fixed "CNOT" Twoq.cnot
 let xy_pi = fixed "XY(pi)" (Twoq.xy Float.pi)
-
-let pp ppf t = Fmt.string ppf (name t)

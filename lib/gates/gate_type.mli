@@ -16,7 +16,6 @@ val fixed : string -> Mat.t -> t
 
 val name : t -> string
 val equal : t -> t -> bool
-val compare : t -> t -> int
 
 val param_count : t -> int
 (** Number of free angles (0 for fixed types). *)
@@ -46,5 +45,3 @@ val s7 : t  (** fSim(pi/6, pi) *)
 val swap_type : t
 val cnot_type : t
 val xy_pi : t  (** XY(pi), Rigetti Aspen-8's native XY gate *)
-
-val pp : Format.formatter -> t -> unit

@@ -141,10 +141,8 @@ let of_table tbl set =
   let mean_layers, mean_fidelity = mean_over (List.init n Fun.id) in
   { set_name = Set.name set; mean_layers; mean_fidelity; per_app }
 
-let score ?options ?threshold ?error_rate ?domains ~samples set =
-  of_table
-    (table ?options ?threshold ?error_rate ?domains ~samples (Set.gate_types set))
-    set
+let score ?options ?error_rate ?domains ~samples set =
+  of_table (table ?options ?error_rate ?domains ~samples (Set.gate_types set)) set
 
 type type_stats = { layers : float; error : float }
 
@@ -169,6 +167,5 @@ let stats_for_type ?(options = Decompose.Nuop.default_options) ?domains ~mode ty
     error = List.fold_left (fun acc (_, e) -> acc +. e) 0.0 rs /. n;
   }
 
-let mean_layers_for_type ?options ?(threshold = default_threshold) ?domains ty
-    unitaries =
-  (stats_for_type ?options ?domains ~mode:(`Exact threshold) ty unitaries).layers
+let mean_layers_for_type ?options ?domains ty unitaries =
+  (stats_for_type ?options ?domains ~mode:(`Exact default_threshold) ty unitaries).layers

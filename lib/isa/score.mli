@@ -58,13 +58,13 @@ val of_table : table -> Set.t -> t
 
 val score :
   ?options:Decompose.Nuop.options ->
-  ?threshold:float ->
   ?error_rate:float ->
   ?domains:int ->
   samples:(string * Mat.t list) list ->
   Set.t ->
   t
-(** [of_table] over a table of exactly the set's own gate types. *)
+(** [of_table] over a table of exactly the set's own gate types, at
+    {!default_threshold}. *)
 
 type type_stats = {
   layers : float;  (** mean layers per unitary *)
@@ -83,11 +83,6 @@ val stats_for_type :
     with per-layer fidelity [f] (so [fh layers = f ** layers]). *)
 
 val mean_layers_for_type :
-  ?options:Decompose.Nuop.options ->
-  ?threshold:float ->
-  ?domains:int ->
-  Gates.Gate_type.t ->
-  Mat.t list ->
-  float
+  ?options:Decompose.Nuop.options -> ?domains:int -> Gates.Gate_type.t -> Mat.t list -> float
 (** Mean exact-decomposition layer count of one gate type over a sample
-    (the Fig 8 heatmap cell). *)
+    at {!default_threshold} (the Fig 8 heatmap cell). *)

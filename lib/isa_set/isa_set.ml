@@ -86,8 +86,3 @@ let find_exn name_str =
       (Printf.sprintf "Isa.Set.find_exn: unknown instruction set %S (known sets: %s)"
          name_str
          (String.concat ", " (List.map (fun t -> t.name) all)))
-
-let pp ppf t =
-  Fmt.pf ppf "%s = {%a}" t.name
-    Fmt.(list ~sep:(any ", ") Gate_type.pp)
-    t.gate_types

@@ -62,5 +62,3 @@ val find : string -> t option
 val find_exn : string -> t
 (** Like {!find} but raises [Invalid_argument] with the list of known
     set names on a miss. *)
-
-val pp : Format.formatter -> t -> unit

@@ -10,7 +10,6 @@ type t = Complex.t = { re : float; im : float }
 
 let zero = Complex.zero
 let one = Complex.one
-let i = Complex.i
 
 let make re im = { re; im }
 let re t = t.re
@@ -24,13 +23,8 @@ let mul = Complex.mul
 let div = Complex.div
 let neg = Complex.neg
 let conj = Complex.conj
-let inv = Complex.inv
 let norm = Complex.norm
-let norm2 = Complex.norm2
 let arg = Complex.arg
-let sqrt = Complex.sqrt
-let exp = Complex.exp
-let log = Complex.log
 let polar = Complex.polar
 
 (* e^{i theta} *)
@@ -44,8 +38,6 @@ let equal ?(eps = 1e-12) a b =
 let pp ppf t =
   if t.im >= 0.0 then Fmt.pf ppf "%.6g+%.6gi" t.re t.im
   else Fmt.pf ppf "%.6g-%.6gi" t.re (Float.abs t.im)
-
-let to_string t = Fmt.str "%a" pp t
 
 module Infix = struct
   let ( + ) = add

@@ -7,7 +7,6 @@ type t = Complex.t = { re : float; im : float }
 
 val zero : t
 val one : t
-val i : t
 
 val make : float -> float -> t
 val re : t -> float
@@ -20,18 +19,11 @@ val mul : t -> t -> t
 val div : t -> t -> t
 val neg : t -> t
 val conj : t -> t
-val inv : t -> t
 
 val norm : t -> float
 (** Modulus |z|. *)
 
-val norm2 : t -> float
-(** Squared modulus |z|^2. *)
-
 val arg : t -> float
-val sqrt : t -> t
-val exp : t -> t
-val log : t -> t
 val polar : float -> float -> t
 
 val cis : float -> t
@@ -40,7 +32,6 @@ val cis : float -> t
 val scale : float -> t -> t
 val equal : ?eps:float -> t -> t -> bool
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string
 
 module Infix : sig
   val ( + ) : t -> t -> t

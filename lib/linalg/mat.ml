@@ -260,8 +260,6 @@ let frobenius_norm a =
   Array.iter (fun v -> acc := !acc +. (v *. v)) a.d;
   Float.sqrt !acc
 
-let distance a b = frobenius_norm (sub a b)
-
 let max_abs_entry a =
   let acc = ref 0.0 in
   let n = a.rows * a.cols in

@@ -48,7 +48,6 @@ val kron : t -> t -> t
 (** Kronecker product. *)
 
 val frobenius_norm : t -> float
-val distance : t -> t -> float
 val max_abs_entry : t -> float
 
 val equal : ?eps:float -> t -> t -> bool

@@ -10,8 +10,6 @@ let golden = 0x9E3779B97F4A7C15L
 
 let create seed = { state = Int64.of_int seed }
 
-let copy t = { state = t.state }
-
 (* splitmix64 step (Steele, Lea, Flood 2014). *)
 let next_int64 t =
   t.state <- Int64.add t.state golden;
@@ -77,7 +75,3 @@ let permutation t n =
   let arr = Array.init n (fun k -> k) in
   shuffle_in_place t arr;
   arr
-
-let pick t arr =
-  assert (Array.length arr > 0);
-  arr.(int t (Array.length arr))

@@ -8,9 +8,6 @@ type t
 val create : int -> t
 (** [create seed] makes a fresh generator. Equal seeds yield equal streams. *)
 
-val copy : t -> t
-(** Independent copy continuing from the current state. *)
-
 val child : t -> t
 (** Child generator whose stream is independent of the parent's future.
     Advances the parent by one draw. *)
@@ -40,4 +37,3 @@ val gaussian_mu_sigma : t -> mu:float -> sigma:float -> float
 
 val shuffle_in_place : t -> 'a array -> unit
 val permutation : t -> int -> int array
-val pick : t -> 'a array -> 'a

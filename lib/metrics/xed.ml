@@ -14,12 +14,3 @@ let difference ~ideal ~noisy =
   let h_ideal = Dist.entropy ideal in
   let denom = h_unif -. h_ideal in
   if Float.abs denom < 1e-12 then 0.0 else (h_unif -. h_noisy) /. denom
-
-let mean_xed pairs =
-  match pairs with
-  | [] -> invalid_arg "Xed.mean_xed: empty"
-  | _ ->
-    let total =
-      List.fold_left (fun acc (ideal, noisy) -> acc +. difference ~ideal ~noisy) 0.0 pairs
-    in
-    total /. float_of_int (List.length pairs)

@@ -1,4 +1,3 @@
 (** Cross-entropy difference (QAOA quality metric in the paper). *)
 
 val difference : ideal:float array -> noisy:float array -> float
-val mean_xed : (float array * float array) list -> float

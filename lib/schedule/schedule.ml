@@ -9,11 +9,10 @@
    start times accumulate, so the last moment's end is the executable's
    total wall-clock duration on the device.
 
-   This is the one shared timing representation: the schedule-aware
-   density simulator (Sim.Noisy.run_scheduled), the compiler's schedule
-   pass, the analytic ESP estimator (Metrics.Esp) and the CLI timeline
-   printer all consume the same [t] — a grep-enforced test forbids
-   private moment computation elsewhere. *)
+   This is the one shared timing representation: the compiler's
+   schedule pass, the analytic ESP estimator (Metrics.Esp) and the CLI
+   timeline printer all consume the same [t] — a grep-enforced test
+   forbids private moment computation elsewhere. *)
 
 type moment = {
   index : int;  (** 0-based moment number *)

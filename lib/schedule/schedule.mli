@@ -2,9 +2,9 @@
     per-moment durations.
 
     The one shared timing representation of the stack: built from any
-    {!Qcir.Circuit.t} plus a duration oracle, consumed by the
-    schedule-aware simulator, the compiler's schedule pass, the analytic
-    ESP estimator and the CLI timeline printer. *)
+    {!Qcir.Circuit.t} plus a duration oracle, consumed by the compiler's
+    schedule pass, the analytic ESP estimator and the CLI timeline
+    printer. *)
 
 type moment = {
   index : int;  (** 0-based moment number *)

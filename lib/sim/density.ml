@@ -52,9 +52,6 @@ let apply_superoperator t s qubits =
   in
   State.apply_matrix t.vec s doubled
 
-let apply_channel t channel qubits =
-  apply_superoperator t (Channel.superoperator channel) qubits
-
 let of_statevector sv =
   let n = State.n_qubits sv in
   let t = create n in

@@ -28,9 +28,6 @@ val apply_superoperator : t -> Mat.t -> int array -> unit
     {!Channel.superoperator} [s] to [qubits]; [s] is read, never
     written, so one superoperator serves any number of applications. *)
 
-val apply_channel : t -> Channel.t -> int array -> unit
-(** {!apply_superoperator} of the channel's {!Channel.superoperator}. *)
-
 val of_statevector : State.t -> t
 val fidelity_with_pure : t -> State.t -> float
 (** <psi| rho |psi>. *)

@@ -4,6 +4,8 @@
    scaled by the gate error rate after every gate, plus amplitude damping
    (T1) and dephasing (T2) on the acting qubits for the gate duration.
    Readout error is applied classically to the final probabilities.
+   [run] is the one density runner: every study, figure and served reply
+   simulates through it.
 
    The per-instruction two-qubit error rate comes from a caller-supplied
    function (the compiler pipeline computes it from calibration data and
@@ -88,49 +90,6 @@ let run model circuit =
       | _ -> invalid_arg "Noisy.run: gates beyond two qubits are not supported");
       incr index)
     circuit;
-  rho
-
-(* Schedule-aware execution over the shared timed executable
-   (Schedule.t): decoherence acts on EVERY qubit for each moment's
-   duration — idle qubits decay too, as on real hardware.  [run] above
-   is the cheaper acting-qubits-only approximation.  Without an explicit
-   schedule the model's two device-wide scalars time the moments (the
-   pre-refactor behaviour, bit for bit); the compiler passes its
-   calibrated per-gate-type schedule instead. *)
-let model_schedule model circuit =
-  Schedule.of_circuit circuit ~durations:(fun _ instr ->
-      match Qcir.Instr.arity instr with
-      | 1 -> model.duration_1q
-      | 2 -> model.duration_2q
-      | _ -> invalid_arg "Noisy.run_scheduled: gates beyond two qubits unsupported")
-
-let run_scheduled ?schedule model circuit =
-  let sched =
-    match schedule with Some s -> s | None -> model_schedule model circuit
-  in
-  Obs.Span.with_ "sim.density.run" @@ fun () ->
-  let n = Qcir.Circuit.n_qubits circuit in
-  let rho = Density.create n in
-  let channels = Hashtbl.create 16 in
-  Schedule.iter_moments
-    (fun moment ->
-      List.iter
-        (fun (idx, instr) ->
-          Density.apply_instr rho instr;
-          let qs = Qcir.Instr.qubits instr in
-          match Array.length qs with
-          | 1 ->
-            let p = model.oneq_error qs.(0) in
-            if p > 0.0 then apply_channel channels rho Depolarizing_1q p qs
-          | 2 ->
-            let p = model.twoq_error idx instr in
-            if p > 0.0 then apply_channel channels rho Depolarizing_2q p qs
-          | _ -> invalid_arg "Noisy.run_scheduled: gates beyond two qubits unsupported")
-        moment.Schedule.instrs;
-      for q = 0 to n - 1 do
-        apply_decoherence model channels rho q moment.Schedule.duration
-      done)
-    sched;
   rho
 
 let output_probabilities model circuit =

@@ -14,17 +14,9 @@ type noise_model = {
 val ideal : noise_model
 
 val run : noise_model -> Qcir.Circuit.t -> Density.t
-(** Acting-qubits-only decoherence (the cheap approximation). *)
-
-val model_schedule : noise_model -> Qcir.Circuit.t -> Schedule.t
-(** The default timed executable: ASAP moments timed by the model's two
-    device-wide duration scalars. *)
-
-val run_scheduled : ?schedule:Schedule.t -> noise_model -> Qcir.Circuit.t -> Density.t
-(** Schedule-aware execution over the shared {!Schedule.t}: decoherence
-    acts on every qubit — idle ones included — for each moment's
-    duration.  [schedule] defaults to {!model_schedule}; the compiler
-    passes its calibrated per-gate-type schedule instead. *)
+(** The density runner: after each gate, its depolarizing channel, then
+    T1/T2 damping on the acting qubits for the gate's duration (the
+    paper's Aer-style model). *)
 
 val output_probabilities : noise_model -> Qcir.Circuit.t -> float array
 (** Final probabilities of {!run}, including classical readout error. *)

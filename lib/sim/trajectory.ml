@@ -23,26 +23,6 @@ let apply_pauli rng state qubits =
       if idx <> 0 then State.apply_matrix state (Gates.Oneq.pauli_of_index idx) [| q |])
     qubits
 
-(* Kraus trajectory for a single-qubit channel given as [k0; k1]:
-   apply K0 with probability ||K0 psi||^2, else K1; renormalize.
-   Generic (copy-based) form, kept for tests; the hot paths below use
-   one-pass specializations. *)
-let apply_kraus_branch rng state kraus q =
-  match kraus with
-  | [ k0; k1 ] ->
-    let trial = State.copy state in
-    State.apply_matrix trial k0 [| q |];
-    let p0 = State.norm2 trial in
-    if Rng.float rng < p0 then begin
-      State.apply_matrix state k0 [| q |];
-      State.normalize state
-    end
-    else begin
-      State.apply_matrix state k1 [| q |];
-      State.normalize state
-    end
-  | _ -> invalid_arg "Trajectory.apply_kraus_branch: expected two Kraus operators"
-
 (* One-pass amplitude damping: P(decay) = gamma * P(qubit excited).
    K1 moves each |..1..> amplitude to |..0..>; K0 scales the excited
    amplitudes by sqrt(1-gamma).  Both branches renormalize. *)
@@ -127,19 +107,3 @@ let mean_ideal_overlap ~trajectories model circuit ~ideal =
     acc := !acc +. !overlap
   done;
   !acc /. float_of_int trajectories
-
-(* Mean output probabilities (converges to the density-simulator
-   diagonal). *)
-let mean_probabilities ?(seed = 5) ~trajectories model circuit =
-  assert (trajectories > 0);
-  Obs.Span.with_ "sim.trajectory.run" @@ fun () ->
-  let rng = Rng.create seed in
-  let dim = 1 lsl Qcir.Circuit.n_qubits circuit in
-  let acc = Array.make dim 0.0 in
-  for _ = 1 to trajectories do
-    let s = run_one rng model circuit in
-    for x = 0 to dim - 1 do
-      acc.(x) <- acc.(x) +. State.probability s x
-    done
-  done;
-  Array.map (fun v -> v /. float_of_int trajectories) acc

@@ -18,12 +18,7 @@ val mean_ideal_overlap :
     The trajectories draw from a private RNG seeded 5, so each call is
     deterministic. *)
 
-val mean_probabilities :
-  ?seed:int -> trajectories:int -> noise_model -> Qcir.Circuit.t -> float array
-
-(** Exposed for tests: the generic copy-based Kraus branch and its
-    one-pass specializations used on large states. *)
-
-val apply_kraus_branch : Rng.t -> State.t -> Linalg.Mat.t list -> int -> unit
 val apply_amplitude_damping : Rng.t -> State.t -> int -> float -> unit
-val apply_phase_damping : Rng.t -> State.t -> int -> float -> unit
+(** One-pass amplitude-damping trajectory step on qubit [q] with decay
+    probability [gamma]; exposed so tests can check it against the
+    generic copy-based Kraus branch. *)

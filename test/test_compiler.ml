@@ -227,11 +227,11 @@ let test_pipeline_adaptive_beats_blind () =
   let u = Qr.haar_special_unitary (Rng.create 9) 4 in
   let isa = Isa.Set.r2 in
   let adaptive =
-    Compiler.Pipeline.decompose_on_edge ~options:fast_options ~cal ~isa ~edge:(2, 3)
+    Compiler.Pass.decompose_on_edge ~options:fast_options ~cal ~isa ~edge:(2, 3)
       ~target:u
   in
   let blind =
-    Compiler.Pipeline.decompose_on_edge
+    Compiler.Pass.decompose_on_edge
       ~options:{ fast_options with adaptive = false }
       ~cal ~isa ~edge:(2, 3) ~target:u
   in
@@ -249,6 +249,29 @@ let test_pipeline_logical_probabilities_marginalize () =
   let logical = Compiler.Pipeline.logical_probabilities compiled probs in
   check_int "logical dim" 8 (Array.length logical);
   Alcotest.(check (float 1e-6)) "normalized" 1.0 (Array.fold_left ( +. ) 0.0 logical)
+
+let test_pipeline_refuses_uncalibrated_type () =
+  (* Aspen-8 calibrates no SYC, so G7 is refused up front, even for a
+     circuit without a two-qubit gate; sets each device calibrates still
+     compile *)
+  let one_cz = Qcir.Circuit.add_gate (Qcir.Circuit.empty 2) Gates.Gate.cz [| 0; 1 |] in
+  let compile device isa circuit =
+    Compiler.Pipeline.compile ~options:fast_options ~device ~isa circuit
+  in
+  List.iter
+    (fun circuit ->
+      Alcotest.check_raises "G7 on aspen8"
+        (Invalid_argument
+           "instruction set G7 uses SYC, which device aspen8 does not calibrate")
+        (fun () -> ignore (compile (Device.aspen8 ()) Isa.Set.g7 circuit)))
+    [ one_cz; Qcir.Circuit.empty 1 ];
+  List.iter
+    (fun (label, device, isa) ->
+      check_bool label true ((compile device isa one_cz).Compiler.Pipeline.twoq_count > 0))
+    [
+      ("G7 on sycamore", Device.sycamore_line 4, Isa.Set.g7);
+      ("R5 on aspen8", Device.aspen8 (), Isa.Set.r5);
+    ]
 
 let test_pipeline_full_family () =
   let device = Device.sycamore_line 4 in
@@ -274,6 +297,79 @@ let circuit_unitary c =
         s)
   in
   Mat.init dim dim (fun i j -> Sim.State.amplitude cols.(j) i)
+
+(* The pre-pass-manager monolithic compiler, kept as a differential
+   reference: the default stack must reproduce it bit-for-bit.  It runs
+   on the bare [Calibration.t] it predates, so the comparison also pins
+   down that the [Device.t] plumbing changes nothing. *)
+let compile_reference ~options ~cal ~isa circuit : Compiler.Pipeline.compiled =
+  let open Compiler in
+  let topology = Device.Calibration.topology cal in
+  let n_logical = Qcir.Circuit.n_qubits circuit in
+  let placement =
+    match Mapping.best_line cal isa n_logical with
+    | Some p -> p
+    | None -> Alcotest.failf "reference: no %d-qubit line in the device" n_logical
+  in
+  let routed =
+    Router.route ~edge_cost:(Pass.edge_cost ~cal ~isa) ~topology ~placement circuit
+  in
+  (* decompose every routed instruction, tracking per-instruction errors *)
+  let rev_instrs = ref [] and rev_errors = ref [] in
+  let twoq_count = ref 0 in
+  let emit instr err =
+    rev_instrs := instr :: !rev_instrs;
+    rev_errors := err :: !rev_errors;
+    if Qcir.Instr.is_two_qubit instr then incr twoq_count
+  in
+  Qcir.Circuit.iter
+    (fun instr ->
+      let qs = Qcir.Instr.qubits instr in
+      match Array.length qs with
+      | 1 -> emit instr 0.0
+      | 2 ->
+        let edge = (qs.(0), qs.(1)) in
+        let target = Gates.Gate.matrix (Qcir.Instr.gate instr) in
+        let d = Pass.decompose_on_edge ~options ~cal ~isa ~edge ~target in
+        let instrs = Decompose.Nuop.to_instrs d ~qubits:(qs.(0), qs.(1)) in
+        let errs = Pass.errors_of_decomposition ~cal ~edge d instrs in
+        List.iter2 emit instrs errs
+      | _ -> Alcotest.fail "reference: gates beyond two qubits")
+    routed.Router.circuit;
+  let instrs = List.rev !rev_instrs and errors = List.rev !rev_errors in
+  (* compact onto used qubits *)
+  let used = Hashtbl.create 16 in
+  List.iter (fun i -> Array.iter (fun q -> Hashtbl.replace used q ()) (Qcir.Instr.qubits i)) instrs;
+  Array.iter (fun q -> Hashtbl.replace used q ()) placement;
+  let qubit_map = Hashtbl.fold (fun q () acc -> q :: acc) used [] |> List.sort compare |> Array.of_list in
+  let device_to_compact = Hashtbl.create 16 in
+  Array.iteri (fun c q -> Hashtbl.replace device_to_compact q c) qubit_map;
+  let compact_instrs =
+    List.map (Qcir.Instr.map_qubits (Hashtbl.find device_to_compact)) instrs
+  in
+  let compact_circuit =
+    Qcir.Circuit.of_instrs (Array.length qubit_map) compact_instrs
+  in
+  let final_layout =
+    Array.map (Hashtbl.find device_to_compact) routed.Router.final_layout
+  in
+  let schedule =
+    Schedule.of_circuit compact_circuit
+      ~durations:(Pass.calibrated_durations ~cal ~to_device:(fun q -> qubit_map.(q)))
+  in
+  {
+    circuit = compact_circuit;
+    twoq_errors = Array.of_list errors;
+    qubit_map;
+    final_layout;
+    n_logical;
+    swap_count = routed.Router.swap_count;
+    twoq_count = !twoq_count;
+    isa;
+    schedule;
+    duration = Schedule.total_duration schedule;
+    critical_depth = Schedule.depth schedule;
+  }
 
 let check_same_compiled label (a : Compiler.Pipeline.compiled)
     (b : Compiler.Pipeline.compiled) =
@@ -302,9 +398,7 @@ let test_pass_default_stack_matches_reference () =
     (fun (label, device, isa, circuit) ->
       let cal = Device.calibration device in
       let a = Compiler.Pipeline.compile ~options:fast_options ~device ~isa circuit in
-      let b =
-        Compiler.Pipeline.compile_reference ~options:fast_options ~cal ~isa circuit
-      in
+      let b = compile_reference ~options:fast_options ~cal ~isa circuit in
       check_same_compiled label a b)
     [
       ( "fig10 QV",
@@ -431,7 +525,7 @@ let compiler_properties =
         let cal = Device.calibration device in
         let isa = Isa.Set.g2 in
         let a = Compiler.Pipeline.compile ~options ~device ~isa circuit in
-        let b = Compiler.Pipeline.compile_reference ~options ~cal ~isa circuit in
+        let b = compile_reference ~options ~cal ~isa circuit in
         Proptest.same_compiled a b);
   ]
 
@@ -468,6 +562,8 @@ let () =
           Alcotest.test_case "adaptive selection" `Quick test_pipeline_adaptive_beats_blind;
           Alcotest.test_case "logical marginalization" `Quick test_pipeline_logical_probabilities_marginalize;
           Alcotest.test_case "full family" `Quick test_pipeline_full_family;
+          Alcotest.test_case "uncalibrated type refused" `Quick
+            test_pipeline_refuses_uncalibrated_type;
         ] );
       ( "passes",
         [

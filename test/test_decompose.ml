@@ -622,39 +622,6 @@ let test_parse_pool_size () =
       | Error reason -> check_bool (bad ^ " has a reason") true (String.length reason > 0))
     [ "eight"; "0"; "-2"; ""; "3.5" ]
 
-(* ---------- KAK ---------- *)
-
-let test_kak_random () =
-  let rng = Rng.create 51 in
-  for _ = 1 to 3 do
-    let u = Qr.haar_special_unitary rng 4 in
-    let d = Decompose.Kak.decompose u in
-    check_bool "reconstructs" true
-      (Mat.equal_up_to_phase ~eps:1e-6 (Decompose.Kak.reconstruct d) u);
-    let c1, c2, c3 = d.Decompose.Kak.coordinates in
-    check_bool "chamber order" true (c1 >= c2 && c2 >= Float.abs c3 -. 1e-9)
-  done
-
-let test_kak_named_gates () =
-  List.iter
-    (fun m ->
-      let d = Decompose.Kak.decompose m in
-      check_bool "reconstructs" true
-        (Mat.equal_up_to_phase ~eps:1e-6 (Decompose.Kak.reconstruct d) m))
-    [ Gates.Twoq.cz; Gates.Twoq.swap; Gates.Twoq.syc; Gates.Twoq.zz 0.4 ]
-
-let test_kak_interaction_strength () =
-  let d = Decompose.Kak.decompose Gates.Twoq.swap in
-  Alcotest.(check (float 1e-5)) "swap strength" (3.0 *. Float.pi /. 4.0)
-    (Decompose.Kak.interaction_strength d);
-  let d0 = Decompose.Kak.decompose (Mat.identity 4) in
-  Alcotest.(check (float 1e-5)) "identity strength" 0.0
-    (Decompose.Kak.interaction_strength d0)
-
-let test_kak_validation () =
-  Alcotest.check_raises "bad dims" (Invalid_argument "Kak.decompose: need 4x4")
-    (fun () -> ignore (Decompose.Kak.decompose (Mat.identity 2)))
-
 (* ---------- Cirq-like baseline ---------- *)
 
 let test_cirq_counts () =
@@ -755,11 +722,6 @@ let template_reference gate_type ~layers params =
 
 let decompose_properties =
   [
-    Proptest.test "kak reconstructs the target" ~count:5
-      (arb ~print:pm G.su4)
-      (fun u ->
-        let k = Decompose.Kak.decompose u in
-        Mat.equal_up_to_phase ~eps:1e-5 (Decompose.Kak.reconstruct k) u);
     Proptest.test "nuop curve fidelities match the implemented unitary" ~count:3
       (arb
          ~print:(fun (gt, u) -> Gates.Gate_type.name gt ^ " on\n" ^ pm u)
@@ -1043,13 +1005,6 @@ let () =
           Alcotest.test_case "parse pool size" `Quick test_parse_pool_size;
         ]
         @ persist_properties );
-      ( "kak",
-        [
-          Alcotest.test_case "random unitaries" `Quick test_kak_random;
-          Alcotest.test_case "named gates" `Quick test_kak_named_gates;
-          Alcotest.test_case "interaction strength" `Quick test_kak_interaction_strength;
-          Alcotest.test_case "validation" `Quick test_kak_validation;
-        ] );
       ( "cirq_like",
         [
           Alcotest.test_case "generic counts" `Quick test_cirq_counts;

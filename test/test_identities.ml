@@ -124,19 +124,22 @@ let test_b_gate_two_gate_universality () =
 
 (* ---------- channel algebra ---------- *)
 
+let apply_channel rho channel qubits =
+  Sim.Density.apply_superoperator rho (Sim.Channel.superoperator channel) qubits
+
 let test_depolarizing_composition () =
   (* two depolarizing channels compose into one with
      1 - p = (1 - 4 p1 / 3 ... ) — verify numerically on a state *)
   let rho1 = Sim.Density.create 1 in
   Sim.Density.apply_unitary rho1 Gates.Oneq.h [| 0 |];
   let rho2 = Sim.Density.copy rho1 in
-  Sim.Density.apply_channel rho1 (Sim.Channel.depolarizing_1q 0.1) [| 0 |];
-  Sim.Density.apply_channel rho1 (Sim.Channel.depolarizing_1q 0.1) [| 0 |];
+  apply_channel rho1 (Sim.Channel.depolarizing_1q 0.1) [| 0 |];
+  apply_channel rho1 (Sim.Channel.depolarizing_1q 0.1) [| 0 |];
   (* effective single channel: contraction factors multiply;
      lambda = 1 - 4p/3 per channel *)
   let lam = 1.0 -. (4.0 *. 0.1 /. 3.0) in
   let p_eff = 3.0 *. (1.0 -. (lam *. lam)) /. 4.0 in
-  Sim.Density.apply_channel rho2 (Sim.Channel.depolarizing_1q p_eff) [| 0 |];
+  apply_channel rho2 (Sim.Channel.depolarizing_1q p_eff) [| 0 |];
   for r = 0 to 1 do
     for c = 0 to 1 do
       check_bool "entries match" true
@@ -150,9 +153,9 @@ let test_amplitude_damping_composition () =
   let rho1 = Sim.Density.create 1 in
   Sim.Density.apply_unitary rho1 Gates.Oneq.x [| 0 |];
   let rho2 = Sim.Density.copy rho1 in
-  Sim.Density.apply_channel rho1 (Sim.Channel.amplitude_damping 0.2) [| 0 |];
-  Sim.Density.apply_channel rho1 (Sim.Channel.amplitude_damping 0.3) [| 0 |];
-  Sim.Density.apply_channel rho2
+  apply_channel rho1 (Sim.Channel.amplitude_damping 0.2) [| 0 |];
+  apply_channel rho1 (Sim.Channel.amplitude_damping 0.3) [| 0 |];
+  apply_channel rho2
     (Sim.Channel.amplitude_damping (1.0 -. (0.8 *. 0.7)))
     [| 0 |];
   Alcotest.(check (float 1e-9)) "p1 matches"
@@ -174,7 +177,7 @@ let test_superoperator_matches_kraus () =
       (fun acc k -> Mat.add acc (Mat.mul k (Mat.mul dense (Mat.dagger k))))
       (Mat.zero 2 2) (Sim.Channel.kraus ch)
   in
-  Sim.Density.apply_channel rho ch [| 0 |];
+  apply_channel rho ch [| 0 |];
   for r = 0 to 1 do
     for c = 0 to 1 do
       check_bool "match" true

@@ -105,20 +105,6 @@ let test_xeb_from_overlap_consistency () =
   in
   check_loose "consistent" direct via
 
-(* ---------- Success ---------- *)
-
-let test_success_distribution_fidelity () =
-  let p = [| 0.5; 0.5; 0.0; 0.0 |] in
-  check_loose "self = 1" 1.0 (Metrics.Success.distribution_fidelity ~ideal:p ~noisy:p);
-  check_loose "disjoint = 0" 0.0
-    (Metrics.Success.distribution_fidelity ~ideal:p ~noisy:[| 0.0; 0.0; 0.5; 0.5 |])
-
-let test_success_basis () =
-  check_float "target" 0.8 (Metrics.Success.basis_success ~target:2 ~noisy:[| 0.1; 0.1; 0.8; 0.0 |])
-
-let test_success_mean () =
-  check_float "mean" 0.5 (Metrics.Success.mean [ 0.25; 0.75 ])
-
 (* metric bounds on random distributions *)
 let random_dist rng n =
   let raw = Array.init n (fun _ -> Linalg.Rng.uniform rng 0.01 1.0) in
@@ -139,13 +125,6 @@ let prop_xed_perfect_is_one =
       let rng = Linalg.Rng.create seed in
       let ideal = random_dist rng 8 in
       Float.abs (Metrics.Xed.difference ~ideal ~noisy:ideal -. 1.0) < 1e-9)
-
-let prop_bhattacharyya_bounds =
-  Proptest.test ~count:50 "distribution fidelity in [0,1]" seed_arb (fun seed ->
-      let rng = Linalg.Rng.create seed in
-      let a = random_dist rng 8 and b = random_dist rng 8 in
-      let v = Metrics.Success.distribution_fidelity ~ideal:a ~noisy:b in
-      v >= 0.0 && v <= 1.0 +. 1e-9)
 
 let () =
   Alcotest.run "metrics"
@@ -180,12 +159,6 @@ let () =
           Alcotest.test_case "linear uniform" `Quick test_xeb_linear;
           Alcotest.test_case "from_overlap" `Quick test_xeb_from_overlap_consistency;
         ] );
-      ( "success",
-        [
-          Alcotest.test_case "distribution fidelity" `Quick test_success_distribution_fidelity;
-          Alcotest.test_case "basis" `Quick test_success_basis;
-          Alcotest.test_case "mean" `Quick test_success_mean;
-        ] );
       ( "properties",
-        [ prop_hop_bounds; prop_xed_perfect_is_one; prop_bhattacharyya_bounds ] );
+        [ prop_hop_bounds; prop_xed_perfect_is_one ] );
     ]

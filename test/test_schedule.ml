@@ -1,8 +1,8 @@
 (* Unit tests for the shared timed-executable representation
    (lib/schedule): ASAP bucketing, start/duration accounting, busy and
    idle time, and the timeline rendering, plus the timing layer's
-   properties (sound moments, exact busy/idle accounting, the scheduled
-   runner, ESP against density simulation). *)
+   properties (sound moments, exact busy/idle accounting, ESP against
+   a schedule-aware density simulation). *)
 
 open Linalg
 
@@ -138,6 +138,44 @@ let test_no_private_scheduling () =
 
 let uniform_durations = Schedule.uniform ~duration_1q:20e-9 ~duration_2q:40e-9
 
+(* Schedule-aware density reference for the ESP property: Metrics.Esp
+   charges idle-time decay, so after each moment's gates (each followed
+   by its depolarizing channel) every qubit, idle ones included, decays
+   for the moment's duration. *)
+let run_scheduled (model : Sim.Noisy.noise_model) schedule =
+  let n = Schedule.n_qubits schedule in
+  let rho = Sim.Density.create n in
+  let apply channel qubits =
+    Sim.Density.apply_superoperator rho (Sim.Channel.superoperator channel) qubits
+  in
+  Schedule.iter_moments
+    (fun moment ->
+      List.iter
+        (fun (idx, instr) ->
+          Sim.Density.apply_instr rho instr;
+          let qs = Qcir.Instr.qubits instr in
+          if Array.length qs = 1 then
+            apply (Sim.Channel.depolarizing_1q (model.oneq_error qs.(0))) qs
+          else apply (Sim.Channel.depolarizing_2q (model.twoq_error idx instr)) qs)
+        moment.Schedule.instrs;
+      for q = 0 to n - 1 do
+        let gamma, lambda =
+          Sim.Channel.damping_params ~t1:(model.t1 q) ~t2:(model.t2 q)
+            ~duration:moment.Schedule.duration
+        in
+        apply (Sim.Channel.amplitude_damping gamma) [| q |];
+        apply (Sim.Channel.phase_damping lambda) [| q |]
+      done)
+    schedule;
+  rho
+
+(* Classical (Bhattacharyya) fidelity (sum_x sqrt(p_x q_x))^2 of two
+   distributions. *)
+let distribution_fidelity p q =
+  let acc = ref 0.0 in
+  Array.iteri (fun x px -> acc := !acc +. Float.sqrt (Float.max 0.0 (px *. q.(x)))) p;
+  !acc *. !acc
+
 let schedule_properties =
   [
     (* ASAP moments must be dependency-sound: no qubit acts twice in a
@@ -178,25 +216,6 @@ let schedule_properties =
               (Schedule.busy_time s q +. Schedule.idle_time s q -. Schedule.total_duration s)
             <= 1e-15)
           (List.init (Schedule.n_qubits s) Fun.id));
-    (* with decoherence off, the moment-ordered scheduled runner and the
-       program-ordered plain runner compose the same commuting channels:
-       identical output within float tolerance *)
-    Proptest.test "run_scheduled = run when T1/T2 are infinite" ~count:8
-      (Proptest.circuit ~n_qubits:3 ())
-      (fun c ->
-        let model =
-          {
-            Sim.Noisy.ideal with
-            twoq_error = (fun _ _ -> 0.03);
-            oneq_error = (fun _ -> 0.002);
-            duration_1q = 20e-9;
-            duration_2q = 40e-9;
-          }
-        in
-        Array.for_all2
-          (fun x y -> Float.abs (x -. y) < 1e-9)
-          (Sim.Density.probabilities (Sim.Noisy.run model c))
-          (Sim.Density.probabilities (Sim.Noisy.run_scheduled model c)));
     (* the analytic product tracks the exponential-cost density
        simulation: ESP within 5% absolute of both the state fidelity and
        the Bhattacharyya distribution fidelity on small noisy circuits *)
@@ -216,7 +235,12 @@ let schedule_properties =
             duration_2q = 40e-9;
           }
         in
-        let schedule = Sim.Noisy.model_schedule model c in
+        let schedule =
+          Schedule.of_circuit c
+            ~durations:
+              (Schedule.uniform ~duration_1q:model.duration_1q
+                 ~duration_2q:model.duration_2q)
+        in
         let twoq_errors = Array.make (Qcir.Circuit.length c) twoq in
         let esp =
           (Metrics.Esp.estimate ~twoq_errors
@@ -226,13 +250,12 @@ let schedule_properties =
              schedule)
             .Metrics.Esp.esp
         in
-        let rho = Sim.Noisy.run_scheduled ~schedule model c in
+        let rho = run_scheduled model schedule in
         let ideal = Sim.State.run_circuit c in
         let state_fid = Sim.Density.fidelity_with_pure rho ideal in
         let dist_fid =
-          Metrics.Success.distribution_fidelity
-            ~ideal:(Sim.State.probabilities ideal)
-            ~noisy:(Sim.Density.probabilities rho)
+          distribution_fidelity (Sim.State.probabilities ideal)
+            (Sim.Density.probabilities rho)
         in
         Float.abs (esp -. state_fid) <= 0.05 && Float.abs (esp -. dist_fid) <= 0.05);
   ]

@@ -311,6 +311,28 @@ let test_ops_device_path_refused () =
             (Astring.String.is_infix ~affix:name known))
         (Device.Registry.names ()))
 
+(* Aspen-8 calibrates no SYC: a compile or score with G7 there is a
+   bad_request naming the type, not a failure deep in lowering *)
+let test_ops_uncalibrated_set_refused () =
+  List.iter
+    (fun op ->
+      match
+        Service.Protocol.parse
+          (Printf.sprintf {|{"op":%S,"app":"qaoa","isa":"G7","device":"aspen8"}|} op)
+      with
+      | Error _ -> Alcotest.fail "parse failed"
+      | Ok req -> (
+        match Service.Ops.execute req with
+        | Ok _ -> Alcotest.failf "%s of G7 on aspen8 accepted" op
+        | Error e ->
+          check_bool (op ^ " is bad_request") true
+            (e.Service.Protocol.kind = Service.Protocol.Bad_request);
+          Alcotest.(check string)
+            (op ^ " names the set, the type and the device")
+            "instruction set G7 uses SYC, which device aspen8 does not calibrate"
+            e.Service.Protocol.message))
+    [ "compile"; "score" ]
+
 (* out-of-range widths and counts used to reach the app and device
    builders' assertions and come back as [internal] errors *)
 let test_ops_out_of_range_params_are_typed () =
@@ -578,6 +600,7 @@ let () =
           Alcotest.test_case "stats op" `Quick test_server_stats_op;
           Alcotest.test_case "typed bad device" `Quick test_ops_bad_device_is_typed;
           Alcotest.test_case "snapshot path refused" `Quick test_ops_device_path_refused;
+          Alcotest.test_case "uncalibrated set refused" `Quick test_ops_uncalibrated_set_refused;
           Alcotest.test_case "typed out-of-range params" `Quick
             test_ops_out_of_range_params_are_typed;
         ] );

@@ -1,6 +1,6 @@
 (* Tests for the simulators: state vector, channels, density operator,
-   noisy execution, trajectories and sampling, plus the properties
-   running the three simulators against each other. *)
+   noisy execution and trajectories, plus the properties running the
+   three simulators against each other. *)
 
 open Linalg
 
@@ -101,6 +101,11 @@ let test_readout_preserves_total () =
 
 (* ---------- Density ---------- *)
 
+(* The per-instruction reference path: build the channel, then apply its
+   superoperator. *)
+let apply_channel rho channel qubits =
+  Sim.Density.apply_superoperator rho (Sim.Channel.superoperator channel) qubits
+
 let test_density_pure_init () =
   let rho = Sim.Density.create 2 in
   check_float "trace" 1.0 (Sim.Density.trace rho).re;
@@ -122,7 +127,7 @@ let test_density_purity_preserved_by_unitaries () =
 
 let test_density_depolarizing_mixes () =
   let rho = Sim.Density.create 1 in
-  Sim.Density.apply_channel rho (Sim.Channel.depolarizing_1q 0.75) [| 0 |];
+  apply_channel rho (Sim.Channel.depolarizing_1q 0.75) [| 0 |];
   (* p = 3/4 uniform-Pauli depolarizing fully mixes a single qubit *)
   check_loose "p0" 0.5 (Sim.Density.probability rho 0);
   check_loose "purity" 0.5 (Sim.Density.purity rho);
@@ -132,18 +137,18 @@ let test_density_channel_preserves_trace () =
   let rng = Rng.create 8 in
   let c = Apps.Qv.circuit rng 2 in
   let rho = Sim.Density.run_circuit c in
-  Sim.Density.apply_channel rho (Sim.Channel.depolarizing_2q 0.1) [| 0; 1 |];
-  Sim.Density.apply_channel rho (Sim.Channel.amplitude_damping 0.2) [| 1 |];
-  Sim.Density.apply_channel rho (Sim.Channel.phase_damping 0.15) [| 0 |];
+  apply_channel rho (Sim.Channel.depolarizing_2q 0.1) [| 0; 1 |];
+  apply_channel rho (Sim.Channel.amplitude_damping 0.2) [| 1 |];
+  apply_channel rho (Sim.Channel.phase_damping 0.15) [| 0 |];
   check_loose "trace 1" 1.0 (Sim.Density.trace rho).re
 
 let test_density_amplitude_damping_fixed_point () =
   (* |1> decays toward |0> *)
   let rho = Sim.Density.create 1 in
   Sim.Density.apply_unitary rho Gates.Oneq.x [| 0 |];
-  Sim.Density.apply_channel rho (Sim.Channel.amplitude_damping 0.3) [| 0 |];
+  apply_channel rho (Sim.Channel.amplitude_damping 0.3) [| 0 |];
   check_loose "p1" 0.7 (Sim.Density.probability rho 1);
-  Sim.Density.apply_channel rho (Sim.Channel.amplitude_damping 1.0) [| 0 |];
+  apply_channel rho (Sim.Channel.amplitude_damping 1.0) [| 0 |];
   check_loose "fully decayed" 1.0 (Sim.Density.probability rho 0)
 
 let test_density_of_statevector () =
@@ -195,84 +200,7 @@ let test_noisy_more_error_less_fidelity () =
   let f1 = fid 0.01 and f2 = fid 0.05 and f3 = fid 0.2 in
   check_bool "monotone" true (f1 > f2 && f2 > f3)
 
-let test_scheduled_matches_ideal () =
-  (* without decoherence the scheduled and plain runners agree *)
-  let rng = Rng.create 19 in
-  let c = Apps.Qv.circuit rng 3 in
-  let model = noise_with ~twoq:0.05 () in
-  let plain = Sim.Density.probabilities (Sim.Noisy.run model c) in
-  let sched = Sim.Density.probabilities (Sim.Noisy.run_scheduled model c) in
-  Array.iteri (fun k p -> check_loose "agree" p sched.(k)) plain
-
-let test_scheduled_idle_decoherence () =
-  (* a circuit where qubit 1 idles while qubit 0 works: only the
-     scheduled runner decoheres the idle qubit *)
-  let c = ref (Qcir.Circuit.empty 2) in
-  (* excite qubit 1, then keep qubit 0 busy *)
-  !c |> ignore;
-  c := Qcir.Circuit.add_gate !c Gates.Gate.x [| 1 |];
-  for _ = 1 to 30 do
-    c := Qcir.Circuit.add_gate !c Gates.Gate.x [| 0 |]
-  done;
-  let model =
-    {
-      (noise_with ()) with
-      Sim.Noisy.t1 = (fun _ -> 10e-6);
-      t2 = (fun _ -> 8e-6);
-      duration_1q = 100e-9;
-    }
-  in
-  let plain = Sim.Noisy.run model !c in
-  let sched = Sim.Noisy.run_scheduled model !c in
-  (* plain: qubit 1 only decoheres during its own X gate; scheduled:
-     it also decays during the 30 idle moments *)
-  let p1_plain = ref 0.0 and p1_sched = ref 0.0 in
-  for idx = 0 to 3 do
-    if idx land 2 <> 0 then begin
-      p1_plain := !p1_plain +. Sim.Density.probability plain idx;
-      p1_sched := !p1_sched +. Sim.Density.probability sched idx
-    end
-  done;
-  check_bool "idle decay visible" true (!p1_sched < !p1_plain -. 0.01)
-
-let test_scheduled_noiseless_exact () =
-  let rng = Rng.create 20 in
-  let c = Apps.Qaoa.circuit rng 3 in
-  (* ideal has no readout error: the scheduled runner's probabilities
-     are the output probabilities *)
-  let probs = Sim.Density.probabilities (Sim.Noisy.run_scheduled Sim.Noisy.ideal c) in
-  let expect = Sim.State.probabilities (Sim.State.run_circuit c) in
-  Array.iteri (fun k p -> check_loose "prob" p probs.(k)) expect
-
-(* ---------- scheduled-runner differential reference ---------- *)
-
-(* The pre-refactor schedule-aware runner — private ASAP bucketing with
-   an interleaved Float.max duration fold — retained verbatim: the
-   rewrite over the shared Schedule.t must reproduce it bit for bit. *)
-let reference_indexed_moments circuit =
-  let n = Qcir.Circuit.n_qubits circuit in
-  let avail_steps = Array.make n 0 in
-  let buckets : (int * Qcir.Instr.t) list array ref = ref (Array.make 8 []) in
-  let ensure k =
-    if k >= Array.length !buckets then begin
-      let bigger = Array.make (2 * (k + 1)) [] in
-      Array.blit !buckets 0 bigger 0 (Array.length !buckets);
-      buckets := bigger
-    end
-  in
-  let last = ref (-1) in
-  let index = ref 0 in
-  Qcir.Circuit.iter
-    (fun instr ->
-      let qs = Qcir.Instr.qubits instr in
-      let start = Array.fold_left (fun m q -> max m avail_steps.(q)) 0 qs in
-      Array.iter (fun q -> avail_steps.(q) <- start + 1) qs;
-      ensure start;
-      !buckets.(start) <- (!index, instr) :: !buckets.(start);
-      if start > !last then last := start;
-      incr index)
-    circuit;
-  List.init (!last + 1) (fun k -> List.rev !buckets.(k))
+(* ---------- acting-qubits runner differential reference ---------- *)
 
 (* T1/T2 decay of qubit [q] over [duration], each channel built afresh. *)
 let reference_decoherence (model : Sim.Noisy.noise_model) rho q duration =
@@ -282,39 +210,10 @@ let reference_decoherence (model : Sim.Noisy.noise_model) rho q duration =
         ~duration
     in
     if gamma > 0.0 then
-      Sim.Density.apply_channel rho (Sim.Channel.amplitude_damping gamma) [| q |];
+      apply_channel rho (Sim.Channel.amplitude_damping gamma) [| q |];
     if lambda > 0.0 then
-      Sim.Density.apply_channel rho (Sim.Channel.phase_damping lambda) [| q |]
+      apply_channel rho (Sim.Channel.phase_damping lambda) [| q |]
   end
-
-let reference_run_scheduled (model : Sim.Noisy.noise_model) circuit =
-  let n = Qcir.Circuit.n_qubits circuit in
-  let rho = Sim.Density.create n in
-  List.iter
-    (fun moment ->
-      let duration = ref 0.0 in
-      List.iter
-        (fun (idx, instr) ->
-          Sim.Density.apply_instr rho instr;
-          let qs = Qcir.Instr.qubits instr in
-          match Array.length qs with
-          | 1 ->
-            let p = model.Sim.Noisy.oneq_error qs.(0) in
-            if p > 0.0 then
-              Sim.Density.apply_channel rho (Sim.Channel.depolarizing_1q p) qs;
-            duration := Float.max !duration model.Sim.Noisy.duration_1q
-          | 2 ->
-            let p = model.Sim.Noisy.twoq_error idx instr in
-            if p > 0.0 then
-              Sim.Density.apply_channel rho (Sim.Channel.depolarizing_2q p) qs;
-            duration := Float.max !duration model.Sim.Noisy.duration_2q
-          | _ -> Alcotest.fail "reference: >2q gate")
-        moment;
-      for q = 0 to n - 1 do
-        reference_decoherence model rho q !duration
-      done)
-    (reference_indexed_moments circuit);
-  rho
 
 let full_noise ?(twoq = 0.02) ?(oneq = 0.001) () =
   {
@@ -324,53 +223,6 @@ let full_noise ?(twoq = 0.02) ?(oneq = 0.001) () =
     duration_1q = 25e-9;
     duration_2q = 32e-9;
   }
-
-let test_scheduled_bit_identical_random () =
-  (* all noise knobs on, several random circuits: exact float equality *)
-  List.iter
-    (fun seed ->
-      let rng = Rng.create seed in
-      let c = Apps.Qv.circuit rng 3 in
-      let model = full_noise () in
-      let a = Sim.Density.probabilities (reference_run_scheduled model c) in
-      let b = Sim.Density.probabilities (Sim.Noisy.run_scheduled model c) in
-      check_bool "bit-identical" true (a = b))
-    [ 41; 42; 43; 44 ]
-
-let test_scheduled_bit_identical_fig9 () =
-  (* the fig9 quick-scale configuration: Aspen-8 pipeline output run
-     under the pipeline noise model *)
-  let device = Device.aspen8 () in
-  let options =
-    {
-      Compiler.Pipeline.default_options with
-      nuop = { Decompose.Nuop.default_options with starts = 3 };
-    }
-  in
-  let rng = Rng.create 2021 in
-  List.iter
-    (fun circuit ->
-      let compiled = Compiler.Pipeline.compile ~options ~device ~isa:Isa.Set.r2 circuit in
-      let nm = Compiler.Pipeline.noise_model ~device compiled in
-      let c = compiled.Compiler.Pipeline.circuit in
-      let a = Sim.Density.probabilities (reference_run_scheduled nm c) in
-      let b = Sim.Density.probabilities (Sim.Noisy.run_scheduled nm c) in
-      check_bool "bit-identical" true (a = b))
-    [ Apps.Qaoa.circuit rng 3; Apps.Qv.circuit rng 3 ]
-
-let test_scheduled_explicit_schedule_matches_default () =
-  (* passing the model's own schedule explicitly changes nothing *)
-  let rng = Rng.create 45 in
-  let c = Apps.Qaoa.circuit rng 3 in
-  let model = full_noise () in
-  let a = Sim.Density.probabilities (Sim.Noisy.run_scheduled model c) in
-  let b =
-    Sim.Density.probabilities
-      (Sim.Noisy.run_scheduled ~schedule:(Sim.Noisy.model_schedule model c) model c)
-  in
-  check_bool "identical" true (a = b)
-
-(* ---------- acting-qubits runner differential reference ---------- *)
 
 (* The acting-qubits runner as it was before channels were shared
    within a run: every channel (Kraus set, trace check, superoperator)
@@ -386,11 +238,11 @@ let reference_run (model : Sim.Noisy.noise_model) circuit =
       (match Array.length qs with
       | 1 ->
         let p = model.Sim.Noisy.oneq_error qs.(0) in
-        if p > 0.0 then Sim.Density.apply_channel rho (Sim.Channel.depolarizing_1q p) qs;
+        if p > 0.0 then apply_channel rho (Sim.Channel.depolarizing_1q p) qs;
         reference_decoherence model rho qs.(0) model.Sim.Noisy.duration_1q
       | 2 ->
         let p = model.Sim.Noisy.twoq_error !index instr in
-        if p > 0.0 then Sim.Density.apply_channel rho (Sim.Channel.depolarizing_2q p) qs;
+        if p > 0.0 then apply_channel rho (Sim.Channel.depolarizing_2q p) qs;
         Array.iter (fun q -> reference_decoherence model rho q model.Sim.Noisy.duration_2q) qs
       | _ -> Alcotest.fail "reference: >2q gate");
       incr index)
@@ -444,30 +296,53 @@ let test_traced_runs_span_and_match () =
   let ideal = Sim.State.run_circuit c in
   let runs () =
     ( Sim.Noisy.run model c,
-      Sim.Noisy.run_scheduled model c,
-      Sim.Trajectory.mean_ideal_overlap ~trajectories:4 model c ~ideal,
-      Sim.Trajectory.mean_probabilities ~trajectories:4 model c )
+      Sim.Trajectory.mean_ideal_overlap ~trajectories:4 model c ~ideal )
   in
-  let d0, s0, o0, p0 = runs () in
+  let d0, o0 = runs () in
   let events = ref [] in
   Obs.Sink.install
     { Obs.Sink.emit = (fun ev -> events := ev :: !events); flush = (fun () -> ()) };
-  let d1, s1, o1, p1 = Fun.protect ~finally:Obs.Sink.uninstall runs in
+  let d1, o1 = Fun.protect ~finally:Obs.Sink.uninstall runs in
   let spans name =
     List.length
       (List.filter
          (function Obs.Span_end { name = n; _ } -> String.equal n name | _ -> false)
          !events)
   in
-  Alcotest.(check int) "density spans" 2 (spans "sim.density.run");
-  Alcotest.(check int) "trajectory spans" 2 (spans "sim.trajectory.run");
+  Alcotest.(check int) "density spans" 1 (spans "sim.density.run");
+  Alcotest.(check int) "trajectory spans" 1 (spans "sim.trajectory.run");
   check_bool "run bits" true (same_bits d0 d1);
-  check_bool "run_scheduled bits" true (same_bits s0 s1);
-  check_bool "overlap bits" true (Int64.bits_of_float o0 = Int64.bits_of_float o1);
-  check_bool "probability bits" true
-    (Array.for_all2 (fun a b -> Int64.bits_of_float a = Int64.bits_of_float b) p0 p1)
+  check_bool "overlap bits" true (Int64.bits_of_float o0 = Int64.bits_of_float o1)
 
 (* ---------- Trajectory ---------- *)
+
+(* Mean output probabilities over [trajectories] runs from a stream
+   seeded [seed]: the observer that converges to the density-simulator
+   diagonal. *)
+let mean_probabilities ~seed ~trajectories model circuit =
+  let rng = Rng.create seed in
+  let dim = 1 lsl Qcir.Circuit.n_qubits circuit in
+  let acc = Array.make dim 0.0 in
+  for _ = 1 to trajectories do
+    let s = Sim.Trajectory.run_one rng model circuit in
+    for x = 0 to dim - 1 do
+      acc.(x) <- acc.(x) +. Sim.State.probability s x
+    done
+  done;
+  Array.map (fun v -> v /. float_of_int trajectories) acc
+
+(* Kraus trajectory for a single-qubit channel given as [k0; k1]: apply
+   K0 with probability ||K0 psi||^2, else K1; renormalize.  The generic
+   copy-based reference for the one-pass damping specializations. *)
+let apply_kraus_branch rng state kraus q =
+  match kraus with
+  | [ k0; k1 ] ->
+    let trial = Sim.State.copy state in
+    Sim.State.apply_matrix trial k0 [| q |];
+    let p0 = Sim.State.norm2 trial in
+    Sim.State.apply_matrix state (if Rng.float rng < p0 then k0 else k1) [| q |];
+    Sim.State.normalize state
+  | _ -> Alcotest.fail "apply_kraus_branch: expected two Kraus operators"
 
 let test_trajectory_noiseless_deterministic () =
   let rng = Rng.create 13 in
@@ -482,7 +357,7 @@ let test_trajectory_mean_matches_density () =
   let c = Apps.Qv.circuit rng 2 in
   let model = noise_with ~twoq:0.2 () in
   let exact = Sim.Density.probabilities (Sim.Noisy.run model c) in
-  let mc = Sim.Trajectory.mean_probabilities ~seed:3 ~trajectories:3000 model c in
+  let mc = mean_probabilities ~seed:3 ~trajectories:3000 model c in
   Array.iteri
     (fun k p -> check_bool "close" true (Float.abs (p -. mc.(k)) < 0.04))
     exact
@@ -505,7 +380,7 @@ let test_trajectory_damping_specializations () =
   let fast = count_decayed (fun rng s -> Sim.Trajectory.apply_amplitude_damping rng s 0 gamma) in
   let generic =
     count_decayed (fun rng s ->
-        Sim.Trajectory.apply_kraus_branch rng s
+        apply_kraus_branch rng s
           (Sim.Channel.kraus (Sim.Channel.amplitude_damping gamma))
           0)
   in
@@ -519,21 +394,6 @@ let test_trajectory_overlap_bounds () =
   let model = noise_with ~twoq:0.05 () in
   let ov = Sim.Trajectory.mean_ideal_overlap ~trajectories:20 model c ~ideal in
   check_bool "bounded" true (ov >= 0.0 && ov <= 1.0)
-
-(* ---------- Sample ---------- *)
-
-let test_sample_counts_sum () =
-  let rng = Rng.create 17 in
-  let probs = [| 0.5; 0.25; 0.125; 0.125 |] in
-  let tally = Sim.Sample.counts ~rng ~shots:1000 probs in
-  let total = Hashtbl.fold (fun _ c acc -> acc + c) tally 0 in
-  Alcotest.(check int) "1000 shots" 1000 total
-
-let test_sample_empirical_converges () =
-  let rng = Rng.create 18 in
-  let probs = [| 0.7; 0.3 |] in
-  let emp = Sim.Sample.empirical_probabilities ~rng ~shots:20000 probs in
-  check_bool "close" true (Float.abs (emp.(0) -. 0.7) < 0.02)
 
 (* ---------- properties ---------- *)
 
@@ -556,7 +416,7 @@ let prop_channel_trace =
       let rng = Rng.create seed in
       let c = Apps.Qv.circuit rng 2 in
       let rho = Sim.Density.run_circuit c in
-      Sim.Density.apply_channel rho (Sim.Channel.depolarizing_2q p) [| 0; 1 |];
+      apply_channel rho (Sim.Channel.depolarizing_2q p) [| 0; 1 |];
       Float.abs ((Sim.Density.trace rho).re -. 1.0) < 1e-8)
 
 (* three simulators, one answer *)
@@ -593,7 +453,7 @@ let sim_properties =
         let model = noise_with ~twoq:0.15 ~oneq:0.01 () in
         let exact = Sim.Density.probabilities (Sim.Noisy.run model c) in
         let mc =
-          Sim.Trajectory.mean_probabilities ~seed:3 ~trajectories:2000 model c
+          mean_probabilities ~seed:3 ~trajectories:2000 model c
         in
         linf exact mc < 0.05);
   ]
@@ -636,15 +496,6 @@ let () =
           Alcotest.test_case "reduces purity" `Quick test_noisy_reduces_purity;
           Alcotest.test_case "trace one" `Quick test_noisy_trace_one;
           Alcotest.test_case "monotone in error" `Quick test_noisy_more_error_less_fidelity;
-          Alcotest.test_case "scheduled = plain sans decoherence" `Quick test_scheduled_matches_ideal;
-          Alcotest.test_case "scheduled idle decoherence" `Quick test_scheduled_idle_decoherence;
-          Alcotest.test_case "scheduled noiseless" `Quick test_scheduled_noiseless_exact;
-          Alcotest.test_case "scheduled bit-identical (random)" `Quick
-            test_scheduled_bit_identical_random;
-          Alcotest.test_case "scheduled bit-identical (fig9 config)" `Quick
-            test_scheduled_bit_identical_fig9;
-          Alcotest.test_case "explicit schedule = default" `Quick
-            test_scheduled_explicit_schedule_matches_default;
           prop_run_matches_reference;
           Alcotest.test_case "traced runs span and match" `Quick
             test_traced_runs_span_and_match;
@@ -655,11 +506,6 @@ let () =
           Alcotest.test_case "matches density" `Slow test_trajectory_mean_matches_density;
           Alcotest.test_case "damping specializations" `Quick test_trajectory_damping_specializations;
           Alcotest.test_case "overlap bounds" `Quick test_trajectory_overlap_bounds;
-        ] );
-      ( "sample",
-        [
-          Alcotest.test_case "counts sum" `Quick test_sample_counts_sum;
-          Alcotest.test_case "empirical converges" `Quick test_sample_empirical_converges;
         ] );
       ("properties", [ prop_norm_preserved; prop_channel_trace ]);
       ("sim", sim_properties);
