@@ -4,7 +4,7 @@
      decompose    decompose a two-qubit unitary into a hardware gate type
      devices      print the modelled devices and their calibration data
      study        run a benchmark suite against an instruction set
-     compile      compile one benchmark through the pass manager (--trace-passes)
+     compile      compile one benchmark through the compiler pipeline (--trace-passes)
      cache        warm, inspect and compact persistent curve snapshots
      calibration  print the Sec IX calibration cost model
      experiment   run registry experiments (the paper's tables and figures,
@@ -302,7 +302,7 @@ let compile_cmd =
   in
   Cmd.v
     (Cmd.info "compile"
-       ~doc:"Compile a benchmark circuit through the pass manager")
+       ~doc:"Compile a benchmark circuit through the compiler pipeline")
     Term.(
       const run $ isa_arg $ app_arg $ qubits $ device_arg $ seed $ optimize $ trace
       $ print_circuit $ print_schedule)
@@ -405,8 +405,7 @@ let cache_warm_cmd =
     let isa = Isa.Set.find_exn isa_name in
     let device = resolve_device ~qubits:(max 4 qubits) device in
     let circuit = benchmark_circuit ~app ~qubits ~seed in
-    let compiled, _ = Compiler.Pipeline.compile_with_metrics ~device ~isa circuit in
-    ignore compiled;
+    ignore (Compiler.Pipeline.compile ~device ~isa circuit);
     let saved = Decompose.Cache.save_to_file file in
     Printf.printf "%s: %d curves (%d loaded, %d computed by %s/%s)\n" file saved
       loaded (saved - loaded) app isa_name

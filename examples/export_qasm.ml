@@ -12,8 +12,9 @@ let () =
   let device = Device.sycamore_line 5 in
   let isa = Isa.Set.g2 in
   let compiled, metrics =
-    Compiler.Pipeline.compile_with_metrics ~stack:Compiler.Pass.optimized_stack ~device
-      ~isa circuit
+    Compiler.Pipeline.compile_with_metrics
+      ~options:{ Compiler.Pipeline.default_options with optimize = true }
+      ~device ~isa circuit
   in
   Printf.printf
     "Compiled a 4-qubit QAOA circuit for %s on the Sycamore model:\n\
@@ -21,8 +22,16 @@ let () =
     (Isa.Set.name isa)
     (Qcir.Circuit.length compiled.Compiler.Pipeline.circuit)
     compiled.Compiler.Pipeline.twoq_count compiled.Compiler.Pipeline.swap_count;
-  Printf.printf "pass trace:\n%s\n"
-    (Format.asprintf "%a" Compiler.Pass_manager.pp metrics);
+  (* the per-pass table `nuop compile --trace-passes` prints *)
+  let table = Compiler.Pipeline.header :: Compiler.Pipeline.rows metrics in
+  let width i = List.fold_left (fun w row -> max w (String.length (List.nth row i))) 0 table in
+  print_endline "pass trace:";
+  List.iter
+    (fun row ->
+      print_endline
+        (String.concat "  " (List.mapi (fun i cell -> Printf.sprintf "%-*s" (width i) cell) row)))
+    table;
+  print_newline ();
   let qasm = Qcir.Qasm.to_string compiled.Compiler.Pipeline.circuit in
   (match Sys.argv with
   | [| _; path |] ->

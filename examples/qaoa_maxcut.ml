@@ -51,12 +51,12 @@ let () =
   Printf.printf "Noiseless expected cut: %.3f\n\n" (expectation_cut graph ideal_probs);
 
   let device = Device.aspen8 () in
-  (* compile through the peephole-optimized pass stack: 1Q-merge fuses
-     the decomposer's back-to-back single-qubit layers *)
-  let stack = Compiler.Pass.optimized_stack in
+  (* compile with the peepholes on: 1Q-merge fuses the decomposer's
+     back-to-back single-qubit layers *)
+  let options = { Compiler.Pipeline.default_options with optimize = true } in
   List.iter
     (fun isa ->
-      let compiled = Compiler.Pipeline.compile ~stack ~device ~isa circuit in
+      let compiled = Compiler.Pipeline.compile ~options ~device ~isa circuit in
       let nm = Compiler.Pipeline.noise_model ~device compiled in
       let noisy =
         Compiler.Pipeline.logical_probabilities compiled

@@ -20,6 +20,16 @@ let circuit n =
   done;
   !c
 
+(* The success studies (Figs 9c, 10c) run the QFT on odd basis inputs:
+   X gates prepare (2k+1) mod 2^n first. *)
+let with_input n k =
+  let input = ((2 * k) + 1) land ((1 lsl n) - 1) in
+  let c = ref (Qcir.Circuit.empty n) in
+  for q = 0 to n - 1 do
+    if (input lsr q) land 1 = 1 then c := Qcir.Circuit.add_gate !c Gates.Gate.x [| q |]
+  done;
+  Qcir.Circuit.append !c (circuit n)
+
 (* Ideal QFT output amplitude: QFT|x> = sum_y e^{2 pi i x y / 2^n} |y> / sqrt(2^n),
    with this circuit's bit ordering producing the bit-reversed index. *)
 let expected_state ~n_qubits ~input =

@@ -1,12 +1,12 @@
-(* First-class compiler passes over a shared mutable context.
+(* The compiler's passes over a shared mutable context.
 
-   The paper's toolflow (Fig 1) is a sequence of stages — place, route,
-   NuOp-decompose with noise adaptivity, compact — previously hard-wired
-   in Pipeline.compile.  Here each stage is a [t]: a named mutation of a
-   [Context.t] holding the circuit, the qubit maps, the calibration
-   handle, the ISA, and the per-instruction error annotations.
-   [Pass_manager.run] executes a stack and records per-pass metrics;
-   [Pipeline.compile] is the thin default stack.
+   The paper's toolflow (Fig 1) is one fixed sequence — place, route,
+   NuOp-decompose with noise adaptivity — which this repo extends with
+   compaction, a timed schedule and two optional peepholes.  Each stage
+   is a [t]: a named mutation of a [Context.t] holding the circuit, the
+   qubit maps, the calibration handle, the ISA, and the per-instruction
+   error annotations.  [stack] is the one sequence; Pipeline runs it and
+   records per-pass metrics.
 
    Stage contract (what each pass expects / establishes):
      placement      needs a logical circuit; fills [placement]
@@ -18,8 +18,8 @@
      elide_trivial  any space; drops identity-up-to-phase gates
      compact        device space; renumbers onto the touched qubits,
                     sets [qubit_map] and [compacted]
-     schedule       any space; attaches the timed executable
-                    (Schedule.t over calibrated durations) to [schedule] *)
+     schedule       last; attaches the timed executable (Schedule.t over
+                    calibrated durations) to [schedule] *)
 
 open Linalg
 
@@ -28,6 +28,7 @@ type options = {
   approximate : bool;  (** Eq 2 approximate mode vs exact thresholded mode *)
   exact_threshold : float;
   adaptive : bool;  (** noise adaptivity across gate types *)
+  optimize : bool;  (** run the peephole passes before compaction *)
 }
 
 let default_options =
@@ -36,6 +37,7 @@ let default_options =
     approximate = true;
     exact_threshold = Decompose.Nuop.default_threshold;
     adaptive = true;
+    optimize = false;
   }
 
 module Context = struct
@@ -53,14 +55,20 @@ module Context = struct
     mutable swap_count : int;
     mutable compacted : bool;
     mutable schedule : Schedule.t option;
-        (** timed executable of [circuit] (set by the schedule pass) *)
+        (** timed executable of the final [circuit] (set by the last pass) *)
   }
 
-  (* Every compile starts here, so an instruction set listing a type the
-     device has no error data for is refused before placement, whatever
-     the circuit holds. *)
-  let create ?(options = default_options) ~device ~isa ?placement circuit =
+  (* Every compile starts here, so a circuit wider than the device, or
+     an instruction set listing a type the device has no error data for,
+     is refused before placement — before the first metrics snapshot
+     reads logical qubits as device qubits. *)
+  let create ~options ~device ~isa ?placement circuit =
     let cal = Device.calibration device in
+    let n_logical = Qcir.Circuit.n_qubits circuit in
+    if n_logical > Device.n_qubits device then
+      invalid_arg
+        (Printf.sprintf "circuit needs %d qubits, but device %s has %d" n_logical
+           (Device.name device) (Device.n_qubits device));
     List.iter
       (fun ty ->
         if not (Device.Calibration.calibrates cal ty) then
@@ -68,7 +76,6 @@ module Context = struct
             (Printf.sprintf "instruction set %s uses %s, which device %s does not calibrate"
                (Isa.Set.name isa) (Gates.Gate_type.name ty) (Device.name device)))
       (Isa.Set.gate_types isa);
-    let n_logical = Qcir.Circuit.n_qubits circuit in
     {
       device;
       cal;
@@ -84,11 +91,6 @@ module Context = struct
       compacted = false;
       schedule = None;
     }
-
-  let placement_exn ctx =
-    match ctx.placement with
-    | Some p -> p
-    | None -> invalid_arg "Pass: placement required before this pass (run the placement pass)"
 end
 
 type t = { name : string; run : Context.t -> unit }
@@ -125,14 +127,13 @@ let calibrated_durations ~cal ~to_device =
       else d2
     | _ -> invalid_arg "Pass.calibrated_durations: gates beyond two qubits unsupported"
 
-let timed_durations (ctx : Context.t) =
+let timed_schedule (ctx : Context.t) =
   let to_device =
     if ctx.Context.compacted then fun q -> ctx.Context.qubit_map.(q) else Fun.id
   in
-  calibrated_durations ~cal:ctx.Context.cal ~to_device
-
-let timed_schedule ctx =
-  Schedule.of_circuit ~durations:(timed_durations ctx) ctx.Context.circuit
+  Schedule.of_circuit
+    ~durations:(calibrated_durations ~cal:ctx.Context.cal ~to_device)
+    ctx.Context.circuit
 
 (* ---------- decomposition of one routed 2Q application unitary ---------- *)
 
@@ -214,7 +215,7 @@ let edge_cost ~cal ~isa edge =
 let route () =
   make "route" (fun ctx ->
       let open Context in
-      let placement = Context.placement_exn ctx in
+      let placement = Option.get ctx.placement in
       let topology = Device.Calibration.topology ctx.cal in
       let routed =
         Router.route
@@ -224,8 +225,7 @@ let route () =
       ctx.circuit <- routed.Router.circuit;
       ctx.errors <- Array.make (Qcir.Circuit.length routed.Router.circuit) 0.0;
       ctx.final_layout <- routed.Router.final_layout;
-      ctx.swap_count <- routed.Router.swap_count;
-      ctx.schedule <- None)
+      ctx.swap_count <- routed.Router.swap_count)
 
 (* ---------- NuOp lowering ---------- *)
 
@@ -265,8 +265,7 @@ let lower =
         ctx.circuit;
       ctx.circuit <-
         Qcir.Circuit.of_instrs (Qcir.Circuit.n_qubits ctx.circuit) (List.rev !rev_instrs);
-      ctx.errors <- Array.of_list (List.rev !rev_errors);
-      ctx.schedule <- None)
+      ctx.errors <- Array.of_list (List.rev !rev_errors))
 
 (* ---------- 1Q-merge peephole ---------- *)
 
@@ -321,8 +320,7 @@ let merge_oneq =
       let open Context in
       let circuit, errors = merge_oneq_rewrite ctx.circuit ctx.errors in
       ctx.circuit <- circuit;
-      ctx.errors <- errors;
-      ctx.schedule <- None)
+      ctx.errors <- errors)
 
 (* ---------- trivial-gate elision ---------- *)
 
@@ -347,8 +345,7 @@ let elide_trivial =
       let open Context in
       let circuit, errors = elide_rewrite ctx.circuit ctx.errors in
       ctx.circuit <- circuit;
-      ctx.errors <- errors;
-      ctx.schedule <- None)
+      ctx.errors <- errors)
 
 (* ---------- qubit compaction ---------- *)
 
@@ -358,7 +355,7 @@ let elide_trivial =
 let compact =
   make "compact" (fun ctx ->
       let open Context in
-      let placement = Context.placement_exn ctx in
+      let placement = Option.get ctx.placement in
       let instrs = Qcir.Circuit.instrs ctx.circuit in
       let used = Hashtbl.create 16 in
       List.iter
@@ -375,24 +372,17 @@ let compact =
           (List.map (Qcir.Instr.map_qubits (Hashtbl.find device_to_compact)) instrs);
       ctx.final_layout <- Array.map (Hashtbl.find device_to_compact) ctx.final_layout;
       ctx.qubit_map <- qubit_map;
-      ctx.compacted <- true;
-      ctx.schedule <- None)
+      ctx.compacted <- true)
 
 (* ---------- scheduling ---------- *)
 
-(* Attach the timed executable to the context.  Runs after [compact] in
-   the built-in stacks so the schedule lives in the same space as the
-   final circuit; legal anywhere (durations map through [qubit_map] only
-   once compaction has recorded it). *)
+(* Attach the timed executable to the context.  Last in the stack, so
+   the schedule lives in the same (compact) space as the final circuit. *)
 let schedule_pass =
   make "schedule" (fun ctx -> ctx.Context.schedule <- Some (timed_schedule ctx))
 
-(* ---------- stacks ---------- *)
+(* ---------- the stack ---------- *)
 
-(* The seed pipeline, stage for stage — identical circuit output to the
-   pre-pass-manager Pipeline.compile — plus the timing attachment. *)
-let default_stack = [ placement; route (); lower; compact; schedule_pass ]
-
-(* Default stack plus the peephole passes the refactor unlocked. *)
-let optimized_stack =
-  [ placement; route (); lower; merge_oneq; elide_trivial; compact; schedule_pass ]
+let stack options =
+  let peepholes = if options.optimize then [ merge_oneq; elide_trivial ] else [] in
+  (placement :: route () :: lower :: peepholes) @ [ compact; schedule_pass ]

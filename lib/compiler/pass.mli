@@ -1,8 +1,8 @@
-(** First-class compiler passes over a shared mutable context.
+(** The compiler's passes over a shared mutable context.
 
-    A pass is a named mutation of a {!Context.t}; {!Pass_manager.run}
-    executes a stack of passes and records per-pass metrics, and
-    [Pipeline.compile] is a thin wrapper around {!default_stack}. *)
+    A pass is a named mutation of a {!Context.t}.  The stack is fixed
+    ({!stack}); [Pipeline.compile] runs it and records per-pass
+    metrics. *)
 
 open Linalg
 
@@ -11,9 +11,13 @@ type options = {
   approximate : bool;  (** Eq 2 approximate mode vs exact thresholded mode *)
   exact_threshold : float;
   adaptive : bool;  (** noise adaptivity across gate types *)
+  optimize : bool;
+      (** run the 1Q-merge and trivial-elision peepholes before
+          compaction *)
 }
 
 val default_options : options
+(** Approximate, noise-adaptive, no peepholes. *)
 
 module Context : sig
   type t = {
@@ -33,30 +37,41 @@ module Context : sig
     mutable swap_count : int;
     mutable compacted : bool;
     mutable schedule : Schedule.t option;
-        (** timed executable of [circuit], set by the schedule pass and
-            invalidated by every circuit-mutating pass *)
+        (** timed executable of the final [circuit], set by the last
+            pass *)
   }
 
   val create :
-    ?options:options ->
+    options:options ->
     device:Device.t ->
     isa:Isa.Set.t ->
     ?placement:int array ->
     Qcir.Circuit.t ->
     t
-  (** Raises [Invalid_argument] naming the set, the device and the type
-      when the instruction set lists a fixed gate type the device's
-      calibration holds no error for on any edge. *)
-
-  val placement_exn : t -> int array
-  (** The placement, or [Invalid_argument] if no placement pass ran. *)
+  (** Raises [Invalid_argument] naming both widths and the device when
+      the circuit has more qubits than the device, and naming the set,
+      the device and the type when the instruction set lists a fixed
+      gate type the device's calibration holds no error for on any
+      edge. *)
 end
 
 type t
 
-val make : string -> (Context.t -> unit) -> t
 val name : t -> string
 val run : t -> Context.t -> unit
+
+val stack : options -> t list
+(** place -> route -> lower -> compact -> schedule, with the 1Q-merge
+    ([merge-1q]) and trivial-elision ([elide-id]) peepholes between
+    lower and compact when [options.optimize] is set. *)
+
+val placement : t
+(** Noise-aware best-line placement ([Mapping.best_line]); a placement
+    already present in the context (caller-provided) is kept. *)
+
+val route : unit -> t
+(** SWAP-insertion routing ({!Router.route}) with the instruction set's
+    calibrated error rates as the tie-break edge cost. *)
 
 val decompose_on_edge :
   options:options ->
@@ -67,41 +82,7 @@ val decompose_on_edge :
   Decompose.Nuop.t
 (** Best decomposition of one application unitary on a device edge across
     the instruction set's gate types (noise-adaptive unless
-    [options.adaptive] is false). *)
-
-(** {2 The built-in passes} *)
-
-val placement : t
-(** Noise-aware best-line placement ([Mapping.best_line]); a placement
-    already present in the context (caller-provided) is kept. *)
-
-val route : unit -> t
-(** SWAP-insertion routing ({!Router.route}) with the instruction set's
-    calibrated error rates as the tie-break edge cost. *)
-
-val lower : t
-(** Noise-adaptive NuOp lowering: each routed two-qubit application
-    unitary becomes hardware gates of the best type (Eq 2), with
-    per-instruction error annotations. *)
-
-val merge_oneq : t
-(** 1Q-merge peephole: fuses runs of adjacent single-qubit gates on a
-    qubit into one U3 via ZYZ extraction, cutting the per-layer 1Q error
-    Eq 2's F_h charges.  Preserves the circuit unitary up to global
-    phase. *)
-
-val elide_trivial : t
-(** Drops instructions whose gate is the identity up to global phase
-    within 1e-7 — e.g. zero-angle decompositions. *)
-
-val compact : t
-(** Renumbers the circuit onto the qubits it actually touches, recording
-    the compact->device [qubit_map]. *)
-
-val schedule_pass : t
-(** Attaches the timed executable ({!Schedule.t} over calibrated
-    durations, see {!timed_schedule}) to the context.  Last pass of the
-    built-in stacks. *)
+    [options.adaptive] is false); the lower pass's step. *)
 
 (** {2 Calibrated timing} *)
 
@@ -112,14 +93,10 @@ val calibrated_durations :
     gate name, scalar fallback) for two-qubit gates.  [to_device] maps
     the circuit's qubit space onto device qubits. *)
 
-val timed_durations : Context.t -> int -> Qcir.Instr.t -> float
-(** {!calibrated_durations} for the context's current circuit space:
-    identity qubit mapping before compaction, [qubit_map] lookups
-    after. *)
-
 val timed_schedule : Context.t -> Schedule.t
 (** ASAP schedule of the context's current circuit under
-    {!timed_durations}. *)
+    {!calibrated_durations}: identity qubit mapping before compaction,
+    [qubit_map] lookups after. *)
 
 val edge_cost : cal:Device.Calibration.t -> isa:Isa.Set.t -> int * int -> float
 (** Best calibrated error across the set's gate types on an edge (the
@@ -133,18 +110,13 @@ val errors_of_decomposition :
   float list
 (** Per-instruction error rates for the instructions NuOp emitted. *)
 
-(** {2 Rewrites behind the peephole passes} (exposed for tests/benches) *)
+(** {2 Rewrites behind the peephole passes} *)
 
 val merge_oneq_rewrite : Qcir.Circuit.t -> float array -> Qcir.Circuit.t * float array
+(** Fuses runs of adjacent single-qubit gates on a qubit into one U3 via
+    ZYZ extraction, cutting the per-layer 1Q error Eq 2's F_h charges.
+    Preserves the circuit unitary up to global phase. *)
+
 val elide_rewrite : Qcir.Circuit.t -> float array -> Qcir.Circuit.t * float array
-
-(** {2 Stacks} *)
-
-val default_stack : t list
-(** place -> route -> lower -> compact -> schedule: stage-for-stage the
-    seed pipeline (identical circuit output) plus the timing
-    attachment. *)
-
-val optimized_stack : t list
-(** [default_stack] plus [merge_oneq] and [elide_trivial] before
-    compaction. *)
+(** Drops instructions whose gate is the identity up to global phase
+    within 1e-7 — e.g. zero-angle decompositions. *)

@@ -1,12 +1,13 @@
 (** End-to-end compilation: place, route, NuOp-decompose with noise
-    adaptivity across gate types — a thin wrapper around the default
-    {!Pass} stack run by {!Pass_manager}. *)
+    adaptivity across gate types, compact and schedule — the fixed
+    {!Pass.stack}, run with per-pass metrics. *)
 
 type options = Pass.options = {
   nuop : Decompose.Nuop.options;
   approximate : bool;
   exact_threshold : float;
   adaptive : bool;
+  optimize : bool;
 }
 
 val default_options : options
@@ -27,30 +28,51 @@ type compiled = {
   critical_depth : int;  (** [Schedule.depth schedule]: moment count *)
 }
 
+type pass_metrics = {
+  pass_name : string;
+  time_s : float;  (** wall time of the pass body *)
+  oneq_before : int;
+  oneq_after : int;
+  twoq_before : int;
+  twoq_after : int;
+  swaps_before : int;
+  swaps_after : int;
+  depth_before : int;
+  depth_after : int;
+  duration_before : float;  (** timed-executable length before the pass, s *)
+  duration_after : float;
+  cache_hits : int;
+  cache_misses : int;
+  cache_warm_hits : int;
+      (** subset of [cache_hits] served from a loaded cache snapshot;
+          rendered in the trace table only when non-zero, so cold runs
+          print exactly as before *)
+}
+
 val compile :
   ?options:options ->
-  ?stack:Pass.t list ->
   device:Device.t ->
   isa:Isa.Set.t ->
   ?placement:int array ->
   Qcir.Circuit.t ->
   compiled
-(** Run a pass stack (default {!Pass.default_stack}; it must end with
-    the compact pass) and extract the compiled result. *)
+(** Run {!Pass.stack} [options] and extract the compiled result.
+    Raises [Invalid_argument] as {!Pass.Context.create} does. *)
 
 val compile_with_metrics :
   ?options:options ->
-  ?stack:Pass.t list ->
   device:Device.t ->
   isa:Isa.Set.t ->
   ?placement:int array ->
   Qcir.Circuit.t ->
-  compiled * Pass_manager.pass_metrics list
-(** Like {!compile}, also returning the per-pass metrics. *)
+  compiled * pass_metrics list
+(** Like {!compile}, also returning one metrics record per pass. *)
 
-val compiled_of_context : Pass.Context.t -> compiled
-(** Extract the result from a context after a stack ending in the
-    compact pass. *)
+(** A header and rows for a [Core.Report] table of the per-pass metrics
+    (also the CLI's [compile --trace-passes]). *)
+
+val header : string list
+val rows : pass_metrics list -> string list list
 
 val noise_model : device:Device.t -> compiled -> Sim.Noisy.noise_model
 

@@ -194,12 +194,12 @@ let ablation_pass_stack b cfg rng =
   let device = Device.aspen8 () in
   let circuits = qaoa_suite cfg rng 4 in
   let options = { Compiler.Pipeline.default_options with nuop = cfg.Config.nuop } in
-  let eval stack =
-    Study.evaluate_suite ~options ~stack ~device ~isa:Isa.Set.r2 ~metric:Study.Xed
-      circuits
+  let eval optimize =
+    Study.evaluate_suite ~options:{ options with optimize } ~device ~isa:Isa.Set.r2
+      ~metric:Study.Xed circuits
   in
-  let plain = eval Compiler.Pass.default_stack in
-  let opt = eval Compiler.Pass.optimized_stack in
+  let plain = eval false in
+  let opt = eval true in
   Report.Builder.table b
     ~header:[ "stack"; "QAOA XED"; "2Q gates"; "SWAPs"; "dur (ns)"; "ESP" ]
     [
@@ -208,9 +208,9 @@ let ablation_pass_stack b cfg rng =
     ];
   (* per-pass trace on one representative circuit *)
   let _, metrics =
-    Compiler.Pipeline.compile_with_metrics ~options
-      ~stack:Compiler.Pass.optimized_stack ~device ~isa:Isa.Set.r2
-      (List.hd circuits)
+    Compiler.Pipeline.compile_with_metrics
+      ~options:{ options with optimize = true }
+      ~device ~isa:Isa.Set.r2 (List.hd circuits)
   in
   Study.add_pass_metrics b metrics;
   Report.Builder.textf b

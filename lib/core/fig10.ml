@@ -10,23 +10,12 @@ open Linalg
 
 let isas = Isa.Set.(google_singles @ google_multis @ [ full_fsim ])
 
-let make_qft_circuits cfg n =
-  List.init cfg.Config.qft_inputs (fun k ->
-      let input = ((2 * k) + 1) land ((1 lsl n) - 1) in
-      let c = ref (Qcir.Circuit.empty n) in
-      for q = 0 to n - 1 do
-        if (input lsr q) land 1 = 1 then c := Qcir.Circuit.add_gate !c Gates.Gate.x [| q |]
-      done;
-      Qcir.Circuit.append !c (Apps.Qft.circuit n))
-
-let stack = Compiler.Pass.default_stack
-
 let run_suite b cfg device ~label ~metric circuits ~sets =
   Report.Builder.subheading b label;
   let options = { Compiler.Pipeline.default_options with nuop = cfg.Config.nuop } in
   let results =
     List.map
-      (fun isa -> Study.evaluate_suite ~options ~stack ~device ~isa ~metric circuits)
+      (fun isa -> Study.evaluate_suite ~options ~device ~isa ~metric circuits)
       sets
   in
   Study.add_results b ~metric results;
@@ -70,10 +59,7 @@ let panel_f_cell options cfg (n_qubits, mu, isa) =
   (* the sweep scales the whole noise model: 1Q errors stay one order
      of magnitude below 2Q errors, as on the real device *)
   let device = Device.sycamore_line ~mu ~sigma:(mu /. 2.5) ~oneq:(mu /. 6.0) n_qubits in
-  let placement =
-    Option.get (Compiler.Mapping.best_line (Device.calibration device) isa n_qubits)
-  in
-  let compiled = Compiler.Pipeline.compile ~options ~device ~isa ~placement circuit in
+  let compiled = Compiler.Pipeline.compile ~options ~device ~isa circuit in
   (* isolate the swept variable (gate error): hold decoherence at zero,
      as the paper's error-rate axis does *)
   let nm =
@@ -85,9 +71,8 @@ let panel_f_cell options cfg (n_qubits, mu, isa) =
   in
   (* trajectory XEB against the exact-compiled reference *)
   let reference =
-    Compiler.Pipeline.compile
-      ~options:{ options with approximate = false }
-      ~device ~isa ~placement circuit
+    Compiler.Pipeline.compile ~options:{ options with approximate = false } ~device ~isa
+      circuit
   in
   let ideal = Sim.State.run_circuit reference.circuit in
   let ideal_self =
@@ -172,7 +157,7 @@ let doc ?(cfg = Config.default) () =
   Report.Builder.metric b "qaoa_xed_best" (best qaoa_results);
   print_degraded b "(b)"
     (full_fsim_degraded cfg ~metric:Study.Xed qaoa [ 1.5; 2.0; 2.5 ]);
-  let qft = make_qft_circuits cfg 4 in
+  let qft = List.init cfg.Config.qft_inputs (Apps.Qft.with_input 4) in
   let _ =
     run_suite b cfg device
       ~label:

@@ -7,31 +7,18 @@ open Linalg
 let isas =
   Isa.Set.(rigetti_singles @ rigetti_multis @ [ full_xy ])
 
-let stack = Compiler.Pass.default_stack
-
 let run_benchmark b cfg device ~label ~slug ~metric circuits =
   Report.Builder.subheading b label;
   let options = { Compiler.Pipeline.default_options with nuop = cfg.Config.nuop } in
   let results =
     List.map
-      (fun isa -> Study.evaluate_suite ~options ~stack ~device ~isa ~metric circuits)
+      (fun isa -> Study.evaluate_suite ~options ~device ~isa ~metric circuits)
       isas
   in
   Study.add_results b ~metric results;
   let best = List.fold_left (fun acc r -> Float.max acc r.Study.mean_metric) neg_infinity results in
   Report.Builder.metric b (slug ^ "_best") best;
   results
-
-let qft_circuits cfg =
-  List.init cfg.Config.qft_inputs (fun k ->
-      (* prepend X gates preparing the basis input (2k+1 mod dim) *)
-      let n = 3 in
-      let input = ((2 * k) + 1) land ((1 lsl n) - 1) in
-      let c = ref (Qcir.Circuit.empty n) in
-      for q = 0 to n - 1 do
-        if (input lsr q) land 1 = 1 then c := Qcir.Circuit.add_gate !c Gates.Gate.x [| q |]
-      done;
-      Qcir.Circuit.append !c (Apps.Qft.circuit n))
 
 let doc ?(cfg = Config.default) () =
   let b = Report.Builder.create () in
@@ -52,7 +39,7 @@ let doc ?(cfg = Config.default) () =
                 (List.length qaoa))
       ~slug:"qaoa_xed" ~metric:Study.Xed qaoa
   in
-  let qft = qft_circuits cfg in
+  let qft = List.init cfg.Config.qft_inputs (Apps.Qft.with_input 3) in
   let _ =
     run_benchmark b cfg device
       ~label:

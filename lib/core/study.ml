@@ -1,6 +1,6 @@
 (* Shared machinery for the instruction-set reliability studies
    (Figs 7, 9, 10): compile a benchmark suite for an instruction set on a
-   device through a pass stack and measure the paper's metric. *)
+   device through the compiler pipeline and measure the paper's metric. *)
 
 type metric =
   | Hop  (** heavy-output probability (QV) *)
@@ -44,15 +44,9 @@ let esp ~device (compiled : Compiler.Pipeline.compiled) =
     .Metrics.Esp.esp
 
 (* Evaluate one circuit. *)
-let evaluate_circuit ?(options = Compiler.Pipeline.default_options)
-    ?(stack = Compiler.Pass.default_stack) ~device ~isa ~metric circuit =
-  let n = Qcir.Circuit.n_qubits circuit in
-  let placement =
-    match Compiler.Mapping.best_line (Device.calibration device) isa n with
-    | Some p -> p
-    | None -> invalid_arg "Study.evaluate_circuit: no placement"
-  in
-  let compiled = Compiler.Pipeline.compile ~options ~stack ~device ~isa ~placement circuit in
+let evaluate_circuit ?(options = Compiler.Pipeline.default_options) ~device ~isa ~metric
+    circuit =
+  let compiled = Compiler.Pipeline.compile ~options ~device ~isa circuit in
   let nm = Compiler.Pipeline.noise_model ~device compiled in
   let value =
     match metric with
@@ -68,14 +62,14 @@ let evaluate_circuit ?(options = Compiler.Pipeline.default_options)
       | Xeb_fidelity -> Metrics.Xeb.normalized_fidelity ~ideal ~noisy
       | State_fidelity -> assert false)
     | State_fidelity ->
-      (* exact-compiled reference shares placement and routing, so its
-         noiseless state is the logical intent in the compact space *)
+      (* exact-compiled reference shares placement and routing (neither
+         reads the decomposition options), so its noiseless state is the
+         logical intent in the compact space *)
       let exact_options =
         { options with approximate = false; exact_threshold = 1.0 -. 1e-8 }
       in
       let reference =
-        Compiler.Pipeline.compile ~options:exact_options ~stack ~device ~isa ~placement
-          circuit
+        Compiler.Pipeline.compile ~options:exact_options ~device ~isa circuit
       in
       let ideal_state = Sim.State.run_circuit reference.circuit in
       let rho = Sim.Noisy.run nm compiled.circuit in
@@ -94,12 +88,12 @@ let evaluate_circuit ?(options = Compiler.Pipeline.default_options)
    run on the Domain pool.  Every circuit's value is deterministic and
    the mean is reduced in list order, so the result record is identical
    at every pool size — the determinism test in test_core locks this. *)
-let evaluate_suite ?options ?stack ?domains ~device ~isa ~metric circuits =
+let evaluate_suite ?options ?domains ~device ~isa ~metric circuits =
   assert (circuits <> []);
   let n = float_of_int (List.length circuits) in
   let evaluations =
     Concurrent.Domain_pool.map ?domains
-      (fun circuit -> evaluate_circuit ?options ?stack ~device ~isa ~metric circuit)
+      (fun circuit -> evaluate_circuit ?options ~device ~isa ~metric circuit)
       circuits
   in
   let sum_m, sum_g, sum_s, sum_d, sum_e =
@@ -137,5 +131,4 @@ let add_results b ~metric results =
   Report.Builder.table b ~header:(results_header ~metric) (List.map result_row results)
 
 let add_pass_metrics b metrics =
-  Report.Builder.table b ~header:Compiler.Pass_manager.header
-    (Compiler.Pass_manager.rows metrics)
+  Report.Builder.table b ~header:Compiler.Pipeline.header (Compiler.Pipeline.rows metrics)

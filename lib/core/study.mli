@@ -28,19 +28,18 @@ val esp : device:Device.t -> Compiler.Pipeline.compiled -> float
 
 val evaluate_circuit :
   ?options:Compiler.Pipeline.options ->
-  ?stack:Compiler.Pass.t list ->
   device:Device.t ->
   isa:Isa.Set.t ->
   metric:metric ->
   Qcir.Circuit.t ->
   evaluation
 (** Metric value plus gate/SWAP counts, duration and ESP for one
-    circuit, compiled through [stack] (default
-    {!Compiler.Pass.default_stack}). *)
+    circuit, compiled with [options] (the peepholes run when
+    [options.optimize] is set).  Raises [Invalid_argument] as
+    {!Compiler.Pipeline.compile} does. *)
 
 val evaluate_suite :
   ?options:Compiler.Pipeline.options ->
-  ?stack:Compiler.Pass.t list ->
   ?domains:int ->
   device:Device.t ->
   isa:Isa.Set.t ->
@@ -60,4 +59,4 @@ val results_table : metric:metric -> result list -> Report.block
 val add_results : Report.Builder.t -> metric:metric -> result list -> unit
 
 val add_pass_metrics :
-  Report.Builder.t -> Compiler.Pass_manager.pass_metrics list -> unit
+  Report.Builder.t -> Compiler.Pipeline.pass_metrics list -> unit

@@ -56,7 +56,7 @@ let clock = ref 0
 
 let lock = Mutex.create ()
 
-(* Lifetime hit/miss counters (reset by [clear]); the pass manager
+(* Lifetime hit/miss counters (reset by [clear]); the compile pipeline
    snapshots them around each pass to attribute hits per stage.
    [warm_hits] counts the subset of hits served by disk-loaded
    entries.  The counters live in the Obs registry (still domain-safe

@@ -48,8 +48,8 @@ val stats : unit -> int * int
 
 val warm_hits : unit -> int
 (** The subset of {!stats} hits that were served by entries loaded from
-    a snapshot file — the pass manager snapshots this around each pass
-    to attribute warm reuse per stage. *)
+    a snapshot file — the compile pipeline snapshots this around each
+    pass to attribute warm reuse per stage. *)
 
 val capacity : unit -> int
 

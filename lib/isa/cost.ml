@@ -28,10 +28,14 @@ let effective_types set =
 
 let grid_topology n_qubits =
   if n_qubits < 2 then invalid_arg "Isa.Cost.grid_topology: need at least 2 qubits";
-  (* r = round(sqrt n) rows of c = ceil(n / r): 2rc - r - c couplers *)
+  (* the first n qubits, in row-major order, of r = round(sqrt n) rows of
+     c = ceil(n / r): a full grid drops the couplers of its unused slots *)
   let r = max 1 (int_of_float (Float.round (Float.sqrt (float_of_int n_qubits)))) in
   let c = (n_qubits + r - 1) / r in
-  Device.Topology.grid r c
+  Device.Topology.of_edges n_qubits
+    (List.filter
+       (fun (a, b) -> a < n_qubits && b < n_qubits)
+       (Device.Topology.edges (Device.Topology.grid r c)))
 
 let of_type_count ~topology n_types =
   if n_types <= 0 then invalid_arg "Isa.Cost.of_type_count: need at least one type";

@@ -21,9 +21,9 @@ val effective_types : Set.t -> int
     {!Calibration.Model.continuous_family_types}. *)
 
 val grid_topology : int -> Device.Topology.t
-(** Near-square grid holding n qubits: round(sqrt n) rows of
-    ceil(n / rows) qubits (97 couplers at 54 qubits).  Raises
-    [Invalid_argument] below 2 qubits. *)
+(** Near-square grid of n qubits: the first n, in row-major order, of
+    round(sqrt n) rows of ceil(n / rows) qubits (93 couplers at 54
+    qubits).  Raises [Invalid_argument] below 2 qubits. *)
 
 val of_type_count : topology:Device.Topology.t -> int -> t
 (** Cost under {!Calibration.Model.default} of calibrating a given number

@@ -1,7 +1,7 @@
 (* Structured telemetry: the one place the toolchain measures itself.
 
    Before this subsystem existed, instrumentation had grown ad hoc in
-   five layers — the pass manager timed passes with [Sys.time] (process
+   five layers — the compiler timed its passes with [Sys.time] (process
    CPU time misreported as wall time), the bench harness hand-rolled
    [Unix.gettimeofday] spans, the decomposition cache kept private
    atomic counters, and three modules reimplemented warn-once stderr
@@ -302,8 +302,8 @@ module Span = struct
       { id; name; t0; traced = true }
     end
 
-  (* Wall seconds since [enter], without closing the span — the pass
-     manager uses this to time exactly the pass body while attaching
+  (* Wall seconds since [enter], without closing the span — the compile
+     pipeline uses this to time exactly the pass body while attaching
      attributes computed afterwards to the span's end event. *)
   let elapsed span = Clock.now () -. span.t0
 

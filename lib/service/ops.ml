@@ -60,16 +60,15 @@ let study_circuits ~app ~qubits ~count ~seed =
 
 let compile_text ?(optimize = false) ?(trace_passes = false) ?(print_schedule = false)
     ?(print_circuit = false) ~device ~isa ~isa_name ~app circuit =
-  let stack =
-    if optimize then Compiler.Pass.optimized_stack else Compiler.Pass.default_stack
-  in
   let compiled, metrics =
-    Compiler.Pipeline.compile_with_metrics ~stack ~device ~isa circuit
+    Compiler.Pipeline.compile_with_metrics
+      ~options:{ Compiler.Pipeline.default_options with optimize }
+      ~device ~isa circuit
   in
   let buf = Buffer.create 512 in
   Printf.bprintf buf "%s on %s via %s stack (%d passes):\n" app isa_name
     (if optimize then "optimized" else "default")
-    (List.length stack);
+    (List.length metrics);
   Printf.bprintf buf
     "  %d instructions, %d two-qubit gates, %d SWAPs, depth %d, %d qubits\n"
     (Qcir.Circuit.length compiled.Compiler.Pipeline.circuit)
@@ -85,8 +84,8 @@ let compile_text ?(optimize = false) ?(trace_passes = false) ?(print_schedule = 
       (Core.Report.block_to_string
          (Core.Report.Table
             {
-              header = Compiler.Pass_manager.header;
-              rows = Compiler.Pass_manager.rows metrics;
+              header = Compiler.Pipeline.header;
+              rows = Compiler.Pipeline.rows metrics;
             }));
   if print_schedule then
     Buffer.add_string buf (Schedule.to_string compiled.Compiler.Pipeline.schedule);

@@ -42,7 +42,7 @@ val compile_text :
   app:string ->
   Qcir.Circuit.t ->
   string * Compiler.Pipeline.compiled
-(** Compile through the pass manager and render the exact [nuop
+(** Compile through the pipeline and render the exact [nuop
     compile] stdout text (headline lines, then the optional pass-metrics
     table, schedule timeline and circuit rendering). *)
 

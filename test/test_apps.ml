@@ -157,6 +157,17 @@ let test_qft_census () =
   check_int "cphase count" (n * (n - 1) / 2) (Qcir.Circuit.two_qubit_count c);
   check_int "h count" n (Qcir.Circuit.one_qubit_count c)
 
+(* |<expected QFT output of [input] | state of [c]>|^2 *)
+let qft_fidelity ~n ~input c =
+  let s = Sim.State.run_circuit c in
+  let expect = Apps.Qft.expected_state ~n_qubits:n ~input in
+  let overlap = ref Complex.zero in
+  Array.iteri
+    (fun k e ->
+      overlap := Complex.add !overlap (Complex.mul (Complex.conj e) (Sim.State.amplitude s k)))
+    expect;
+  Complex.norm2 !overlap
+
 let test_qft_expected_state_matches_simulation () =
   let n = 3 in
   List.iter
@@ -167,15 +178,19 @@ let test_qft_expected_state_matches_simulation () =
           prep := Qcir.Circuit.add_gate !prep Gates.Gate.x [| q |]
       done;
       let c = Qcir.Circuit.append !prep (Apps.Qft.circuit n) in
-      let s = Sim.State.run_circuit c in
-      let expect = Apps.Qft.expected_state ~n_qubits:n ~input in
-      let overlap = ref Complex.zero in
-      Array.iteri
-        (fun k e ->
-          overlap := Complex.add !overlap (Complex.mul (Complex.conj e) (Sim.State.amplitude s k)))
-        expect;
-      Alcotest.(check (float 1e-6)) "fidelity" 1.0 (Complex.norm2 !overlap))
+      Alcotest.(check (float 1e-6)) "fidelity" 1.0 (qft_fidelity ~n ~input c))
     [ 0; 1; 5; 7 ]
+
+let test_qft_with_input () =
+  (* the k-th study input is the basis state (2k+1) mod 2^n: k = 4 wraps
+     to input 1 on three qubits *)
+  let n = 3 in
+  List.iter
+    (fun (k, input) ->
+      Alcotest.(check (float 1e-6))
+        (Printf.sprintf "input %d" k) 1.0
+        (qft_fidelity ~n ~input (Apps.Qft.with_input n k)))
+    [ (0, 1); (1, 3); (3, 7); (4, 1) ]
 
 let test_qft_flat_distribution () =
   (* QFT of a basis state has uniform output probabilities *)
@@ -253,6 +268,7 @@ let () =
         [
           Alcotest.test_case "census" `Quick test_qft_census;
           Alcotest.test_case "expected state" `Quick test_qft_expected_state_matches_simulation;
+          Alcotest.test_case "basis inputs" `Quick test_qft_with_input;
           Alcotest.test_case "flat distribution" `Quick test_qft_flat_distribution;
           Alcotest.test_case "phase set" `Quick test_qft_controlled_phase_set;
         ] );

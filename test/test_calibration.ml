@@ -10,24 +10,28 @@ let test_per_type_pair_breakdown () =
   check_int "per pair" ((5 * 100) + 250 + 10000) (Calibration.Model.circuits_per_type_pair m)
 
 (* coupler counts of the near-square grids Isa.Cost.grid_topology builds
-   (pinned in test_grid_pairs): 97 at 54 qubits, 1984 at 1000 *)
+   (pinned in test_grid_pairs): 93 at 54 qubits, 1936 at 1000 *)
 let test_headline_numbers () =
   (* 54-qubit device, 10 gate types: ~1e7 circuits (Sec IX) *)
-  let c = Calibration.Model.total_circuits m ~n_pairs:97 ~n_types:10 in
+  let c = Calibration.Model.total_circuits m ~n_pairs:93 ~n_types:10 in
   check_bool "order 1e7" true (c > 5_000_000 && c < 20_000_000)
 
 let test_thousand_qubits () =
-  let c = Calibration.Model.total_circuits m ~n_pairs:1984 ~n_types:10 in
+  let c = Calibration.Model.total_circuits m ~n_pairs:1936 ~n_types:10 in
   check_bool "order 1e8+" true (c > 100_000_000)
 
 let test_grid_pairs () =
   let pairs n = Device.Topology.edge_count (Isa.Cost.grid_topology n) in
-  (* 54 qubits as a near-square grid: 7x8 = 56 slots -> 2*7*8 - 7 - 8 = 97 *)
-  check_int "54" 97 (pairs 54);
+  (* 54 qubits, row-major on a 7x8 grid: 6 full rows of 8 plus 6 in the
+     last row -> 6*7 + 5 horizontal + (54 - 8) vertical = 93 *)
+  check_int "54" 93 (pairs 54);
   (* 9 qubits = 3x3 grid: 12 edges *)
   check_int "9" 12 (pairs 9);
-  (* 1000 qubits: 32x32 = 1024 slots -> 2*32*32 - 32 - 32 = 1984 *)
-  check_int "1000" 1984 (pairs 1000)
+  (* 3 qubits on a 2x2 grid: an L of 2 couplers, not the square's 4 *)
+  check_int "3" 2 (pairs 3);
+  (* 1000 qubits on a 32x32 grid: 31 full rows plus 8 in the last ->
+     31*31 + 7 horizontal + (1000 - 32) vertical = 1936 *)
+  check_int "1000" 1936 (pairs 1000)
 
 let test_linear_scaling () =
   let c1 = Calibration.Model.total_circuits m ~n_pairs:100 ~n_types:1 in

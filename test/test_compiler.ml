@@ -1,5 +1,5 @@
 (* Tests for instruction sets, placement, routing and the end-to-end
-   compilation pipeline, plus the pass stack against the reference
+   compilation pipeline, plus the pipeline against the reference
    compiler on random circuits. *)
 
 open Linalg
@@ -273,6 +273,18 @@ let test_pipeline_refuses_uncalibrated_type () =
       ("R5 on aspen8", Device.aspen8 (), Isa.Set.r5);
     ]
 
+let test_pipeline_refuses_wider_circuit () =
+  (* a 9-qubit QV circuit does not fit Aspen-8's 8 qubits: refused up
+     front, naming both widths, instead of failing inside the first
+     metrics snapshot *)
+  Alcotest.check_raises "QV-9 on aspen8"
+    (Invalid_argument "circuit needs 9 qubits, but device aspen8 has 8")
+    (fun () ->
+      ignore
+        (Compiler.Pipeline.compile ~options:fast_options ~device:(Device.aspen8 ())
+           ~isa:Isa.Set.r5
+           (Apps.Qv.circuit (Rng.create 7) 9)))
+
 let test_pipeline_full_family () =
   let device = Device.sycamore_line 4 in
   let compiled =
@@ -284,7 +296,7 @@ let test_pipeline_full_family () =
   let probs = Sim.Noisy.output_probabilities Sim.Noisy.ideal compiled.Compiler.Pipeline.circuit in
   Alcotest.(check (float 1e-6)) "normalized" 1.0 (Array.fold_left ( +. ) 0.0 probs)
 
-(* ---------- Pass stacks ---------- *)
+(* ---------- Passes ---------- *)
 
 (* the circuit's full unitary, column by column *)
 let circuit_unitary c =
@@ -298,10 +310,11 @@ let circuit_unitary c =
   in
   Mat.init dim dim (fun i j -> Sim.State.amplitude cols.(j) i)
 
-(* The pre-pass-manager monolithic compiler, kept as a differential
-   reference: the default stack must reproduce it bit-for-bit.  It runs
-   on the bare [Calibration.t] it predates, so the comparison also pins
-   down that the [Device.t] plumbing changes nothing. *)
+(* The pre-pass-framework monolithic compiler, kept as a differential
+   reference: the pipeline without peepholes must reproduce it
+   bit-for-bit.  It runs on the bare [Calibration.t] it predates, so the
+   comparison also pins down that the [Device.t] plumbing changes
+   nothing. *)
 let compile_reference ~options ~cal ~isa circuit : Compiler.Pipeline.compiled =
   let open Compiler in
   let topology = Device.Calibration.topology cal in
@@ -391,8 +404,8 @@ let check_same_compiled label (a : Compiler.Pipeline.compiled)
   check_int (label ^ ": swaps") b.swap_count a.swap_count;
   check_int (label ^ ": 2q count") b.twoq_count a.twoq_count
 
-(* the default stack must reproduce the retained monolith bit-for-bit
-   on the fig9/fig10-style configurations *)
+(* the pipeline without peepholes must reproduce the retained monolith
+   bit-for-bit on the fig9/fig10-style configurations *)
 let test_pass_default_stack_matches_reference () =
   List.iter
     (fun (label, device, isa, circuit) ->
@@ -413,26 +426,35 @@ let test_pass_default_stack_matches_reference () =
 
 let test_pass_metrics_recorded () =
   let device = Device.sycamore_line 4 in
+  let circuit = Apps.Qaoa.circuit (Rng.create 3) 4 in
   Decompose.Cache.clear ();
   let compiled, metrics =
     Compiler.Pipeline.compile_with_metrics ~options:fast_options ~device
-      ~isa:Isa.Set.g2
-      (Apps.Qaoa.circuit (Rng.create 3) 4)
+      ~isa:Isa.Set.g2 circuit
   in
-  check_int "one record per pass"
-    (List.length Compiler.Pass.default_stack)
-    (List.length metrics);
-  let lower =
-    List.find (fun m -> m.Compiler.Pass_manager.pass_name = "lower") metrics
-  in
+  (* the trace table, served replies and the benchmark's span reader
+     all key on these names *)
+  let names metrics = List.map (fun m -> m.Compiler.Pipeline.pass_name) metrics in
+  Alcotest.(check (list string))
+    "pass names" [ "place"; "route"; "lower"; "compact"; "schedule" ] (names metrics);
+  let lower = List.find (fun m -> m.Compiler.Pipeline.pass_name = "lower") metrics in
   (* QAOA repeats the same ZZ interaction on every edge: the
      decomposition cache must get hits within one compile *)
-  check_bool "cache hits > 0" true (lower.Compiler.Pass_manager.cache_hits > 0);
+  check_bool "cache hits > 0" true (lower.Compiler.Pipeline.cache_hits > 0);
   let hits, misses = Decompose.Cache.stats () in
   check_bool "global hit rate > 0" true (hits > 0 && misses > 0);
   let final = List.nth metrics (List.length metrics - 1) in
   check_int "final 2Q matches compiled" compiled.Compiler.Pipeline.twoq_count
-    final.Compiler.Pass_manager.twoq_after
+    final.Compiler.Pipeline.twoq_after;
+  let _, optimized =
+    Compiler.Pipeline.compile_with_metrics
+      ~options:{ fast_options with optimize = true }
+      ~device ~isa:Isa.Set.g2 circuit
+  in
+  Alcotest.(check (list string))
+    "optimized pass names"
+    [ "place"; "route"; "lower"; "merge-1q"; "elide-id"; "compact"; "schedule" ]
+    (names optimized)
 
 let test_pass_merge_oneq_preserves_unitary () =
   let device = Device.sycamore_line 4 in
@@ -441,8 +463,9 @@ let test_pass_merge_oneq_preserves_unitary () =
     Compiler.Pipeline.compile ~options:fast_options ~device ~isa:Isa.Set.g2 circuit
   in
   let merged =
-    Compiler.Pipeline.compile ~options:fast_options
-      ~stack:Compiler.Pass.optimized_stack ~device ~isa:Isa.Set.g2 circuit
+    Compiler.Pipeline.compile
+      ~options:{ fast_options with optimize = true }
+      ~device ~isa:Isa.Set.g2 circuit
   in
   let n1 = Qcir.Circuit.one_qubit_count plain.Compiler.Pipeline.circuit in
   let n2 = Qcir.Circuit.one_qubit_count merged.Compiler.Pipeline.circuit in
@@ -482,34 +505,6 @@ let test_pass_elide_trivial () =
   check_int "errors aligned" 2 (Array.length errors);
   let d = Metrics.Dist.process_distance (circuit_unitary c) (circuit_unitary elided) in
   check_bool "unitary preserved" true (d < 1e-9)
-
-let test_pass_time_is_wall_clock () =
-  (* regression: pass timing once used the process-CPU clock, so a pass
-     blocked on I/O or sleeping reported ~0 elapsed.  A sleeping pass
-     must now report (most of) its wall time. *)
-  let sleeper = Compiler.Pass.make "sleeper" (fun _ -> Unix.sleepf 0.06) in
-  let ctx =
-    Compiler.Pass.Context.create ~device:(Device.sycamore_line 4) ~isa:Isa.Set.s3
-      (small_circuit ())
-  in
-  match Compiler.Pass_manager.run [ sleeper ] ctx with
-  | [ m ] ->
-    check_bool "wall time counted while sleeping" true
-      (m.Compiler.Pass_manager.time_s >= 0.04)
-  | ms -> Alcotest.failf "expected one metric record, got %d" (List.length ms)
-
-let test_pass_stack_requires_compact () =
-  let device = Device.sycamore_line 4 in
-  let no_compact =
-    [ Compiler.Pass.placement; Compiler.Pass.route (); Compiler.Pass.lower ]
-  in
-  check_bool "raises without compact" true
-    (try
-       ignore
-         (Compiler.Pipeline.compile ~options:fast_options ~stack:no_compact ~device
-            ~isa:Isa.Set.s3 (small_circuit ()));
-       false
-     with Invalid_argument _ -> true)
 
 (* ---------- properties ---------- *)
 
@@ -564,6 +559,8 @@ let () =
           Alcotest.test_case "full family" `Quick test_pipeline_full_family;
           Alcotest.test_case "uncalibrated type refused" `Quick
             test_pipeline_refuses_uncalibrated_type;
+          Alcotest.test_case "wider circuit refused" `Quick
+            test_pipeline_refuses_wider_circuit;
         ] );
       ( "passes",
         [
@@ -575,8 +572,6 @@ let () =
             test_pass_merge_oneq_preserves_unitary;
           Alcotest.test_case "1Q-merge rewrite" `Quick test_pass_merge_rewrite_small;
           Alcotest.test_case "trivial elision" `Quick test_pass_elide_trivial;
-          Alcotest.test_case "pass time is wall clock" `Quick test_pass_time_is_wall_clock;
-          Alcotest.test_case "stack must compact" `Quick test_pass_stack_requires_compact;
         ] );
       ("compiler", compiler_properties);
     ]

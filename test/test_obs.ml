@@ -149,6 +149,17 @@ let test_untraced_span_is_free () =
   check_bool "elapsed works" true (Obs.Span.exit s >= 0.0);
   check_bool "no current span" true (Obs.Span.current () = None)
 
+let test_span_elapsed_is_wall_clock () =
+  (* regression: pass timing once used the process-CPU clock, so a pass
+     blocked on I/O or sleeping reported ~0 elapsed.  Pipeline's
+     per-pass [time_s] is [Obs.Span.elapsed] over the pass body, so a
+     sleeping body must report (most of) its wall time. *)
+  let span = Obs.Span.enter "sleeper" in
+  Unix.sleepf 0.06;
+  let elapsed = Obs.Span.elapsed span in
+  ignore (Obs.Span.exit span);
+  check_bool "wall time counted while sleeping" true (elapsed >= 0.04)
+
 (* ---------- trace validator on handcrafted files ---------- *)
 
 let meta = {|{"ev":"meta","schema":"nuop-trace/1","t":0.0}|}
@@ -389,6 +400,7 @@ let () =
         [
           Alcotest.test_case "nesting and parents" `Quick test_span_nesting;
           Alcotest.test_case "untraced spans are free" `Quick test_untraced_span_is_free;
+          Alcotest.test_case "elapsed is wall clock" `Quick test_span_elapsed_is_wall_clock;
         ] );
       ( "trace",
         [

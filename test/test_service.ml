@@ -333,6 +333,29 @@ let test_ops_uncalibrated_set_refused () =
             e.Service.Protocol.message))
     [ "compile"; "score" ]
 
+(* a circuit wider than the device used to fail inside the compiler's
+   first metrics snapshot ("index out of bounds") or in the study's own
+   placement, naming neither width *)
+let test_ops_wider_circuit_refused () =
+  List.iter
+    (fun op ->
+      match
+        Service.Protocol.parse
+          (Printf.sprintf
+             {|{"op":%S,"app":"qv","qubits":9,"isa":"R5","device":"aspen8","count":1}|} op)
+      with
+      | Error _ -> Alcotest.fail "parse failed"
+      | Ok req -> (
+        match Service.Ops.execute req with
+        | Ok _ -> Alcotest.failf "%s of QV-9 on aspen8 accepted" op
+        | Error e ->
+          check_bool (op ^ " is bad_request") true
+            (e.Service.Protocol.kind = Service.Protocol.Bad_request);
+          Alcotest.(check string)
+            (op ^ " names both widths and the device")
+            "circuit needs 9 qubits, but device aspen8 has 8" e.Service.Protocol.message))
+    [ "compile"; "score" ]
+
 (* out-of-range widths and counts used to reach the app and device
    builders' assertions and come back as [internal] errors *)
 let test_ops_out_of_range_params_are_typed () =
@@ -601,6 +624,7 @@ let () =
           Alcotest.test_case "typed bad device" `Quick test_ops_bad_device_is_typed;
           Alcotest.test_case "snapshot path refused" `Quick test_ops_device_path_refused;
           Alcotest.test_case "uncalibrated set refused" `Quick test_ops_uncalibrated_set_refused;
+          Alcotest.test_case "wider circuit refused" `Quick test_ops_wider_circuit_refused;
           Alcotest.test_case "typed out-of-range params" `Quick
             test_ops_out_of_range_params_are_typed;
         ] );
