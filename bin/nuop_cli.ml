@@ -168,20 +168,15 @@ let devices_show_cmd =
     if prov.Device.Provenance.drifted_hours > 0.0 then
       Printf.printf "  drifted %.1f h since calibration\n"
         prov.Device.Provenance.drifted_hours;
-    let isa = Device.native_isa d in
-    Printf.printf "  native set %s: %s\n" (Isa.Set.name isa)
-      (String.concat ", " (List.map Gates.Gate_type.name (Isa.Set.gate_types isa)));
     let cal = Device.calibration d in
+    let types = Device.Calibration.calibrated_types cal in
+    Printf.printf "  calibrated types: %s\n" (String.concat ", " types);
     List.iter
-      (fun ty ->
-        match Gates.Gate_type.param_count ty with
-        | 0 ->
-          Printf.printf "    %-12s mean error %.4f%%  mean duration %.1f ns\n"
-            (Gates.Gate_type.name ty)
-            (100.0 *. Device.Calibration.mean_twoq_error cal ty)
-            (1e9 *. Device.Calibration.mean_twoq_duration cal (Gates.Gate_type.name ty))
-        | _ -> ())
-      (Isa.Set.gate_types isa)
+      (fun name ->
+        Printf.printf "    %-12s mean error %.4f%%  mean duration %.1f ns\n" name
+          (100.0 *. Device.Calibration.mean_twoq_error cal name)
+          (1e9 *. Device.Calibration.mean_twoq_duration cal name))
+      types
   in
   Cmd.v
     (Cmd.info "show" ~doc:"Print one device's calibration summary")
@@ -445,6 +440,9 @@ let cache_gc_cmd =
       & info [ "max" ] ~docv:"N" ~doc:"Keep at most $(docv) curves (first wins).")
   in
   let run file max_entries =
+    (match max_entries with
+    | Some n when n < 0 -> invalid_arg (Printf.sprintf "--max must be at least 0 (got %d)" n)
+    | _ -> ());
     let file = required_cache_file file in
     let entries =
       match Decompose.Persist.load file with
@@ -466,8 +464,8 @@ let cache_gc_cmd =
     in
     let kept =
       match max_entries with
-      | Some n when n >= 0 -> List.filteri (fun i _ -> i < n) deduped
-      | _ -> deduped
+      | Some n -> List.filteri (fun i _ -> i < n) deduped
+      | None -> deduped
     in
     Decompose.Persist.save file kept;
     Printf.printf "%s: %d curves in, %d kept\n" file (List.length entries)
@@ -495,13 +493,12 @@ let calibration_cmd =
     let cost = Isa.Cost.of_type_count ~topology:(Isa.Cost.grid_topology qubits) types in
     Printf.printf "%d qubits (~%d couplers), %d gate types:\n" qubits cost.Isa.Cost.n_pairs
       types;
-    Printf.printf "  circuits per type per pair: %d\n"
-      (Calibration.Model.circuits_per_type_pair Calibration.Model.default);
+    Printf.printf "  circuits per type per pair: %d\n" Isa.Cost.circuits_per_type_pair;
     Printf.printf "  total calibration circuits: %.3e\n" (float_of_int cost.Isa.Cost.circuits);
     Printf.printf "  time: %.0f h serial, %.0f h with parallel batches\n"
       cost.Isa.Cost.hours_serial cost.Isa.Cost.hours_parallel;
     Printf.printf "  continuous fSim family overhead vs this set: %.0fx\n"
-      (Calibration.Model.continuous_overhead_factor ~n_types:types)
+      (Isa.Cost.continuous_overhead_factor ~n_types:types)
   in
   Cmd.v
     (Cmd.info "calibration" ~doc:"Evaluate the Sec IX calibration cost model")

@@ -38,5 +38,5 @@ let () =
     "\nThe continuous fSim family would need ~%d calibrated types — %.0fx the\n\
      calibration of the custom 3-type set for a fraction of a gate saved per\n\
      unitary.  That is the paper's expressivity/calibration sweet spot.\n"
-    Calibration.Model.continuous_family_types
-    (Calibration.Model.continuous_overhead_factor ~n_types:3)
+    Isa.Cost.continuous_family_types
+    (Isa.Cost.continuous_overhead_factor ~n_types:3)

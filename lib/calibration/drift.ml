@@ -5,7 +5,7 @@
    recalibration.  This module models the drift as an Ornstein-Uhlenbeck
    excursion of each gate's error rate away from its freshly calibrated
    value and evaluates recalibration policies: with more gate types,
-   recalibration takes longer (Model), so the device spends a larger
+   recalibration takes longer (Isa.Cost), so the device spends a larger
    fraction of wall time calibrating or runs with staler — noisier —
    gates.  The sweep exposes the same discrete-vs-continuous sweet spot
    as Fig 11, now on the time axis. *)
@@ -58,12 +58,16 @@ type policy_point = {
 }
 
 (* Evaluate one (gate-type count, recalibration period) policy under the
-   default cost model and drift.  The score multiplies availability by
-   the program fidelity of a reference workload under the inflated error
-   rate. *)
+   Sec IX cost model and the default drift.  A campaign calibrates the
+   types in parallel batches on the 54-qubit grid (4 coloring batches).
+   The score multiplies availability by the program fidelity of a
+   reference workload under the inflated error rate. *)
 let evaluate_policy ~rng ~n_types ~period_hours ~base_error ~gates_per_program =
   assert (period_hours > 0.0);
-  let calibration_hours = Model.time_hours_parallel Model.default ~n_types in
+  let calibration_hours =
+    (Isa.Cost.of_type_count ~topology:(Isa.Cost.grid_topology 54) n_types)
+      .Isa.Cost.hours_parallel
+  in
   let duty_cycle = period_hours /. (period_hours +. calibration_hours) in
   let error_multiplier = mean_multiplier rng default ~period_hours in
   let inflated = Float.min 0.5 (base_error *. error_multiplier) in

@@ -35,8 +35,8 @@ val evaluate_policy :
   gates_per_program:int ->
   policy_point
 (** One (gate-type count, recalibration period) policy under
-    {!Model.default}'s parallel calibration time and {!default} drift,
-    its staleness averaged over 64 sampled paths. *)
+    {!Isa.Cost}'s parallel calibration time on the 54-qubit grid and
+    {!default} drift, its staleness averaged over 64 sampled paths. *)
 
 val best_policies :
   rng:Linalg.Rng.t ->

@@ -1,8 +1,8 @@
 (* End-to-end compilation: place -> route -> NuOp-decompose with noise
    adaptivity across gate types (Fig 1's toolflow), then compact and
-   schedule — Pass.stack run over one context, recording per-pass
-   metrics: wall time, 1Q/2Q/SWAP/depth/duration deltas, and
-   decomposition-cache hits.
+   schedule — Pass.stack run over one context.  [compile_with_metrics]
+   also records per-pass metrics: wall time, 1Q/2Q/SWAP/depth/duration
+   after the pass, and decomposition-cache hits.
 
    The output circuit is renumbered onto the qubits it actually touches
    so the exact density simulator works on the smallest space, while the
@@ -38,90 +38,82 @@ type compiled = {
 type pass_metrics = {
   pass_name : string;
   time_s : float;
-  oneq_before : int;
   oneq_after : int;
-  twoq_before : int;
   twoq_after : int;
-  swaps_before : int;
   swaps_after : int;
-  depth_before : int;
   depth_after : int;
-  duration_before : float;  (** timed-executable length, seconds *)
-  duration_after : float;
+  duration_after : float;  (** timed-executable length, seconds *)
   cache_hits : int;  (** fidelity-curve cache hits during the pass *)
   cache_misses : int;
   cache_warm_hits : int;
       (** subset of [cache_hits] served by disk-loaded (warm) entries *)
 }
 
-let snapshot (ctx : Pass.Context.t) =
-  let c = ctx.Pass.Context.circuit in
-  let duration =
-    match ctx.Pass.Context.schedule with
-    | Some s -> Schedule.total_duration s
-    | None -> Schedule.total_duration (Pass.timed_schedule ctx)
-  in
-  ( Qcir.Circuit.one_qubit_count c,
-    Qcir.Circuit.two_qubit_count c,
-    ctx.Pass.Context.swap_count,
-    Qcir.Circuit.depth c,
-    duration )
+let cache_counts () =
+  let hits, misses = Decompose.Cache.stats () in
+  (hits, misses, Decompose.Cache.warm_hits ())
 
-let run_pass pass ctx =
-  let oneq_before, twoq_before, swaps_before, depth_before, duration_before =
-    snapshot ctx
-  in
-  let hits0, misses0 = Decompose.Cache.stats () in
-  let warm0 = Decompose.Cache.warm_hits () in
-  (* The span clock is the one wall-clock source (the old process-CPU
-     clock meant a pass blocked on I/O or sleeping reported zero).
-     [time_s] covers exactly the pass body; the span's own end event
-     additionally covers the metric snapshot below and carries the
-     deltas as attributes. *)
+(* Run one pass under its span.  With [record] set, the metrics are
+   taken once, after the body: a pass's "before" is the previous pass's
+   "after", which is how [rows] renders the deltas.  The span clock is
+   the one wall-clock source, and [time_s] covers exactly the pass body;
+   the span's own end event also covers the snapshot and carries it as
+   attributes. *)
+let run_pass ~record pass ctx =
+  let hits0, misses0, warm0 = if record then cache_counts () else (0, 0, 0) in
   let span = Obs.Span.enter ("pass." ^ Pass.name pass) in
   Pass.run pass ctx;
   let time_s = Obs.Span.elapsed span in
-  let hits1, misses1 = Decompose.Cache.stats () in
-  let warm1 = Decompose.Cache.warm_hits () in
-  let oneq_after, twoq_after, swaps_after, depth_after, duration_after =
-    snapshot ctx
-  in
-  ignore
-    (Obs.Span.exit span
-       ~attrs:
-         [
-           ("oneq", string_of_int oneq_after);
-           ("twoq", string_of_int twoq_after);
-           ("swaps", string_of_int swaps_after);
-           ("depth", string_of_int depth_after);
-           ("duration_ns", Printf.sprintf "%.0f" (1e9 *. duration_after));
-           ("cache_hits", string_of_int (hits1 - hits0));
-           ("cache_misses", string_of_int (misses1 - misses0));
-           ("cache_warm_hits", string_of_int (warm1 - warm0));
-         ]);
-  {
-    pass_name = Pass.name pass;
-    time_s;
-    oneq_before;
-    oneq_after;
-    twoq_before;
-    twoq_after;
-    swaps_before;
-    swaps_after;
-    depth_before;
-    depth_after;
-    duration_before;
-    duration_after;
-    cache_hits = hits1 - hits0;
-    cache_misses = misses1 - misses0;
-    cache_warm_hits = warm1 - warm0;
-  }
+  if not record then begin
+    ignore (Obs.Span.exit span);
+    None
+  end
+  else begin
+    let hits1, misses1, warm1 = cache_counts () in
+    let c = ctx.Pass.Context.circuit in
+    let duration =
+      match ctx.Pass.Context.schedule with
+      | Some s -> Schedule.total_duration s
+      | None -> Schedule.total_duration (Pass.timed_schedule ctx)
+    in
+    let m =
+      {
+        pass_name = Pass.name pass;
+        time_s;
+        oneq_after = Qcir.Circuit.one_qubit_count c;
+        twoq_after = Qcir.Circuit.two_qubit_count c;
+        swaps_after = ctx.Pass.Context.swap_count;
+        depth_after = Qcir.Circuit.depth c;
+        duration_after = duration;
+        cache_hits = hits1 - hits0;
+        cache_misses = misses1 - misses0;
+        cache_warm_hits = warm1 - warm0;
+      }
+    in
+    ignore
+      (Obs.Span.exit span
+         ~attrs:
+           [
+             ("oneq", string_of_int m.oneq_after);
+             ("twoq", string_of_int m.twoq_after);
+             ("swaps", string_of_int m.swaps_after);
+             ("depth", string_of_int m.depth_after);
+             ("duration_ns", Printf.sprintf "%.0f" (1e9 *. m.duration_after));
+             ("cache_hits", string_of_int m.cache_hits);
+             ("cache_misses", string_of_int m.cache_misses);
+             ("cache_warm_hits", string_of_int m.cache_warm_hits);
+           ]);
+    Some m
+  end
 
 (* ---------- compilation ---------- *)
 
-let compile_with_metrics ?(options = default_options) ~device ~isa ?placement circuit =
+(* Metrics are taken when the caller reads them or a trace sink is
+   there to carry them on the pass spans. *)
+let run ~record ?(options = default_options) ~device ~isa ?placement circuit =
   let ctx = Pass.Context.create ~options ~device ~isa ?placement circuit in
   let stack = Pass.stack options in
+  let record = record || Obs.Sink.active () in
   (* perfbench's compiler.compile_ms and compiler.pass.<name>_ms read
      the spans "pass_manager.run" and "pass.<name>" from traces
      (perfbench/NOTES.md), so those names stay as they are *)
@@ -129,7 +121,7 @@ let compile_with_metrics ?(options = default_options) ~device ~isa ?placement ci
     Obs.Span.with_
       ~attrs:[ ("passes", string_of_int (List.length stack)) ]
       "pass_manager.run"
-      (fun () -> List.map (fun pass -> run_pass pass ctx) stack)
+      (fun () -> List.filter_map (fun pass -> run_pass ~record pass ctx) stack)
   in
   let open Pass.Context in
   (* the stack's last pass schedules the compacted circuit *)
@@ -149,8 +141,10 @@ let compile_with_metrics ?(options = default_options) ~device ~isa ?placement ci
     },
     metrics )
 
+let compile_with_metrics = run ~record:true
+
 let compile ?options ~device ~isa ?placement circuit =
-  fst (compile_with_metrics ?options ~device ~isa ?placement circuit)
+  fst (run ~record:false ?options ~device ~isa ?placement circuit)
 
 (* ---------- rendering (header + rows for a Core.Report table) ---------- *)
 
@@ -175,19 +169,24 @@ let cache_cell m =
     Printf.sprintf "%d (%d warm)/%d" m.cache_hits m.cache_warm_hits m.cache_misses
   else Printf.sprintf "%d/%d" m.cache_hits m.cache_misses
 
-let row m =
+let row ~prev m =
   [
     m.pass_name;
     Printf.sprintf "%.1f ms" (1000.0 *. m.time_s);
-    delta_cell m.oneq_after m.oneq_before;
-    delta_cell m.twoq_after m.twoq_before;
-    delta_cell m.swaps_after m.swaps_before;
-    delta_cell m.depth_after m.depth_before;
-    duration_cell m.duration_after m.duration_before;
+    delta_cell m.oneq_after prev.oneq_after;
+    delta_cell m.twoq_after prev.twoq_after;
+    delta_cell m.swaps_after prev.swaps_after;
+    delta_cell m.depth_after prev.depth_after;
+    duration_cell m.duration_after prev.duration_after;
     cache_cell m;
   ]
 
-let rows metrics = List.map row metrics
+(* Each row's deltas are against the previous row; the first row shows
+   none (the placement pass leaves the circuit as it found it). *)
+let rows = function
+  | [] -> []
+  | first :: _ as metrics ->
+    snd (List.fold_left_map (fun prev m -> (m, row ~prev m)) first metrics)
 
 let noise_model ~device compiled =
   let cal = Device.calibration device in

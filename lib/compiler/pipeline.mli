@@ -31,16 +31,11 @@ type compiled = {
 type pass_metrics = {
   pass_name : string;
   time_s : float;  (** wall time of the pass body *)
-  oneq_before : int;
   oneq_after : int;
-  twoq_before : int;
   twoq_after : int;
-  swaps_before : int;
   swaps_after : int;
-  depth_before : int;
   depth_after : int;
-  duration_before : float;  (** timed-executable length before the pass, s *)
-  duration_after : float;
+  duration_after : float;  (** timed-executable length after the pass, s *)
   cache_hits : int;
   cache_misses : int;
   cache_warm_hits : int;
@@ -57,7 +52,9 @@ val compile :
   Qcir.Circuit.t ->
   compiled
 (** Run {!Pass.stack} [options] and extract the compiled result.
-    Raises [Invalid_argument] as {!Pass.Context.create} does. *)
+    Per-pass metrics are taken only while a trace sink is active, to
+    carry them on the [pass.<name>] spans.  Raises [Invalid_argument] as
+    {!Pass.Context.create} does. *)
 
 val compile_with_metrics :
   ?options:options ->
@@ -66,10 +63,12 @@ val compile_with_metrics :
   ?placement:int array ->
   Qcir.Circuit.t ->
   compiled * pass_metrics list
-(** Like {!compile}, also returning one metrics record per pass. *)
+(** Like {!compile}, also returning one metrics record per pass, taken
+    after the pass. *)
 
 (** A header and rows for a [Core.Report] table of the per-pass metrics
-    (also the CLI's [compile --trace-passes]). *)
+    (also the CLI's [compile --trace-passes]); each row shows its
+    changes against the row before. *)
 
 val header : string list
 val rows : pass_metrics list -> string list list

@@ -71,13 +71,13 @@ let panel_b b cfg =
   Report.Builder.metric b "cal_hours_8types"
     (Isa.Cost.of_type_count ~topology 8).Isa.Cost.hours_parallel;
   Report.Builder.metric b "continuous_overhead_factor_8types"
-    (Calibration.Model.continuous_overhead_factor ~n_types:8);
+    (Isa.Cost.continuous_overhead_factor ~n_types:8);
   Report.Builder.textf b
     "\nContinuous-set comparison: the fSim family needs ~%d calibrated types\n\
      (Foxen et al.); an 8-type set saves %.0fx calibration — two orders of\n\
      magnitude — while G7's reliability approaches Full_fSim (Fig 10).\n"
-    Calibration.Model.continuous_family_types
-    (Calibration.Model.continuous_overhead_factor ~n_types:8)
+    Isa.Cost.continuous_family_types
+    (Isa.Cost.continuous_overhead_factor ~n_types:8)
 
 let doc ?(cfg = Config.default) () =
   let b = Report.Builder.create () in

@@ -4,17 +4,14 @@
     spread; arbitrary XY(theta) types draw uniformly from the 95-99%
     fidelity band the paper models. *)
 
-val default_types : Gates.Gate_type.t list
-(** Gate types populated by default: the XY-family members of Table II's
-    R-sets plus CZ, SWAP, XY(pi). *)
-
 val type_durations : (Gates.Gate_type.t * float) list
 (** Per-type gate durations (seconds) written into every device
     instance; CZ holds the full 180 ns flux pulse, SWAP costs three.
     Types not listed fall back to the 180 ns device scalar. *)
 
 val ring_device : ?seed:int -> unit -> Calibration.t
-(** The ring populated with {!default_types}, drawn from RNG [seed]
+(** The ring populated with the gate types of Table II's R-sets (the
+    XY-family members plus CZ) and SWAP, XY(pi), drawn from RNG [seed]
     (default 11). *)
 
 val fidelity_table : unit -> ((int * int) * float * float) list

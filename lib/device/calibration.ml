@@ -118,18 +118,19 @@ let check_edge t fn edge gate =
 
 let clamp_error e = Float.max 1e-6 (Float.min 0.5 e)
 
+let fixed_error t fn (a, b) name =
+  match Hashtbl.find_opt t.twoq_error (a, b, name) with
+  | Some e -> e
+  | None -> fail "Calibration.%s: no data for %s on (%d,%d)" fn name a b
+
 let twoq_error t edge gate_type =
   let name = Gates.Gate_type.name gate_type in
-  let a, b = check_edge t "twoq_error" edge name in
+  let edge = check_edge t "twoq_error" edge name in
   match gate_type with
-  | Gates.Gate_type.Fixed _ -> begin
-    match Hashtbl.find_opt t.twoq_error (a, b, name) with
-    | Some e -> e
-    | None -> fail "Calibration.twoq_error: no data for %s on (%d,%d)" name a b
-  end
+  | Gates.Gate_type.Fixed _ -> fixed_error t "twoq_error" edge name
   | Gates.Gate_type.Fsim_family | Gates.Gate_type.Xy_family
   | Gates.Gate_type.Cphase_family ->
-    clamp_error (t.family_error_scale *. Hashtbl.find t.family_base (a, b))
+    clamp_error (t.family_error_scale *. Hashtbl.find t.family_base edge)
 
 let twoq_fidelity t edge gate_type = 1.0 -. twoq_error t edge gate_type
 
@@ -139,6 +140,8 @@ let calibrates t gate_type =
   | Gates.Gate_type.Fsim_family | Gates.Gate_type.Xy_family
   | Gates.Gate_type.Cphase_family ->
     true
+
+let calibrated_types t = t.error_types
 
 let twoq_duration t edge name =
   let a, b = check_edge t "twoq_duration" edge name in
@@ -152,7 +155,8 @@ let mean_over_edges t empty f =
   | xs -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
 
 let mean_twoq_duration t name = mean_over_edges t t.duration_2q (fun e -> twoq_duration t e name)
-let mean_twoq_error t gate_type = mean_over_edges t 0.0 (fun e -> twoq_error t e gate_type)
+let mean_twoq_error t name =
+  mean_over_edges t 0.0 (fun e -> fixed_error t "mean_twoq_error" e name)
 
 let oneq_error t q = t.oneq_error.(q)
 let oneq_fidelity t q = 1.0 -. t.oneq_error.(q)

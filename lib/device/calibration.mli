@@ -49,8 +49,12 @@ val twoq_fidelity : t -> int * int -> Gates.Gate_type.t -> float
 val calibrates : t -> Gates.Gate_type.t -> bool
 (** Whether a fixed gate type has an error entry on at least one edge;
     always true for a continuous family, whose error every edge's family
-    base gives.  One lookup among the type names the error table holds,
-    recorded by {!make}. *)
+    base gives.  One lookup among {!calibrated_types}. *)
+
+val calibrated_types : t -> string list
+(** The distinct fixed gate-type names the error table holds, sorted —
+    the one record of which fixed types a device runs, recorded by
+    {!make}. *)
 
 val twoq_duration : t -> int * int -> string -> float
 (** Duration (seconds) of a gate type, by name, on an edge — compiled
@@ -62,7 +66,10 @@ val twoq_duration : t -> int * int -> string -> float
 val mean_twoq_duration : t -> string -> float
 (** Mean duration of a gate type, by name, across the device's edges. *)
 
-val mean_twoq_error : t -> Gates.Gate_type.t -> float
+val mean_twoq_error : t -> string -> float
+(** Mean stored error of a fixed gate type, by name, across the device's
+    edges.  Raises [Invalid_argument] naming the type and the first
+    edge without an entry. *)
 
 val oneq_error : t -> int -> float
 val oneq_fidelity : t -> int -> float

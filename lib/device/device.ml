@@ -1,9 +1,10 @@
 (* Library interface: devices as first-class, serializable data.
 
    A [Device.t] bundles what the paper treats as one unit of hardware
-   state — identity, connectivity, a calibration snapshot, the native
-   instruction set — plus provenance (builder seed, snapshot timestamp,
-   accumulated drift).  The [Registry] replaces the stringly-typed
+   state — identity, connectivity and a calibration snapshot, whose
+   error table is the one record of the gate types the device runs —
+   plus provenance (builder seed, snapshot timestamp, accumulated
+   drift).  The [Registry] replaces the stringly-typed
    "sycamore" / "aspen8" dispatch that used to be copy-pasted across the
    CLI and experiments, and the JSON codec makes snapshots storable,
    diffable and re-loadable (`nuop devices dump` / `--device FILE`).
@@ -32,19 +33,17 @@ type t = {
   name : string;
   description : string;
   calibration : Calibration.t;
-  native_isa : Isa_set.t;
   provenance : Provenance.t;
 }
 
-let v ~name ~description ~calibration ~native_isa =
-  { name; description; calibration; native_isa; provenance = Provenance.fresh () }
+let v ~name ~description ~calibration =
+  { name; description; calibration; provenance = Provenance.fresh () }
 
 let name d = d.name
 let description d = d.description
 let calibration d = d.calibration
 let topology d = Calibration.topology d.calibration
 let n_qubits d = Topology.n_qubits (topology d)
-let native_isa d = d.native_isa
 let provenance d = d.provenance
 let with_calibration d calibration = { d with calibration }
 let with_name d name = { d with name }
@@ -63,19 +62,12 @@ let aspen8 ?(seed = 11) () =
     name = "aspen8";
     description = "Rigetti Aspen-8: 8-qubit ring, CZ/XY(pi) tables of Fig 3";
     calibration = Aspen8.ring_device ~seed ();
-    native_isa = Isa_set.make "aspen8-native" Aspen8.default_types;
     provenance = Provenance.fresh ~seed ();
   }
 
 (* the Sycamore builders draw from RNG seed 23 *)
-let sycamore_device ~name ~description ?(types = Sycamore.default_types) calibration =
-  {
-    name;
-    description;
-    calibration;
-    native_isa = Isa_set.make "sycamore-native" types;
-    provenance = Provenance.fresh ~seed:23 ();
-  }
+let sycamore_device ~name ~description calibration =
+  { name; description; calibration; provenance = Provenance.fresh ~seed:23 () }
 
 let sycamore () =
   sycamore_device ~name:"sycamore54"
@@ -86,7 +78,6 @@ let sycamore_line ?vary ?types ?mu ?sigma ?oneq k =
   sycamore_device ~name:"sycamore"
     ~description:
       (Printf.sprintf "Google Sycamore sub-device: line of %d qubits, same error model" k)
-    ?types
     (Sycamore.line_device ?vary ?types ?mu ?sigma ?oneq k)
 
 (* ---------- registry ---------- *)
@@ -142,50 +133,9 @@ end
 
 (* ---------- JSON snapshots ---------- *)
 
-let schema_version = "nuop-device/1"
+let schema_version = "nuop-device/2"
 
 let fail fmt = Printf.ksprintf invalid_arg fmt
-
-let mat_to_json m =
-  let entry r c =
-    let z = Linalg.Mat.get m r c in
-    Njson.List [ Njson.Float z.Complex.re; Njson.Float z.Complex.im ]
-  in
-  Njson.List
-    (List.concat_map (fun r -> List.init 4 (entry r)) [ 0; 1; 2; 3 ])
-
-let mat_of_json j =
-  match Njson.to_list j with
-  | Some entries when List.length entries = 16 ->
-    let parsed =
-      List.map
-        (fun e ->
-          match Njson.to_list e with
-          | Some [ re; im ] -> begin
-            match (Njson.to_float_value re, Njson.to_float_value im) with
-            | Some re, Some im -> { Complex.re; im }
-            | _ -> fail "Device.of_json: non-numeric matrix entry"
-          end
-          | _ -> fail "Device.of_json: matrix entries must be [re, im] pairs")
-        entries
-    in
-    let arr = Array.of_list parsed in
-    Linalg.Mat.init 4 4 (fun r c -> arr.((4 * r) + c))
-  | _ -> fail "Device.of_json: a gate unitary needs 16 [re, im] entries"
-
-let gate_type_to_json ty =
-  match ty with
-  | Gates.Gate_type.Fixed { name; unitary } ->
-    Njson.Obj
-      [
-        ("kind", Njson.String "fixed");
-        ("name", Njson.String name);
-        ("unitary", mat_to_json unitary);
-      ]
-  | Gates.Gate_type.Fsim_family -> Njson.Obj [ ("kind", Njson.String "fsim_family") ]
-  | Gates.Gate_type.Xy_family -> Njson.Obj [ ("kind", Njson.String "xy_family") ]
-  | Gates.Gate_type.Cphase_family ->
-    Njson.Obj [ ("kind", Njson.String "cphase_family") ]
 
 let get field j =
   match Njson.member field j with
@@ -211,15 +161,6 @@ let get_list field j =
   match Njson.to_list (get field j) with
   | Some l -> l
   | None -> fail "Device.of_json: field %S must be a list" field
-
-let gate_type_of_json j =
-  match Njson.to_string_value (get "kind" j) with
-  | Some "fixed" -> Gates.Gate_type.fixed (get_string "name" j) (mat_of_json (get "unitary" j))
-  | Some "fsim_family" -> Gates.Gate_type.Fsim_family
-  | Some "xy_family" -> Gates.Gate_type.Xy_family
-  | Some "cphase_family" -> Gates.Gate_type.Cphase_family
-  | Some k -> fail "Device.of_json: unknown gate-type kind %S" k
-  | None -> fail "Device.of_json: gate-type kind must be a string"
 
 let edge_to_json (a, b) = Njson.List [ Njson.Int a; Njson.Int b ]
 
@@ -322,14 +263,6 @@ let to_json d =
                        ])
                    edges) );
           ] );
-      ( "native_isa",
-        Njson.Obj
-          [
-            ("name", Njson.String (Isa_set.name d.native_isa));
-            ( "types",
-              Njson.List (List.map gate_type_to_json (Isa_set.gate_types d.native_isa))
-            );
-          ] );
     ]
 
 let of_json j =
@@ -378,12 +311,7 @@ let of_json j =
       ~family_base
       ~family_error_scale:(get_float "scale" family_obj) ()
   in
-  let isa_obj = get "native_isa" j in
-  let native_isa =
-    Isa_set.make (get_string "name" isa_obj)
-      (List.map gate_type_of_json (get_list "types" isa_obj))
-  in
-  { name; description; calibration; native_isa; provenance }
+  { name; description; calibration; provenance }
 
 let to_string ?indent d = Njson.to_string ?indent (to_json d)
 

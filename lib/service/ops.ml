@@ -60,15 +60,15 @@ let study_circuits ~app ~qubits ~count ~seed =
 
 let compile_text ?(optimize = false) ?(trace_passes = false) ?(print_schedule = false)
     ?(print_circuit = false) ~device ~isa ~isa_name ~app circuit =
+  let options = { Compiler.Pipeline.default_options with optimize } in
   let compiled, metrics =
-    Compiler.Pipeline.compile_with_metrics
-      ~options:{ Compiler.Pipeline.default_options with optimize }
-      ~device ~isa circuit
+    if trace_passes then Compiler.Pipeline.compile_with_metrics ~options ~device ~isa circuit
+    else (Compiler.Pipeline.compile ~options ~device ~isa circuit, [])
   in
   let buf = Buffer.create 512 in
   Printf.bprintf buf "%s on %s via %s stack (%d passes):\n" app isa_name
     (if optimize then "optimized" else "default")
-    (List.length metrics);
+    (List.length (Compiler.Pass.stack options));
   Printf.bprintf buf
     "  %d instructions, %d two-qubit gates, %d SWAPs, depth %d, %d qubits\n"
     (Qcir.Circuit.length compiled.Compiler.Pipeline.circuit)

@@ -1,23 +1,33 @@
-(* Tests for the calibration cost model (Sec IX). *)
+(* Tests for the calibration cost model (Sec IX), read through
+   Isa.Cost. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
-let m = Calibration.Model.default
+(* a line of n + 1 qubits has n couplers in 2 coloring batches *)
+let cost ~pairs n_types =
+  Isa.Cost.of_type_count ~topology:(Device.Topology.line (pairs + 1)) n_types
+
+let circuits ~pairs n_types = (cost ~pairs n_types).Isa.Cost.circuits
+let on_grid n_qubits n_types =
+  Isa.Cost.of_type_count ~topology:(Isa.Cost.grid_topology n_qubits) n_types
 
 let test_per_type_pair_breakdown () =
   (* 5 angle tune-ups x 100 + 250 tomography + 1000 x 10 XEB *)
-  check_int "per pair" ((5 * 100) + 250 + 10000) (Calibration.Model.circuits_per_type_pair m)
+  check_int "per pair" ((5 * 100) + 250 + 10000) Isa.Cost.circuits_per_type_pair;
+  check_int "one type on one pair" 10750 (circuits ~pairs:1 1)
 
 (* coupler counts of the near-square grids Isa.Cost.grid_topology builds
    (pinned in test_grid_pairs): 93 at 54 qubits, 1936 at 1000 *)
 let test_headline_numbers () =
   (* 54-qubit device, 10 gate types: ~1e7 circuits (Sec IX) *)
-  let c = Calibration.Model.total_circuits m ~n_pairs:93 ~n_types:10 in
+  let c = (on_grid 54 10).Isa.Cost.circuits in
+  check_int "93 pairs" (93 * 10 * 10750) c;
   check_bool "order 1e7" true (c > 5_000_000 && c < 20_000_000)
 
 let test_thousand_qubits () =
-  let c = Calibration.Model.total_circuits m ~n_pairs:1936 ~n_types:10 in
+  let c = (on_grid 1000 10).Isa.Cost.circuits in
+  check_int "1936 pairs" (1936 * 10 * 10750) c;
   check_bool "order 1e8+" true (c > 100_000_000)
 
 let test_grid_pairs () =
@@ -34,24 +44,23 @@ let test_grid_pairs () =
   check_int "1000" 1936 (pairs 1000)
 
 let test_linear_scaling () =
-  let c1 = Calibration.Model.total_circuits m ~n_pairs:100 ~n_types:1 in
-  let c4 = Calibration.Model.total_circuits m ~n_pairs:100 ~n_types:4 in
+  let c1 = circuits ~pairs:100 1 in
+  let c4 = circuits ~pairs:100 4 in
   check_int "linear in types" (4 * c1) c4;
-  let p2 = Calibration.Model.total_circuits m ~n_pairs:200 ~n_types:1 in
+  let p2 = circuits ~pairs:200 1 in
   check_int "linear in pairs" (2 * c1) p2
 
 let test_time_models () =
-  Alcotest.(check (float 1e-9)) "serial" 400.0
-    (Calibration.Model.time_hours_serial m ~n_pairs:100 ~n_types:2);
-  Alcotest.(check (float 1e-9)) "parallel" 16.0
-    (Calibration.Model.time_hours_parallel m ~n_types:2)
+  Alcotest.(check (float 1e-9)) "serial" 400.0 (cost ~pairs:100 2).Isa.Cost.hours_serial;
+  (* the 54-qubit grid calibrates in 4 coloring batches *)
+  Alcotest.(check (float 1e-9)) "parallel" 16.0 (on_grid 54 2).Isa.Cost.hours_parallel
 
 let test_continuous_overhead () =
   (* 525 types vs 8 types: ~66x, i.e. around two orders of magnitude in
      combination with the per-type pair costs the paper cites *)
-  let f = Calibration.Model.continuous_overhead_factor ~n_types:8 in
+  let f = Isa.Cost.continuous_overhead_factor ~n_types:8 in
   check_bool "~66x" true (f > 60.0 && f < 70.0);
-  let f1 = Calibration.Model.continuous_overhead_factor ~n_types:1 in
+  let f1 = Isa.Cost.continuous_overhead_factor ~n_types:1 in
   check_bool "525x vs single" true (Float.abs (f1 -. 525.0) < 1e-9)
 
 let prop_total_positive =
@@ -60,8 +69,8 @@ let prop_total_positive =
        ~print:(fun (pairs, types) -> Printf.sprintf "%d pairs, %d types" pairs types)
        Proptest.Gen.(pair (int_range 1 2000) (int_range 1 20)))
     (fun (pairs, types) ->
-      let c = Calibration.Model.total_circuits m ~n_pairs:pairs ~n_types:types in
-      c = pairs * types * Calibration.Model.circuits_per_type_pair m)
+      let c = circuits ~pairs types in
+      c > 0 && c = pairs * types * Isa.Cost.circuits_per_type_pair)
 
 let () =
   Alcotest.run "calibration"

@@ -60,8 +60,7 @@ let test_study_state_fidelity_noiseless () =
       ()
   in
   let device =
-    Device.v ~name:"ideal-line3" ~description:"noiseless 3-qubit line"
-      ~calibration:cal ~native_isa:Isa.Set.g2
+    Device.v ~name:"ideal-line3" ~description:"noiseless 3-qubit line" ~calibration:cal
   in
   let circuit = Apps.Qft.circuit 3 in
   let e =

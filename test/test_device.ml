@@ -247,6 +247,20 @@ let test_calibration_accessors () =
   check_float "readout" 0.02 (Device.Calibration.readout_error cal 1);
   check_float "d2q" 32e-9 (Device.Calibration.duration_2q cal);
   check_float "base" 0.005 (Device.Calibration.family_base_error cal (1, 0));
+  (* the calibrated fixed types, sorted, and their mean error by name *)
+  let cal2 =
+    make_cal
+      ~twoq_error:
+        [ ((0, 1), "iSWAP", 0.01); ((1, 2), "iSWAP", 0.03); ((0, 1), "CZ", 0.012) ]
+      ()
+  in
+  Alcotest.(check (list string))
+    "calibrated types" [ "CZ"; "iSWAP" ]
+    (Device.Calibration.calibrated_types cal2);
+  check_float "mean error" 0.02 (Device.Calibration.mean_twoq_error cal2 "iSWAP");
+  Alcotest.check_raises "mean error needs every edge"
+    (Invalid_argument "Calibration.mean_twoq_error: no data for CZ on (1,2)")
+    (fun () -> ignore (Device.Calibration.mean_twoq_error cal2 "CZ"));
   (* the arrays handed to make are copied in, and copied out *)
   let oneq = [| 0.001; 0.002; 0.003 |] in
   let cal =
@@ -385,10 +399,33 @@ let test_golden_snapshot_matches_builder () =
   check_float_exact "d2q" (C.duration_2q b) (C.duration_2q a);
   check_bool "2q error table" true (C.twoq_error_entries a = C.twoq_error_entries b);
   check_bool "2q duration table" true
-    (C.twoq_duration_entries a = C.twoq_duration_entries b);
-  check_bool "native set" true
-    (List.map Gates.Gate_type.name (Isa.Set.gate_types (Device.native_isa golden))
-    = List.map Gates.Gate_type.name (Isa.Set.gate_types (Device.native_isa built)))
+    (C.twoq_duration_entries a = C.twoq_duration_entries b)
+
+(* a snapshot names its format: a file in the retired nuop-device/1
+   format, which also stored a native gate set, is refused by version *)
+let test_snapshot_old_schema_refused () =
+  let golden =
+    Njson.of_string (In_channel.with_open_text "golden/aspen8.json" In_channel.input_all)
+  in
+  let old =
+    match golden with
+    | Njson.Obj kvs ->
+      Njson.Obj
+        (List.map
+           (fun (k, v) -> if k = "schema" then (k, Njson.String "nuop-device/1") else (k, v))
+           kvs)
+    | j -> j
+  in
+  match Device.of_string (Njson.to_string old) with
+  | _ -> Alcotest.fail "a nuop-device/1 snapshot loaded"
+  | exception Invalid_argument msg ->
+    List.iter
+      (fun version ->
+        check_bool
+          (Printf.sprintf "%s named in %s" version msg)
+          true
+          (Astring.String.is_infix ~affix:version msg))
+      [ "nuop-device/1"; "nuop-device/2" ]
 
 (* a snapshot is outside input: mutate one field of the golden file at a
    time (through its JSON text, so infinity travels as 1e999) and expect
@@ -466,8 +503,6 @@ let test_snapshot_values_validated () =
       ("base", family "base" (append (base 1 0)));
       ("twoq_error", set "twoq_error" repeat_first);
       ("twoq_duration", set "twoq_duration" repeat_first);
-      (* a native set listing its first type twice names that type *)
-      ("sqrt_iSWAP", set "native_isa" (set "types" repeat_first));
     ]
 
 let test_device_registry_lookup () =
@@ -620,6 +655,8 @@ let () =
           Alcotest.test_case "golden snapshot" `Quick test_golden_snapshot_matches_builder;
           Alcotest.test_case "snapshot values validated" `Quick
             test_snapshot_values_validated;
+          Alcotest.test_case "old snapshot schema refused" `Quick
+            test_snapshot_old_schema_refused;
           Alcotest.test_case "registry lookup" `Quick test_device_registry_lookup;
         ]
         @ device_properties );

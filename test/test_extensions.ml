@@ -233,11 +233,10 @@ let test_coloring_classes () =
     (Device.Topology.coloring_classes topo <= Device.Topology.max_degree topo + 1)
 
 let test_coloring_time_model () =
-  let m = Calibration.Model.default in
   let topo = Device.Topology.ring 8 in
   (* 2 batches x 2 h x 3 types = 12 h *)
   check_float "ring time" 12.0
-    (Calibration.Model.time_hours_parallel_on m ~topology:topo ~n_types:3)
+    (Isa.Cost.of_type_count ~topology:topo 3).Isa.Cost.hours_parallel
 
 let seed_arb = Proptest.arbitrary ~print:string_of_int (Proptest.Gen.int_range 0 10000)
 

@@ -60,7 +60,7 @@ let test_find_exn_lists_names () =
 let test_effective_types () =
   check_int "G7" 8 (Isa.Cost.effective_types Isa.Set.g7);
   check_int "R5" 6 (Isa.Cost.effective_types Isa.Set.r5);
-  check_int "Full_fSim" Calibration.Model.continuous_family_types
+  check_int "Full_fSim" Isa.Cost.continuous_family_types
     (Isa.Cost.effective_types Isa.Set.full_fsim)
 
 (* the near-square grid model: n qubits row-major on r = round(sqrt n)
@@ -79,15 +79,16 @@ let test_grid_topology_matches_model () =
         (Device.Topology.edge_count (Isa.Cost.grid_topology n)))
     [ 2; 3; 4; 5; 8; 9; 12; 54; 100; 500; 1000 ]
 
-let test_cost_backcompat () =
-  let m = Calibration.Model.default in
+(* G7's 8 types on the 54-qubit grid: 93 couplers in 4 coloring
+   batches, 10,750 circuits and 2 h per type per pair or batch *)
+let test_cost_g7_grid54 () =
   let c = Isa.Cost.grid ~n_qubits:54 Isa.Set.g7 in
-  check_int "circuits" (Calibration.Model.total_circuits m ~n_pairs:93 ~n_types:8)
-    c.Isa.Cost.circuits;
+  check_int "pairs" 93 c.Isa.Cost.n_pairs;
+  check_int "types" 8 c.Isa.Cost.n_types;
+  check_int "circuits" (93 * 8 * 10750) c.Isa.Cost.circuits;
   check_int "batches on the 54q grid" 4 c.Isa.Cost.batches;
-  Alcotest.(check (float 1e-9)) "hours"
-    (Calibration.Model.time_hours_parallel m ~n_types:8)
-    c.Isa.Cost.hours_parallel
+  Alcotest.(check (float 1e-9)) "serial hours" (2.0 *. 93.0 *. 8.0) c.Isa.Cost.hours_serial;
+  Alcotest.(check (float 1e-9)) "hours" 64.0 c.Isa.Cost.hours_parallel
 
 (* ---------- Score ---------- *)
 
@@ -323,8 +324,7 @@ let () =
           Alcotest.test_case "effective types" `Quick test_effective_types;
           Alcotest.test_case "grid topology matches the model" `Quick
             test_grid_topology_matches_model;
-          Alcotest.test_case "back-compat with Calibration.Model" `Quick
-            test_cost_backcompat;
+          Alcotest.test_case "G7 on the 54-qubit grid" `Quick test_cost_g7_grid54;
         ] );
       ( "score",
         [
