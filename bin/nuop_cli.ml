@@ -171,9 +171,11 @@ let devices_show_cmd =
     let cal = Device.calibration d in
     let types = Device.Calibration.calibrated_types cal in
     Printf.printf "  calibrated types: %s\n" (String.concat ", " types);
+    (* names padded to the longest, so the columns line up *)
+    let width = List.fold_left (fun w name -> max w (String.length name)) 0 types in
     List.iter
       (fun name ->
-        Printf.printf "    %-12s mean error %.4f%%  mean duration %.1f ns\n" name
+        Printf.printf "    %-*s mean error %.4f%%  mean duration %.1f ns\n" width name
           (100.0 *. Device.Calibration.mean_twoq_error cal name)
           (1e9 *. Device.Calibration.mean_twoq_duration cal name))
       types

@@ -140,8 +140,9 @@ let timed_schedule (ctx : Context.t) =
 (* Each gate type in the instruction set is tried (sharing cached
    fidelity curves); the type and layer count maximizing F_u = F_d * F_h
    win (Eq 2).  F_h folds in the per-edge error of the chosen type and
-   the single-qubit layer errors. *)
-let decompose_on_edge ~options ~cal ~isa ~edge ~target =
+   the single-qubit layer errors.  [okey] and [target] are the cache key
+   parts, built once by the caller. *)
+let decompose_keyed ~options ~okey ~cal ~isa ~edge target =
   let a, b = edge in
   let f1 =
     Device.Calibration.oneq_fidelity cal a *. Device.Calibration.oneq_fidelity cal b
@@ -151,18 +152,12 @@ let decompose_on_edge ~options ~cal ~isa ~edge ~target =
     let fh layers =
       ((1.0 -. err) ** float_of_int layers) *. (f1 ** float_of_int (layers + 1))
     in
-    let d =
-      if options.approximate then
-        Decompose.Cache.decompose_approx ~options:options.nuop ~fh ty ~target
-      else begin
-        let d =
-          Decompose.Cache.decompose_exact ~options:options.nuop
-            ~threshold:options.exact_threshold ty ~target
-        in
-        { d with fh = fh d.Decompose.Nuop.layers }
-      end
-    in
-    d
+    let curve = Decompose.Cache.curve okey ty target in
+    if options.approximate then Decompose.Nuop.approx_of_curve ~fh ty curve
+    else begin
+      let d = Decompose.Nuop.exact_of_curve ~threshold:options.exact_threshold ty curve in
+      { d with fh = fh d.Decompose.Nuop.layers }
+    end
   in
   let candidates = List.map candidate (Isa.Set.gate_types isa) in
   if options.adaptive then Decompose.Nuop.select_best candidates
@@ -182,6 +177,11 @@ let decompose_on_edge ~options ~cal ~isa ~edge ~target =
           else best)
         first rest
   end
+
+let decompose_on_edge ~options ~cal ~isa ~edge ~target =
+  decompose_keyed ~options
+    ~okey:(Decompose.Cache.options_key options.nuop)
+    ~cal ~isa ~edge (Decompose.Cache.target_key target)
 
 (* ---------- placement ---------- *)
 
@@ -241,6 +241,7 @@ let errors_of_decomposition ~cal ~edge (d : Decompose.Nuop.t) instrs =
 let lower =
   make "lower" (fun ctx ->
       let open Context in
+      let okey = Decompose.Cache.options_key ctx.options.nuop in
       let rev_instrs = ref [] and rev_errors = ref [] in
       let emit instr err =
         rev_instrs := instr :: !rev_instrs;
@@ -253,10 +254,11 @@ let lower =
           | 1 -> emit instr 0.0
           | 2 ->
             let edge = (qs.(0), qs.(1)) in
-            let target = Gates.Gate.matrix (Qcir.Instr.gate instr) in
+            let target =
+              Decompose.Cache.target_key (Gates.Gate.matrix (Qcir.Instr.gate instr))
+            in
             let d =
-              decompose_on_edge ~options:ctx.options ~cal:ctx.cal ~isa:ctx.isa ~edge
-                ~target
+              decompose_keyed ~options:ctx.options ~okey ~cal:ctx.cal ~isa:ctx.isa ~edge target
             in
             let instrs = Decompose.Nuop.to_instrs d ~qubits:(qs.(0), qs.(1)) in
             let errs = errors_of_decomposition ~cal:ctx.cal ~edge d instrs in

@@ -66,15 +66,34 @@ let hits = Obs.Counter.create "decompose.cache.hits"
 let misses = Obs.Counter.create "decompose.cache.misses"
 let warm_hit_count = Obs.Counter.create "decompose.cache.warm_hits"
 
-let make_key ~target ~gate_type ~options =
+(* A key is "<unitary digest>|<gate type>|<optimizer options>".  A
+   compile looks up every gate type of its set for every routed
+   two-qubit unitary, all under one options record, so the parts are
+   built apart: [options_key] formats the options once per compile (the
+   five %.17g floats cost most of a key) and [target_key] digests a
+   unitary once for all its gate types. *)
+type options_key = { options : Nuop.options; formatted : string }
+
+let options_key options =
   let o = options in
   let b = o.Nuop.bfgs in
-  Printf.sprintf "%s|%s|%d-%d|s%d|r%d|cv%.17g|b%d;%.17g;%.17g;%.17g;%.17g"
-    (Digest.to_hex (Mat.digest target))
-    (Gates.Gate_type.name gate_type)
-    o.Nuop.min_layers o.Nuop.max_layers o.Nuop.starts o.Nuop.seed
-    o.Nuop.convergence_fd b.Optimize.Bfgs.max_iter b.Optimize.Bfgs.grad_tol
-    b.Optimize.Bfgs.f_tol b.Optimize.Bfgs.step_tol b.Optimize.Bfgs.fd_step
+  let formatted =
+    Printf.sprintf "%d-%d|s%d|r%d|cv%.17g|b%d;%.17g;%.17g;%.17g;%.17g" o.Nuop.min_layers
+      o.Nuop.max_layers o.Nuop.starts o.Nuop.seed o.Nuop.convergence_fd
+      b.Optimize.Bfgs.max_iter b.Optimize.Bfgs.grad_tol b.Optimize.Bfgs.f_tol
+      b.Optimize.Bfgs.step_tol b.Optimize.Bfgs.fd_step
+  in
+  { options; formatted }
+
+type target_key = { target : Mat.t; digest : string }
+
+let target_key target = { target; digest = Digest.to_hex (Mat.digest target) }
+
+let key okey gate_type tkey =
+  String.concat "|" [ tkey.digest; Gates.Gate_type.name gate_type; okey.formatted ]
+
+let make_key ~target ~gate_type ~options =
+  key (options_key options) gate_type (target_key target)
 
 let with_lock f =
   Mutex.lock lock;
@@ -107,8 +126,8 @@ let insert_locked ~warm key curve =
   incr clock;
   Hashtbl.replace table key { gen = !clock; warm; curve }
 
-let fd_curve ?(options = Nuop.default_options) gate_type ~target =
-  let key = make_key ~target ~gate_type ~options in
+let curve okey gate_type tkey =
+  let key = key okey gate_type tkey in
   let cached =
     with_lock (fun () ->
         match Hashtbl.find_opt table key with
@@ -125,9 +144,12 @@ let fd_curve ?(options = Nuop.default_options) gate_type ~target =
     curve
   | None ->
     Obs.Counter.incr misses;
-    let curve = Nuop.fd_curve ~options gate_type ~target in
+    let curve = Nuop.fd_curve ~options:okey.options gate_type ~target:tkey.target in
     with_lock (fun () -> insert_locked ~warm:false key curve);
     curve
+
+let fd_curve ?(options = Nuop.default_options) gate_type ~target =
+  curve (options_key options) gate_type (target_key target)
 
 let decompose_exact ?(options = Nuop.default_options) ?threshold gate_type ~target =
   Nuop.exact_of_curve ?threshold gate_type (fd_curve ~options gate_type ~target)

@@ -27,6 +27,26 @@ val fd_curve :
   target:Mat.t ->
   (int * float array * float) array
 
+(** {2 Keys built in parts}
+
+    A compile looks up every gate type of its instruction set for every
+    routed two-qubit unitary, all under one options record.  These build
+    each part of {!make_key} once: the lookup key has the same bytes and
+    finds the same entry as {!fd_curve}'s. *)
+
+type options_key
+(** Optimizer options with their part of every key formatted. *)
+
+val options_key : Nuop.options -> options_key
+
+type target_key
+(** A unitary with its digest. *)
+
+val target_key : Mat.t -> target_key
+
+val curve : options_key -> Gates.Gate_type.t -> target_key -> (int * float array * float) array
+(** {!fd_curve} on key parts built beforehand. *)
+
 val decompose_exact :
   ?options:Nuop.options -> ?threshold:float -> Gates.Gate_type.t -> target:Mat.t -> Nuop.t
 

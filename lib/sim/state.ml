@@ -4,11 +4,23 @@
    corresponds to bit [q] of the amplitude index (qubit 0 is the least
    significant bit).
 
-   Gate application is the general k-qubit kernel: for each setting of the
-   untouched bits, gather the 2^k amplitudes addressed by the gate's
-   qubits, multiply by the matrix, scatter back.  The same kernel powers
-   the vectorized density simulator (where "qubits" include bra indices
-   and the matrix need not be unitary). *)
+   Gate application picks its kernel from the gate width alone, with no
+   option: a loop over amplitude pairs for one qubit, a loop over four
+   amplitudes for two, and for wider matrices a gather/scatter over the
+   2^k amplitudes of each block that sums only the matrix's nonzero
+   entries.  The same kernels power the vectorized density simulator,
+   where "qubits" include bra indices and the matrix need not be
+   unitary: its 4x4 one-qubit channel superoperators take the two-qubit
+   kernel, its 16x16 two-qubit ones the wide one.
+
+   All three kernels return the bits of one reference order: output row
+   r is 0.0 +. t_0 +. ... +. t_{2^k-1}, left to right, with t_c the
+   product of entry (r, c) and amplitude c.  Skipping a zero entry
+   leaves that sum unchanged as long as the amplitudes are finite: the
+   product is then a signed zero, and adding a signed zero to an
+   accumulator that started at +0.0 (so is never -0.0) changes nothing.
+   An infinite or nan amplitude would make 0 * a a nan, so this holds
+   for finite states, the only ones a simulation makes. *)
 
 open Linalg
 
@@ -73,60 +85,178 @@ let inner a b =
 
 let fidelity_pure a b = Complex.norm2 (inner a b)
 
-(* Gather/scatter k-qubit gate application.  [qubits] orders the matrix
-   index with qubits.(0) as the MOST significant bit: a 2-qubit gate on
-   [a; b] sees basis |x_a x_b> with index 2*x_a + x_b, matching the 4x4
-   conventions of the gates library. *)
-let apply_matrix t matrix qubits =
+(* Gate application.  [qubits] orders the matrix index with qubits.(0)
+   as the MOST significant bit: a 2-qubit gate on [a; b] sees basis
+   |x_a x_b> with index 2*x_a + x_b, matching the 4x4 conventions of
+   the gates library.  Every kernel sums in the header's order, with
+   t_c split as re = m_re a_re - m_im a_im and im = m_re a_im + m_im a_re. *)
+
+(* Refuse what would corrupt the state or index outside it: a qubit out
+   of range or listed twice, or a matrix that is not 2^k x 2^k.  The
+   kernels read and write without bounds checks, so they run only on
+   arguments that passed here.  The qubits are checked first: once they
+   are distinct and in range, k <= n_qubits and 2^k cannot overflow. *)
+let check_args t matrix qubits =
   let k = Array.length qubits in
-  assert (Mat.rows matrix = 1 lsl k && Mat.cols matrix = 1 lsl k);
-  Array.iter (fun q -> assert (q >= 0 && q < t.n_qubits)) qubits;
+  for i = 0 to k - 1 do
+    let q = qubits.(i) in
+    if q < 0 || q >= t.n_qubits then
+      invalid_arg
+        (Printf.sprintf "State.apply_matrix: qubit %d out of range for %d qubits" q t.n_qubits);
+    for j = 0 to i - 1 do
+      if qubits.(j) = q then
+        invalid_arg (Printf.sprintf "State.apply_matrix: qubit %d listed twice" q)
+    done
+  done;
+  let dim_gate = 1 lsl k in
+  if Mat.rows matrix <> dim_gate || Mat.cols matrix <> dim_gate then
+    invalid_arg
+      (Printf.sprintf "State.apply_matrix: %d qubit(s) take a %dx%d matrix, not %dx%d" k
+         dim_gate dim_gate (Mat.rows matrix) (Mat.cols matrix))
+
+(* k = 1: the amplitude pairs (i, i + 2^q), i with bit q clear, in
+   blocks of 2^(q+1). *)
+let apply_1q t md q =
+  let re = t.re and im = t.im in
+  let m00r = Array.unsafe_get md 0 and m00i = Array.unsafe_get md 1 in
+  let m01r = Array.unsafe_get md 2 and m01i = Array.unsafe_get md 3 in
+  let m10r = Array.unsafe_get md 4 and m10i = Array.unsafe_get md 5 in
+  let m11r = Array.unsafe_get md 6 and m11i = Array.unsafe_get md 7 in
+  let bit = 1 lsl q in
+  for block = 0 to (1 lsl (t.n_qubits - q - 1)) - 1 do
+    let first = block lsl (q + 1) in
+    for i0 = first to first + bit - 1 do
+      let i1 = i0 + bit in
+      let a0r = Array.unsafe_get re i0 and a0i = Array.unsafe_get im i0 in
+      let a1r = Array.unsafe_get re i1 and a1i = Array.unsafe_get im i1 in
+      Array.unsafe_set re i0
+        (0.0 +. ((m00r *. a0r) -. (m00i *. a0i)) +. ((m01r *. a1r) -. (m01i *. a1i)));
+      Array.unsafe_set im i0
+        (0.0 +. ((m00r *. a0i) +. (m00i *. a0r)) +. ((m01r *. a1i) +. (m01i *. a1r)));
+      Array.unsafe_set re i1
+        (0.0 +. ((m10r *. a0r) -. (m10i *. a0i)) +. ((m11r *. a1r) -. (m11i *. a1i)));
+      Array.unsafe_set im i1
+        (0.0 +. ((m10r *. a0i) +. (m10i *. a0r)) +. ((m11r *. a1i) +. (m11i *. a1r)))
+    done
+  done
+
+(* k = 2 on [a; b]: four amplitudes per setting of the other bits, whose
+   index [rest] widens to the block's base by inserting a zero bit at
+   the lower of a and b, then at the higher. *)
+let apply_2q t md a b =
+  let re = t.re and im = t.im in
+  let low_mask = (1 lsl Int.min a b) - 1 and high_mask = (1 lsl Int.max a b) - 1 in
+  let offsets = [| 0; 1 lsl b; 1 lsl a; (1 lsl a) lor (1 lsl b) |] in
+  for rest = 0 to (1 lsl (t.n_qubits - 2)) - 1 do
+    let x = ((rest land lnot low_mask) lsl 1) lor (rest land low_mask) in
+    let base = ((x land lnot high_mask) lsl 1) lor (x land high_mask) in
+    let i1 = base lor Array.unsafe_get offsets 1 in
+    let i2 = base lor Array.unsafe_get offsets 2 in
+    let i3 = base lor Array.unsafe_get offsets 3 in
+    let a0r = Array.unsafe_get re base and a0i = Array.unsafe_get im base in
+    let a1r = Array.unsafe_get re i1 and a1i = Array.unsafe_get im i1 in
+    let a2r = Array.unsafe_get re i2 and a2i = Array.unsafe_get im i2 in
+    let a3r = Array.unsafe_get re i3 and a3i = Array.unsafe_get im i3 in
+    for r = 0 to 3 do
+      let m = 8 * r in
+      let m0r = Array.unsafe_get md m and m0i = Array.unsafe_get md (m + 1) in
+      let m1r = Array.unsafe_get md (m + 2) and m1i = Array.unsafe_get md (m + 3) in
+      let m2r = Array.unsafe_get md (m + 4) and m2i = Array.unsafe_get md (m + 5) in
+      let m3r = Array.unsafe_get md (m + 6) and m3i = Array.unsafe_get md (m + 7) in
+      let idx = base lor Array.unsafe_get offsets r in
+      Array.unsafe_set re idx
+        (0.0
+        +. ((m0r *. a0r) -. (m0i *. a0i))
+        +. ((m1r *. a1r) -. (m1i *. a1i))
+        +. ((m2r *. a2r) -. (m2i *. a2i))
+        +. ((m3r *. a3r) -. (m3i *. a3i)));
+      Array.unsafe_set im idx
+        (0.0
+        +. ((m0r *. a0i) +. (m0i *. a0r))
+        +. ((m1r *. a1i) +. (m1i *. a1r))
+        +. ((m2r *. a2i) +. (m2i *. a2r))
+        +. ((m3r *. a3i) +. (m3i *. a3r)))
+    done
+  done
+
+(* Any k (the 16x16 two-qubit channel superoperators take it, with
+   k = 4): gather the 2^k amplitudes of each block, then sum each row
+   over its nonzero entries only, listed once per call in column order
+   (the header says why the skipped zeros cannot change a bit). *)
+let apply_generic t matrix qubits =
+  let k = Array.length qubits in
   let dim_gate = 1 lsl k in
   let md = Mat.unsafe_data matrix in
-  (* bit position (in the state index) of matrix bit j: matrix bit j is
-     the j-th from the LEAST significant, i.e. qubits.(k-1-j) *)
-  let bitpos = Array.init k (fun j -> qubits.(k - 1 - j)) in
-  let mask_sorted = Array.copy bitpos in
-  Array.sort compare mask_sorted;
-  let n_rest = t.n_qubits - k in
-  let gather_re = Array.make dim_gate 0.0 in
-  let gather_im = Array.make dim_gate 0.0 in
+  (* offset within a block of each gate-basis setting g: matrix bit j
+     (from the least significant) is qubit qubits.(k-1-j) *)
   let offsets = Array.make dim_gate 0 in
-  (* offset of each gate-basis setting within a block *)
   for g = 0 to dim_gate - 1 do
-    let off = ref 0 in
     for j = 0 to k - 1 do
-      if (g lsr j) land 1 = 1 then off := !off lor (1 lsl bitpos.(j))
-    done;
-    offsets.(g) <- !off
+      if (g lsr j) land 1 = 1 then
+        offsets.(g) <- offsets.(g) lor (1 lsl qubits.(k - 1 - j))
+    done
   done;
-  for rest = 0 to (1 lsl n_rest) - 1 do
-    (* expand [rest] into a full index with zeros at the gate bits *)
+  let sorted = Array.copy qubits in
+  Array.sort Int.compare sorted;
+  let row_start = Array.make (dim_gate + 1) 0 in
+  for r = 0 to dim_gate - 1 do
+    let count = ref 0 in
+    for c = 0 to dim_gate - 1 do
+      let km = 2 * ((r * dim_gate) + c) in
+      if md.(km) <> 0.0 || md.(km + 1) <> 0.0 then incr count
+    done;
+    row_start.(r + 1) <- row_start.(r) + !count
+  done;
+  let nonzero = row_start.(dim_gate) in
+  let cols = Array.make nonzero 0 and entries = Array.make (2 * nonzero) 0.0 in
+  let e = ref 0 in
+  for r = 0 to dim_gate - 1 do
+    for c = 0 to dim_gate - 1 do
+      let km = 2 * ((r * dim_gate) + c) in
+      if md.(km) <> 0.0 || md.(km + 1) <> 0.0 then begin
+        cols.(!e) <- c;
+        entries.(2 * !e) <- md.(km);
+        entries.((2 * !e) + 1) <- md.(km + 1);
+        incr e
+      end
+    done
+  done;
+  let gather_re = Array.make dim_gate 0.0 and gather_im = Array.make dim_gate 0.0 in
+  for rest = 0 to (1 lsl (t.n_qubits - k)) - 1 do
+    (* [rest] with a zero bit inserted at each gate qubit, lowest first *)
     let base = ref rest in
-    Array.iter
-      (fun q ->
-        let low_mask = (1 lsl q) - 1 in
-        base := (!base land low_mask) lor ((!base land lnot low_mask) lsl 1))
-      mask_sorted;
+    for s = 0 to k - 1 do
+      let low_mask = (1 lsl Array.unsafe_get sorted s) - 1 in
+      base := ((!base land lnot low_mask) lsl 1) lor (!base land low_mask)
+    done;
     let base = !base in
     for g = 0 to dim_gate - 1 do
-      let idx = base lor offsets.(g) in
-      gather_re.(g) <- t.re.(idx);
-      gather_im.(g) <- t.im.(idx)
+      let idx = base lor Array.unsafe_get offsets g in
+      Array.unsafe_set gather_re g (Array.unsafe_get t.re idx);
+      Array.unsafe_set gather_im g (Array.unsafe_get t.im idx)
     done;
     for r = 0 to dim_gate - 1 do
       let acc_re = ref 0.0 and acc_im = ref 0.0 in
-      for c = 0 to dim_gate - 1 do
-        let km = 2 * ((r * dim_gate) + c) in
-        let mr = md.(km) and mi = md.(km + 1) in
-        acc_re := !acc_re +. ((mr *. gather_re.(c)) -. (mi *. gather_im.(c)));
-        acc_im := !acc_im +. ((mr *. gather_im.(c)) +. (mi *. gather_re.(c)))
+      for e = Array.unsafe_get row_start r to Array.unsafe_get row_start (r + 1) - 1 do
+        let c = Array.unsafe_get cols e in
+        let mr = Array.unsafe_get entries (2 * e) and mi = Array.unsafe_get entries ((2 * e) + 1) in
+        let gr = Array.unsafe_get gather_re c and gi = Array.unsafe_get gather_im c in
+        acc_re := !acc_re +. ((mr *. gr) -. (mi *. gi));
+        acc_im := !acc_im +. ((mr *. gi) +. (mi *. gr))
       done;
-      let idx = base lor offsets.(r) in
-      t.re.(idx) <- !acc_re;
-      t.im.(idx) <- !acc_im
+      let idx = base lor Array.unsafe_get offsets r in
+      Array.unsafe_set t.re idx !acc_re;
+      Array.unsafe_set t.im idx !acc_im
     done
   done
+
+(* The kernel follows from the gate width alone, as in [Mat.mul_into]. *)
+let apply_matrix t matrix qubits =
+  check_args t matrix qubits;
+  match qubits with
+  | [| q |] -> apply_1q t (Mat.unsafe_data matrix) q
+  | [| a; b |] -> apply_2q t (Mat.unsafe_data matrix) a b
+  | _ -> apply_generic t matrix qubits
 
 let apply_instr t instr =
   apply_matrix t (Gates.Gate.matrix (Qcir.Instr.gate instr)) (Qcir.Instr.qubits instr)

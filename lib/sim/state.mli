@@ -34,7 +34,12 @@ val fidelity_pure : t -> t -> float
 val apply_matrix : t -> Mat.t -> int array -> unit
 (** Apply a 2^k x 2^k matrix to the listed qubits; [qubits.(0)] is the
     most significant bit of the matrix index.  The matrix need not be
-    unitary (the density simulator applies superoperators). *)
+    unitary (the density simulator applies superoperators).  The kernel
+    follows from k alone, and every kernel returns the same bits.
+
+    @raise Invalid_argument naming the qubit for a qubit out of range
+    or listed twice, and for a matrix that is not 2^k x 2^k; the state
+    is untouched. *)
 
 val apply_instr : t -> Qcir.Instr.t -> unit
 val run_circuit : Qcir.Circuit.t -> t

@@ -342,6 +342,48 @@ let test_cache_key_pinned () =
     (Decompose.Cache.make_key ~target:Gates.Twoq.swap ~gate_type:Gates.Gate_type.s1
        ~options:Decompose.Nuop.default_options)
 
+(* The key as it was formatted before its parts were built apart: one
+   Printf call over the whole options record on every lookup. *)
+let printf_key ~target ~gate_type ~(options : Decompose.Nuop.options) =
+  let b = options.bfgs in
+  Printf.sprintf "%s|%s|%d-%d|s%d|r%d|cv%.17g|b%d;%.17g;%.17g;%.17g;%.17g"
+    (Digest.to_hex (Mat.digest target))
+    (Gates.Gate_type.name gate_type)
+    options.min_layers options.max_layers options.starts options.seed options.convergence_fd
+    b.Optimize.Bfgs.max_iter b.Optimize.Bfgs.grad_tol b.Optimize.Bfgs.f_tol
+    b.Optimize.Bfgs.step_tol b.Optimize.Bfgs.fd_step
+
+let test_cache_key_parts () =
+  (* every options field lands in its place of the key *)
+  let rng = Rng.create 31 in
+  List.iteri
+    (fun i x ->
+      let options =
+        { fast_options with
+          Decompose.Nuop.convergence_fd = x;
+          seed = i - 3;
+          max_layers = 100 * i;
+          bfgs = { fast_options.bfgs with Optimize.Bfgs.grad_tol = x /. 7.0; max_iter = i };
+        }
+      in
+      let target = Qr.haar_special_unitary rng 4 and gate_type = Gates.Gate_type.s3 in
+      Alcotest.(check string)
+        (Printf.sprintf "options %d" i)
+        (printf_key ~target ~gate_type ~options)
+        (Decompose.Cache.make_key ~target ~gate_type ~options))
+    [ 0.0; -0.0; 1.0 /. 3.0; 1e22; infinity; nan ];
+  (* a lookup on parts built beforehand finds fd_curve's entry *)
+  Decompose.Cache.clear ();
+  let u = Qr.haar_special_unitary rng 4 in
+  let cold = Decompose.Cache.fd_curve ~options:fast_options Gates.Gate_type.s3 ~target:u in
+  let warm =
+    Decompose.Cache.curve
+      (Decompose.Cache.options_key fast_options)
+      Gates.Gate_type.s3 (Decompose.Cache.target_key u)
+  in
+  check_bool "same curve" true (cold == warm);
+  check_bool "one miss, one hit" true (Decompose.Cache.stats () = (1, 1))
+
 let test_cache_stats_concurrent () =
   (* hammer the cache from the Domain pool: every lookup is counted
      exactly once, and the table converges to one entry per distinct key *)
@@ -985,6 +1027,7 @@ let () =
           Alcotest.test_case "curve monotone" `Quick test_fd_curve_monotone;
           Alcotest.test_case "cache hit" `Quick test_cache_hit;
           Alcotest.test_case "key pinned" `Quick test_cache_key_pinned;
+          Alcotest.test_case "key parts" `Quick test_cache_key_parts;
           Alcotest.test_case "cache consistent" `Quick test_cache_modes_consistent;
           Alcotest.test_case "cache stats concurrent" `Quick
             test_cache_stats_concurrent;

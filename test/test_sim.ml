@@ -68,6 +68,36 @@ let test_state_inner () =
   let c = Sim.State.of_basis 2 2 in
   check_float "orthogonal" 0.0 (Complex.norm (Sim.State.inner a c))
 
+(* [apply_matrix] refuses arguments it cannot apply before it touches
+   the state: the kernels index without bounds checks. *)
+let refused name msg matrix qubits =
+  let s = Sim.State.create 3 in
+  Sim.State.apply_matrix s Gates.Oneq.h [| 0 |];
+  let before = Sim.State.probabilities s in
+  Alcotest.check_raises name (Invalid_argument msg) (fun () ->
+      Sim.State.apply_matrix s matrix qubits);
+  check_bool (name ^ ": state untouched") true (before = Sim.State.probabilities s)
+
+let test_state_qubit_out_of_range () =
+  refused "past the top" "State.apply_matrix: qubit 3 out of range for 3 qubits"
+    Gates.Twoq.cnot [| 0; 3 |];
+  refused "negative" "State.apply_matrix: qubit -1 out of range for 3 qubits" Gates.Oneq.x
+    [| -1 |]
+
+let test_state_qubit_repeated () =
+  (* a repeated qubit once passed every check and corrupted the state *)
+  refused "cnot on [1; 1]" "State.apply_matrix: qubit 1 listed twice" Gates.Twoq.cnot [| 1; 1 |];
+  refused "3 qubits, one twice" "State.apply_matrix: qubit 0 listed twice"
+    (Mat.identity 8) [| 0; 2; 0 |]
+
+let test_state_matrix_size () =
+  refused "4x4 on one qubit" "State.apply_matrix: 1 qubit(s) take a 2x2 matrix, not 4x4"
+    Gates.Twoq.cnot [| 0 |];
+  refused "2x2 on two qubits" "State.apply_matrix: 2 qubit(s) take a 4x4 matrix, not 2x2"
+    Gates.Oneq.x [| 0; 1 |];
+  refused "4x2" "State.apply_matrix: 1 qubit(s) take a 2x2 matrix, not 4x2" (Mat.zero 4 2)
+    [| 0 |]
+
 (* ---------- Channel ---------- *)
 
 let test_channel_trace_preserving_check () =
@@ -419,6 +449,139 @@ let prop_channel_trace =
       apply_channel rho (Sim.Channel.depolarizing_2q p) [| 0; 1 |];
       Float.abs ((Sim.Density.trace rho).re -. 1.0) < 1e-8)
 
+(* Every kernel of [State.apply_matrix] against the one gather/scatter
+   loop it ran for every gate width before the kernels, kept here as
+   the reference on plain (re, im) arrays. *)
+let reference_apply ~n_qubits re im matrix qubits =
+  let k = Array.length qubits in
+  let dim_gate = 1 lsl k in
+  let md = Mat.unsafe_data matrix in
+  let bitpos = Array.init k (fun j -> qubits.(k - 1 - j)) in
+  let mask_sorted = Array.copy bitpos in
+  Array.sort compare mask_sorted;
+  let gather_re = Array.make dim_gate 0.0 and gather_im = Array.make dim_gate 0.0 in
+  let offsets = Array.make dim_gate 0 in
+  for g = 0 to dim_gate - 1 do
+    let off = ref 0 in
+    for j = 0 to k - 1 do
+      if (g lsr j) land 1 = 1 then off := !off lor (1 lsl bitpos.(j))
+    done;
+    offsets.(g) <- !off
+  done;
+  for rest = 0 to (1 lsl (n_qubits - k)) - 1 do
+    let base = ref rest in
+    Array.iter
+      (fun q ->
+        let low_mask = (1 lsl q) - 1 in
+        base := (!base land low_mask) lor ((!base land lnot low_mask) lsl 1))
+      mask_sorted;
+    let base = !base in
+    for g = 0 to dim_gate - 1 do
+      let idx = base lor offsets.(g) in
+      gather_re.(g) <- re.(idx);
+      gather_im.(g) <- im.(idx)
+    done;
+    for r = 0 to dim_gate - 1 do
+      let acc_re = ref 0.0 and acc_im = ref 0.0 in
+      for c = 0 to dim_gate - 1 do
+        let km = 2 * ((r * dim_gate) + c) in
+        let mr = md.(km) and mi = md.(km + 1) in
+        acc_re := !acc_re +. ((mr *. gather_re.(c)) -. (mi *. gather_im.(c)));
+        acc_im := !acc_im +. ((mr *. gather_im.(c)) +. (mi *. gather_re.(c)))
+      done;
+      let idx = base lor offsets.(r) in
+      re.(idx) <- !acc_re;
+      im.(idx) <- !acc_im
+    done
+  done
+
+(* A finite, unnormalized state with zeros of either sign mixed in: a
+   quarter to three quarters of the amplitudes are zero, so whole
+   blocks of zeros occur, where a sum that skips its leading [0.0 +.]
+   can come out as -0.0. *)
+let random_amplitudes rng n_qubits =
+  let zero_frac = 0.25 *. float_of_int (1 + Rng.int rng 3) in
+  let signed_zero () = if Rng.bool rng then 0.0 else -0.0 in
+  Array.init (1 lsl n_qubits) (fun _ ->
+      if Rng.float rng < zero_frac then (signed_zero (), signed_zero ())
+      else (Rng.gaussian rng, if Rng.int rng 4 = 0 then signed_zero () else Rng.gaussian rng))
+
+(* The kernel and the reference on copies of one fresh random state:
+   every amplitude must come out with the same bits. *)
+let kernel_matches rng ~n_qubits (matrix, qubits) =
+  let amps = random_amplitudes rng n_qubits in
+  let s = Sim.State.create n_qubits in
+  Array.iteri (fun i (re, im) -> Sim.State.set_amplitude s i { Complex.re; im }) amps;
+  let re = Array.map fst amps and im = Array.map snd amps in
+  Sim.State.apply_matrix s matrix qubits;
+  reference_apply ~n_qubits re im matrix qubits;
+  let bits = Int64.bits_of_float in
+  List.for_all
+    (fun i ->
+      let z = Sim.State.amplitude s i in
+      bits z.re = bits re.(i) && bits z.im = bits im.(i))
+    (List.init (1 lsl n_qubits) Fun.id)
+
+let ordered_pairs n =
+  let qs = List.init n Fun.id in
+  List.concat_map (fun a -> List.filter_map (fun b -> if a = b then None else Some (a, b)) qs) qs
+
+(* On n index-qubits: a random dense unitary and its conjugate (the
+   density simulator's bra-half matrix) on every qubit and every ordered
+   pair, and a random 3-qubit unitary with zeroed entries on one
+   ordered triple.  On n = 2m, every channel superoperator on the
+   doubled qubits of each qubit (4x4) and of each ordered pair (16x16),
+   as [Density.apply_superoperator] lays them out. *)
+let kernel_cases rng n =
+  let with_conj qubits =
+    let u = Qr.haar_unitary rng (1 lsl Array.length qubits) in
+    [ (u, qubits); (Mat.conj u, qubits) ]
+  in
+  let unitaries =
+    List.concat_map (fun q -> with_conj [| q |]) (List.init n Fun.id)
+    @ List.concat_map (fun (a, b) -> with_conj [| a; b |]) (ordered_pairs n)
+  in
+  let triple =
+    if n < 3 then []
+    else begin
+      let p = Rng.permutation rng n in
+      let u = Qr.haar_unitary rng 8 in
+      let m = Mat.init 8 8 (fun i j -> if Rng.int rng 3 = 0 then Complex.zero else Mat.get u i j) in
+      [ (m, [| p.(0); p.(1); p.(2) |]) ]
+    end
+  in
+  let channels =
+    if n mod 2 = 1 then []
+    else begin
+      let m = n / 2 and p () = Rng.float rng in
+      let superop = Sim.Channel.superoperator in
+      List.concat_map
+        (fun q ->
+          List.map
+            (fun ch -> (superop ch, [| q; q + m |]))
+            [
+              Sim.Channel.depolarizing_1q (p ());
+              Sim.Channel.amplitude_damping (p ());
+              Sim.Channel.phase_damping (p ());
+            ])
+        (List.init m Fun.id)
+      @ List.map
+          (fun (a, b) ->
+            (superop (Sim.Channel.depolarizing_2q (p ())), [| a; b; a + m; b + m |]))
+          (ordered_pairs m)
+    end
+  in
+  unitaries @ triple @ channels
+
+let prop_kernels_match_reference =
+  Proptest.test ~count:8 "kernels match the reference loop bit for bit"
+    (Proptest.arbitrary ~print:string_of_int (G.int_range 0 1_000_000))
+    (fun seed ->
+      let rng = Rng.create seed in
+      List.for_all
+        (fun n -> List.for_all (kernel_matches rng ~n_qubits:n) (kernel_cases rng n))
+        [ 1; 2; 3; 4; 5; 6 ])
+
 (* three simulators, one answer *)
 
 let linf a b =
@@ -471,6 +634,9 @@ let () =
           Alcotest.test_case "kron embedding" `Quick test_state_matches_kron_embedding;
           Alcotest.test_case "norm preserved" `Quick test_state_norm_preserved;
           Alcotest.test_case "inner" `Quick test_state_inner;
+          Alcotest.test_case "qubit out of range refused" `Quick test_state_qubit_out_of_range;
+          Alcotest.test_case "repeated qubit refused" `Quick test_state_qubit_repeated;
+          Alcotest.test_case "matrix size refused" `Quick test_state_matrix_size;
         ] );
       ( "channel",
         [
@@ -507,6 +673,6 @@ let () =
           Alcotest.test_case "damping specializations" `Quick test_trajectory_damping_specializations;
           Alcotest.test_case "overlap bounds" `Quick test_trajectory_overlap_bounds;
         ] );
-      ("properties", [ prop_norm_preserved; prop_channel_trace ]);
+      ("properties", [ prop_norm_preserved; prop_channel_trace; prop_kernels_match_reference ]);
       ("sim", sim_properties);
     ]
