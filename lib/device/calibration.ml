@@ -34,6 +34,7 @@ type t = {
 
 let fail fmt = Printf.ksprintf invalid_arg fmt
 
+(* Each range refuses nan, which fails every comparison. *)
 let probability = ("in [0, 1)", fun v -> v >= 0.0 && v < 1.0)
 let positive = ("positive", fun v -> v > 0.0)
 
@@ -72,10 +73,19 @@ let check_scale fn scale =
 let make ~topology ~oneq_error ~readout_error ~t1 ~t2 ~duration_1q ~duration_2q
     ~twoq_error ~twoq_duration ~family_base ?(family_error_scale = 1.0) () =
   let n = Topology.n_qubits topology in
-  let per_qubit field arr =
+  let per_qubit field (what, ok) arr =
     if Array.length arr <> n then
       fail "Calibration.make: field %S needs %d values (got %d)" field n (Array.length arr);
+    Array.iteri
+      (fun q v ->
+        if not (ok v) then
+          fail "Calibration.make: field %S: qubit %d must be %s (got %g)" field q what v)
+      arr;
     Array.copy arr
+  in
+  let duration field v =
+    if not (v >= 0.0) then fail "Calibration.make: field %S must be non-negative (got %g)" field v;
+    v
   in
   check_scale "Calibration.make" family_error_scale;
   let family_base =
@@ -90,12 +100,12 @@ let make ~topology ~oneq_error ~readout_error ~t1 ~t2 ~duration_1q ~duration_2q
     (Topology.edges topology);
   {
     topology;
-    oneq_error = per_qubit "oneq_error" oneq_error;
-    readout_error = per_qubit "readout_error" readout_error;
-    t1 = per_qubit "t1" t1;
-    t2 = per_qubit "t2" t2;
-    duration_1q;
-    duration_2q;
+    oneq_error = per_qubit "oneq_error" probability oneq_error;
+    readout_error = per_qubit "readout_error" probability readout_error;
+    t1 = per_qubit "t1" positive t1;
+    t2 = per_qubit "t2" positive t2;
+    duration_1q = duration "duration_1q" duration_1q;
+    duration_2q = duration "duration_2q" duration_2q;
     twoq_error = twoq_table ~topology "twoq_error" probability twoq_error;
     error_types =
       List.sort_uniq String.compare (List.map (fun (_, name, _) -> name) twoq_error);

@@ -31,9 +31,13 @@ val make :
     order.  Raises [Invalid_argument] naming the table (["twoq_error"],
     ["twoq_duration"], ["base"], ["scale"] or a per-qubit array) when an
     entry lies off the topology's edges, an error is outside [0, 1), a
-    duration or the family scale is not positive, a key appears twice,
-    an edge has no family base, or a per-qubit array has the wrong
-    length. *)
+    two-qubit duration or the family scale is not positive, a key
+    appears twice, an edge has no family base, or a per-qubit array has
+    the wrong length.  It also raises, naming the field and the qubit,
+    for a one-qubit or readout error outside [0, 1) and a T1 or T2 that
+    is not positive (+infinity is allowed: no decay), and, naming the
+    field, for a negative [duration_1q] or [duration_2q] (zero is
+    allowed: an ideal device).  Every range refuses nan. *)
 
 val topology : t -> Topology.t
 

@@ -26,12 +26,39 @@ let name t = t.name
 let kraus t = t.kraus
 let dim t = match t.kraus with k :: _ -> Mat.rows k | [] -> assert false
 
+(* Sum the K (x) conj(K) products into one matrix, entry by entry, in
+   Kraus order.  A zero entry of K or of conj(K) is skipped: the product
+   it would add is a signed zero, and adding a signed zero to an entry
+   that started at +0.0 (so is never -0.0) changes nothing, so the bits
+   are those of summing whole Kronecker products with [Mat.add]. *)
 let superoperator t =
   let d = dim t in
-  List.fold_left
-    (fun acc k -> Mat.add acc (Mat.kron k (Mat.conj k)))
-    (Mat.zero (d * d) (d * d))
-    t.kraus
+  let dd = d * d in
+  let s = Mat.zero dd dd in
+  let sd = Mat.unsafe_data s in
+  List.iter
+    (fun k ->
+      let kd = Mat.unsafe_data k in
+      for i = 0 to d - 1 do
+        for j = 0 to d - 1 do
+          let ka = 2 * ((i * d) + j) in
+          let ar = kd.(ka) and ai = kd.(ka + 1) in
+          if ar <> 0.0 || ai <> 0.0 then
+            for k' = 0 to d - 1 do
+              for l = 0 to d - 1 do
+                let kb = 2 * ((k' * d) + l) in
+                let br = kd.(kb) and bi = -.kd.(kb + 1) in
+                if br <> 0.0 || bi <> 0.0 then begin
+                  let e = 2 * ((((i * d) + k') * dd) + (j * d) + l) in
+                  sd.(e) <- sd.(e) +. ((ar *. br) -. (ai *. bi));
+                  sd.(e + 1) <- sd.(e + 1) +. ((ar *. bi) +. (ai *. br))
+                end
+              done
+            done
+        done
+      done)
+    t.kraus;
+  s
 
 let identity d = make "identity" [ Mat.identity d ]
 

@@ -12,8 +12,10 @@ val name : t -> string
 val kraus : t -> Mat.t list
 
 val superoperator : t -> Mat.t
-(** S = sum_m K_m (x) conj(K_m); a d^2 x d^2 matrix applied by the
-    vectorized density simulator on (ket, bra) index-qubit groups. *)
+(** S = sum_m K_m (x) conj(K_m), summed entry by entry in Kraus order
+    with the bits of adding whole Kronecker products; a d^2 x d^2
+    matrix that the vectorized density simulator prepares
+    ({!State.prepare}) and applies on (ket, bra) index-qubit groups. *)
 
 val identity : int -> t
 val depolarizing_1q : float -> t

@@ -4,7 +4,7 @@
    bra qubit q is bit q+n, so rho_{r,c} sits at index r + (c << n).
    A unitary U on qubits qs applies as U on the ket bits and conj(U) on
    the bra bits (two independent gate applications, O(4^n) each); a Kraus
-   channel applies its superoperator matrix to the combined
+   channel applies its prepared superoperator matrix to the combined
    (ket, bra) index-qubit group.  This avoids the O(8^n) cost of naive
    rho -> U rho U^dag matrix products. *)
 
@@ -50,7 +50,7 @@ let apply_superoperator t s qubits =
   let doubled =
     Array.append qubits (Array.map (fun q -> q + t.n_qubits) qubits)
   in
-  State.apply_matrix t.vec s doubled
+  State.apply_prepared t.vec s doubled
 
 let of_statevector sv =
   let n = State.n_qubits sv in

@@ -23,10 +23,11 @@ val purity : t -> float
 
 val apply_unitary : t -> Mat.t -> int array -> unit
 val apply_instr : t -> Qcir.Instr.t -> unit
-val apply_superoperator : t -> Mat.t -> int array -> unit
+val apply_superoperator : t -> State.prepared -> int array -> unit
 (** [apply_superoperator t s qubits] applies a channel given as its
-    {!Channel.superoperator} [s] to [qubits]; [s] is read, never
-    written, so one superoperator serves any number of applications. *)
+    prepared superoperator, [State.prepare (Channel.superoperator c)],
+    to [qubits]; [s] is read, never written, so one prepared
+    superoperator serves any number of applications. *)
 
 val of_statevector : State.t -> t
 val fidelity_with_pure : t -> State.t -> float

@@ -37,10 +37,11 @@ let ideal =
 (* The distinct channels of one run.  A circuit applies few distinct
    channels many times (a mean perfbench study item applies 214, about 8
    of them distinct), so each is built by its Channel constructor (Kraus
-   set, trace check, superoperator) on first use and its superoperator
-   reused after.  The key is the constructor and its exact parameter.
-   Each run owns its table: nothing is shared across runs or domains,
-   and every run of a circuit allocates alike. *)
+   set, trace check, superoperator) and prepared for its kernel on first
+   use, and its prepared superoperator reused after.  The key is the
+   constructor and its exact parameter.  Each run owns its table:
+   nothing is shared across runs or domains, and every run of a circuit
+   allocates alike. *)
 type kind = Depolarizing_1q | Depolarizing_2q | Amplitude_damping | Phase_damping
 
 let constructor = function
@@ -49,12 +50,15 @@ let constructor = function
   | Amplitude_damping -> Channel.amplitude_damping
   | Phase_damping -> Channel.phase_damping
 
+let channels_prepared = Obs.Counter.create "sim.density.channels_prepared"
+
 let apply_channel channels rho kind param qubits =
   let s =
     match Hashtbl.find_opt channels (kind, param) with
     | Some s -> s
     | None ->
-      let s = Channel.superoperator (constructor kind param) in
+      let s = State.prepare (Channel.superoperator (constructor kind param)) in
+      Obs.Counter.incr channels_prepared;
       Hashtbl.add channels (kind, param) s;
       s
   in

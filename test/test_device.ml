@@ -77,14 +77,14 @@ let test_canonical () =
 (* ---------- Calibration ---------- *)
 
 (* a 3-qubit line with CZ data on (0,1) only: 1.2% error, 45 ns *)
-let make_cal ?(twoq_error = [ ((0, 1), "CZ", 0.012) ])
+let make_cal ?(oneq_error = [| 0.001; 0.002; 0.003 |]) ?(readout_error = [| 0.01; 0.02; 0.03 |])
+    ?(t1 = [| 20e-6; 20e-6; 20e-6 |]) ?(t2 = [| 10e-6; 10e-6; 10e-6 |])
+    ?(duration_1q = 25e-9) ?(duration_2q = 32e-9) ?(twoq_error = [ ((0, 1), "CZ", 0.012) ])
     ?(twoq_duration = [ ((0, 1), "CZ", 45e-9) ])
     ?(family_base = [ ((0, 1), 0.005); ((1, 2), 0.005) ]) () =
   let topology = Device.Topology.line 3 in
-  Device.Calibration.make ~topology ~oneq_error:[| 0.001; 0.002; 0.003 |]
-    ~readout_error:[| 0.01; 0.02; 0.03 |] ~t1:[| 20e-6; 20e-6; 20e-6 |]
-    ~t2:[| 10e-6; 10e-6; 10e-6 |] ~duration_1q:25e-9 ~duration_2q:32e-9 ~twoq_error
-    ~twoq_duration ~family_base ()
+  Device.Calibration.make ~topology ~oneq_error ~readout_error ~t1 ~t2 ~duration_1q
+    ~duration_2q ~twoq_error ~twoq_duration ~family_base ()
 
 let test_calibration_set_get () =
   let cal = make_cal () in
@@ -158,6 +158,43 @@ let test_calibration_make_validates () =
             ~family_base:[ ((0, 1), 0.0); ((1, 2), 0.0) ]
             () );
     ]
+
+(* the per-qubit tables and the durations are range-checked by [make]
+   itself, not only by the snapshot loader: an error of 1.5 would reach
+   Channel.depolarizing_1q's assertion, and a negative T1 would give a
+   negative damping rate, which the noisy runner skips *)
+let test_calibration_make_checks_qubits () =
+  let refused name msg build =
+    Alcotest.check_raises name (Invalid_argument ("Calibration.make: " ^ msg)) (fun () ->
+        ignore (build ()))
+  in
+  refused "1q error above 1" "field \"oneq_error\": qubit 1 must be in [0, 1) (got 1.5)"
+    (fun () -> make_cal ~oneq_error:[| 0.001; 1.5; 0.003 |] ());
+  refused "1q error nan" "field \"oneq_error\": qubit 0 must be in [0, 1) (got nan)" (fun () ->
+      make_cal ~oneq_error:[| Float.nan; 0.002; 0.003 |] ());
+  refused "readout error of 1" "field \"readout_error\": qubit 2 must be in [0, 1) (got 1)"
+    (fun () -> make_cal ~readout_error:[| 0.01; 0.02; 1.0 |] ());
+  refused "readout error negative"
+    "field \"readout_error\": qubit 0 must be in [0, 1) (got -0.01)" (fun () ->
+      make_cal ~readout_error:[| -0.01; 0.02; 0.03 |] ());
+  refused "negative T1" "field \"t1\": qubit 0 must be positive (got -2e-05)" (fun () ->
+      make_cal ~t1:[| -2e-5; 20e-6; 20e-6 |] ());
+  refused "zero T2" "field \"t2\": qubit 1 must be positive (got 0)" (fun () ->
+      make_cal ~t2:[| 10e-6; 0.0; 10e-6 |] ());
+  refused "nan T2" "field \"t2\": qubit 2 must be positive (got nan)" (fun () ->
+      make_cal ~t2:[| 10e-6; 10e-6; Float.nan |] ());
+  refused "negative 1q duration" "field \"duration_1q\" must be non-negative (got -1)"
+    (fun () -> make_cal ~duration_1q:(-1.0) ());
+  refused "nan 2q duration" "field \"duration_2q\" must be non-negative (got nan)" (fun () ->
+      make_cal ~duration_2q:Float.nan ());
+  (* an ideal device: no decay and instantaneous gates *)
+  let ideal =
+    make_cal ~oneq_error:[| 0.0; 0.0; 0.0 |] ~readout_error:[| 0.0; 0.0; 0.0 |]
+      ~t1:[| infinity; infinity; infinity |] ~t2:[| infinity; infinity; infinity |]
+      ~duration_1q:0.0 ~duration_2q:0.0 ()
+  in
+  check_float "ideal t1" infinity (Device.Calibration.t1 ideal 2);
+  check_float "ideal duration" 0.0 (Device.Calibration.duration_1q ideal)
 
 let test_calibration_family () =
   let cal = make_cal () in
@@ -628,6 +665,8 @@ let () =
           Alcotest.test_case "family errors" `Quick test_calibration_family;
           Alcotest.test_case "error scaling" `Quick test_calibration_error_scale;
           Alcotest.test_case "make validates tables" `Quick test_calibration_make_validates;
+          Alcotest.test_case "make checks qubits and durations" `Quick
+            test_calibration_make_checks_qubits;
           Alcotest.test_case "derived snapshots independent" `Quick
             test_calibration_derived_independent;
           Alcotest.test_case "map keeps fold order" `Quick test_calibration_map_keeps_order;

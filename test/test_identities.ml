@@ -125,7 +125,9 @@ let test_b_gate_two_gate_universality () =
 (* ---------- channel algebra ---------- *)
 
 let apply_channel rho channel qubits =
-  Sim.Density.apply_superoperator rho (Sim.Channel.superoperator channel) qubits
+  Sim.Density.apply_superoperator rho
+    (Sim.State.prepare (Sim.Channel.superoperator channel))
+    qubits
 
 let test_depolarizing_composition () =
   (* two depolarizing channels compose into one with

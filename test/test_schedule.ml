@@ -146,7 +146,9 @@ let run_scheduled (model : Sim.Noisy.noise_model) schedule =
   let n = Schedule.n_qubits schedule in
   let rho = Sim.Density.create n in
   let apply channel qubits =
-    Sim.Density.apply_superoperator rho (Sim.Channel.superoperator channel) qubits
+    Sim.Density.apply_superoperator rho
+      (Sim.State.prepare (Sim.Channel.superoperator channel))
+      qubits
   in
   Schedule.iter_moments
     (fun moment ->

@@ -98,6 +98,25 @@ let test_state_matrix_size () =
   refused "4x2" "State.apply_matrix: 1 qubit(s) take a 2x2 matrix, not 4x2" (Mat.zero 4 2)
     [| 0 |]
 
+(* [apply_prepared] checks its arguments as [apply_matrix] does, against
+   the prepared matrix's size, before it touches the state. *)
+let test_state_prepared_refused () =
+  let s = Sim.State.create 3 in
+  Sim.State.apply_matrix s Gates.Oneq.h [| 0 |];
+  let before = Sim.State.probabilities s in
+  let real = Sim.State.prepare (Mat.identity 4) and wide = Sim.State.prepare (Mat.identity 16) in
+  List.iter
+    (fun (name, msg, p, qubits) ->
+      Alcotest.check_raises name (Invalid_argument ("State.apply_prepared: " ^ msg)) (fun () ->
+          Sim.State.apply_prepared s p qubits))
+    [
+      ("real 4x4 on one qubit", "1 qubit(s) take a 2x2 matrix, not 4x4", real, [| 0 |]);
+      ("real 4x4 on [1; 1]", "qubit 1 listed twice", real, [| 1; 1 |]);
+      ("16x16 on two qubits", "2 qubit(s) take a 4x4 matrix, not 16x16", wide, [| 0; 1 |]);
+      ("16x16 past the top", "qubit 3 out of range for 3 qubits", wide, [| 0; 1; 2; 3 |]);
+    ];
+  check_bool "state untouched" true (before = Sim.State.probabilities s)
+
 (* ---------- Channel ---------- *)
 
 let test_channel_trace_preserving_check () =
@@ -129,12 +148,53 @@ let test_readout_preserves_total () =
   let out = Sim.Channel.apply_readout_error ~error_rates:[| 0.05; 0.08 |] probs in
   check_loose "sums to 1" 1.0 (Array.fold_left ( +. ) 0.0 out)
 
+(* The superoperator as it was built before it was summed in place:
+   whole Kronecker products, added in Kraus order. *)
+let reference_superoperator ch =
+  let d = Mat.rows (List.hd (Sim.Channel.kraus ch)) in
+  List.fold_left
+    (fun acc k -> Mat.add acc (Mat.kron k (Mat.conj k)))
+    (Mat.zero (d * d) (d * d))
+    (Sim.Channel.kraus ch)
+
+(* Real, and zero off the diagonal and anti-diagonal: the shape the
+   density simulator's real kernel for one-qubit channels relies on. *)
+let real_x_shaped m =
+  Mat.rows m = 4
+  && List.for_all
+       (fun (r, c) ->
+         let z = Mat.get m r c in
+         z.Complex.im = 0.0 && (c = r || c = 3 - r || z.Complex.re = 0.0))
+       (List.concat_map (fun r -> List.init 4 (fun c -> (r, c))) (List.init 4 Fun.id))
+
+let test_superoperator_in_place () =
+  let bits m = Array.map Int64.bits_of_float (Mat.unsafe_data m) in
+  List.iter
+    (fun p ->
+      List.iter
+        (fun (name, build, one_qubit) ->
+          let ch = build p in
+          let s = Sim.Channel.superoperator ch in
+          let label what = Printf.sprintf "%s %g: %s" name p what in
+          check_bool (label "bits of the Kraus fold") true
+            (bits s = bits (reference_superoperator ch));
+          if one_qubit then check_bool (label "real kernel's shape") true (real_x_shaped s))
+        [
+          ("depolarizing_1q", Sim.Channel.depolarizing_1q, true);
+          ("depolarizing_2q", Sim.Channel.depolarizing_2q, false);
+          ("amplitude_damping", Sim.Channel.amplitude_damping, true);
+          ("phase_damping", Sim.Channel.phase_damping, true);
+        ])
+    [ 0.0; 1e-4; 1e-3; 0.02; 0.3; 1.0 ]
+
 (* ---------- Density ---------- *)
 
-(* The per-instruction reference path: build the channel, then apply its
-   superoperator. *)
+(* The per-instruction reference path: build the channel, then prepare
+   and apply its superoperator. *)
 let apply_channel rho channel qubits =
-  Sim.Density.apply_superoperator rho (Sim.Channel.superoperator channel) qubits
+  Sim.Density.apply_superoperator rho
+    (Sim.State.prepare (Sim.Channel.superoperator channel))
+    qubits
 
 let test_density_pure_init () =
   let rho = Sim.Density.create 2 in
@@ -316,6 +376,28 @@ let prop_run_matches_reference =
       List.for_all
         (fun model -> same_bits (reference_run model c) (Sim.Noisy.run model c))
         channel_sharing_models)
+
+(* [Noisy.run] prepares each distinct (constructor, parameter) pair once
+   per run.  Here: depol1(0.001) and depol2(0.02), and amplitude and
+   phase damping for each of the two qubits (their T1 and T2 differ)
+   over each of the two gate durations, 2 + 4 + 4 = 10 pairs; a second
+   run prepares them again. *)
+let test_channels_prepared_count () =
+  let counter = Obs.Counter.create "sim.density.channels_prepared" in
+  let c =
+    Qcir.Circuit.of_instrs 2
+      (List.map
+         (fun (g, qs) -> Qcir.Instr.make g qs)
+         Gates.Gate.
+           [ (h, [| 0 |]); (h, [| 1 |]); (cz, [| 0; 1 |]); (h, [| 0 |]); (cz, [| 1; 0 |]) ])
+  in
+  let prepared_by_run () =
+    let before = Obs.Counter.get counter in
+    ignore (Sim.Noisy.run (full_noise ~twoq:0.02 ~oneq:0.001 ()) c);
+    Obs.Counter.get counter - before
+  in
+  Alcotest.(check int) "first run" 10 (prepared_by_run ());
+  Alcotest.(check int) "second run" 10 (prepared_by_run ())
 
 let test_traced_runs_span_and_match () =
   (* a traced run records the simulators' spans and returns the
@@ -506,36 +588,82 @@ let random_amplitudes rng n_qubits =
       if Rng.float rng < zero_frac then (signed_zero (), signed_zero ())
       else (Rng.gaussian rng, if Rng.int rng 4 = 0 then signed_zero () else Rng.gaussian rng))
 
-(* The kernel and the reference on copies of one fresh random state:
-   every amplitude must come out with the same bits. *)
-let kernel_matches rng ~n_qubits (matrix, qubits) =
-  let amps = random_amplitudes rng n_qubits in
-  let s = Sim.State.create n_qubits in
-  Array.iteri (fun i (re, im) -> Sim.State.set_amplitude s i { Complex.re; im }) amps;
+(* [after i] is amplitude i as a kernel left a state that held [amps];
+   the reference on copies of [amps] must give every amplitude the same
+   bits. *)
+let matches_reference ~n_qubits amps (matrix, qubits) after =
   let re = Array.map fst amps and im = Array.map snd amps in
-  Sim.State.apply_matrix s matrix qubits;
   reference_apply ~n_qubits re im matrix qubits;
   let bits = Int64.bits_of_float in
   List.for_all
     (fun i ->
-      let z = Sim.State.amplitude s i in
+      let z : Complex.t = after i in
       bits z.re = bits re.(i) && bits z.im = bits im.(i))
     (List.init (1 lsl n_qubits) Fun.id)
+
+let kernel_of = function Sim.State.Real_x _ -> `Real | Nonzeros _ -> `Complex
+
+(* A case reaches the kernels as [apply_matrix] does, per call, or
+   prepared once, as the density simulator applies its channels; a
+   prepared case names the kernel its shape calls for, `Real or
+   `Complex, and must take it. *)
+let kernel_matches rng ~n_qubits (via, matrix, qubits) =
+  let amps = random_amplitudes rng n_qubits in
+  let s = Sim.State.create n_qubits in
+  Array.iteri (fun i (re, im) -> Sim.State.set_amplitude s i { Complex.re; im }) amps;
+  let right_kernel =
+    match via with
+    | `Per_call ->
+      Sim.State.apply_matrix s matrix qubits;
+      true
+    | (`Real | `Complex) as kernel ->
+      let p = Sim.State.prepare matrix in
+      Sim.State.apply_prepared s p qubits;
+      kernel = kernel_of p
+  in
+  right_kernel && matches_reference ~n_qubits amps (matrix, qubits) (Sim.State.amplitude s)
 
 let ordered_pairs n =
   let qs = List.init n Fun.id in
   List.concat_map (fun a -> List.filter_map (fun b -> if a = b then None else Some (a, b)) qs) qs
 
+(* Real 4x4s zero off the diagonal and anti-diagonal, with zeros of
+   both signs among their entries and as every imaginary part, and two
+   that miss that shape by one entry: a nonzero imaginary part, or a
+   nonzero entry off both diagonals. *)
+let four_by_fours rng =
+  let signed_zero () = if Rng.bool rng then 0.0 else -0.0 in
+  let x_shaped =
+    Mat.init 4 4 (fun r c ->
+        let re =
+          if (c = r || c = 3 - r) && Rng.int rng 4 > 0 then Rng.gaussian rng else signed_zero ()
+        in
+        { Complex.re; im = signed_zero () })
+  in
+  let with_entry r c z =
+    let m = Mat.copy x_shaped in
+    Mat.set m r c z;
+    m
+  in
+  let r = Rng.int rng 4 in
+  let imaginary =
+    with_entry r (3 - r) { (Mat.get x_shaped r (3 - r)) with im = Rng.gaussian rng }
+  in
+  let off = List.filter (fun c -> c <> r && c <> 3 - r) [ 0; 1; 2; 3 ] in
+  let off_shape =
+    with_entry r (List.nth off (Rng.int rng 2)) { Complex.re = Rng.gaussian rng; im = 0.0 }
+  in
+  [ (`Real, x_shaped); (`Complex, imaginary); (`Complex, off_shape) ]
+
 (* On n index-qubits: a random dense unitary and its conjugate (the
    density simulator's bra-half matrix) on every qubit and every ordered
-   pair, and a random 3-qubit unitary with zeroed entries on one
-   ordered triple.  On n = 2m, every channel superoperator on the
-   doubled qubits of each qubit (4x4) and of each ordered pair (16x16),
-   as [Density.apply_superoperator] lays them out. *)
+   pair, a random 3-qubit unitary with zeroed entries on one ordered
+   triple, and the prepared 4x4s of [four_by_fours] on every ordered
+   pair. *)
 let kernel_cases rng n =
   let with_conj qubits =
     let u = Qr.haar_unitary rng (1 lsl Array.length qubits) in
-    [ (u, qubits); (Mat.conj u, qubits) ]
+    [ (`Per_call, u, qubits); (`Per_call, Mat.conj u, qubits) ]
   in
   let unitaries =
     List.concat_map (fun q -> with_conj [| q |]) (List.init n Fun.id)
@@ -547,31 +675,61 @@ let kernel_cases rng n =
       let p = Rng.permutation rng n in
       let u = Qr.haar_unitary rng 8 in
       let m = Mat.init 8 8 (fun i j -> if Rng.int rng 3 = 0 then Complex.zero else Mat.get u i j) in
-      [ (m, [| p.(0); p.(1); p.(2) |]) ]
+      [ (`Per_call, m, [| p.(0); p.(1); p.(2) |]) ]
     end
   in
+  let prepared_4x4 =
+    List.concat_map
+      (fun (a, b) -> List.map (fun (kernel, m) -> (kernel, m, [| a; b |])) (four_by_fours rng))
+      (ordered_pairs n)
+  in
+  unitaries @ triple @ prepared_4x4
+
+(* Every channel, prepared, through [Density.apply_superoperator] on
+   |psi><psi| for a random m-qubit psi with zeros of both signs, against
+   the reference on the density operator's vectorized entries (ket
+   qubit q is index-qubit q, bra qubit q is q + m): on each qubit the
+   one-qubit channels, which must take the real kernel, and on each
+   ordered pair the two-qubit one (16x16), which takes the complex
+   path. *)
+let density_channels_match rng m =
+  let p () = Rng.float rng in
   let channels =
-    if n mod 2 = 1 then []
-    else begin
-      let m = n / 2 and p () = Rng.float rng in
-      let superop = Sim.Channel.superoperator in
-      List.concat_map
-        (fun q ->
-          List.map
-            (fun ch -> (superop ch, [| q; q + m |]))
-            [
-              Sim.Channel.depolarizing_1q (p ());
-              Sim.Channel.amplitude_damping (p ());
-              Sim.Channel.phase_damping (p ());
-            ])
-        (List.init m Fun.id)
-      @ List.map
-          (fun (a, b) ->
-            (superop (Sim.Channel.depolarizing_2q (p ())), [| a; b; a + m; b + m |]))
-          (ordered_pairs m)
-    end
+    List.concat_map
+      (fun q ->
+        List.map
+          (fun ch -> (`Real, ch, [| q |]))
+          [
+            Sim.Channel.depolarizing_1q (p ());
+            Sim.Channel.amplitude_damping (p ());
+            Sim.Channel.phase_damping (p ());
+          ])
+      (List.init m Fun.id)
+    @ List.map
+        (fun (a, b) -> (`Complex, Sim.Channel.depolarizing_2q (p ()), [| a; b |]))
+        (ordered_pairs m)
   in
-  unitaries @ triple @ channels
+  List.for_all
+    (fun (kernel, ch, qubits) ->
+      let psi = Sim.State.create m in
+      Array.iteri
+        (fun i (re, im) -> Sim.State.set_amplitude psi i { Complex.re; im })
+        (random_amplitudes rng m);
+      let rho = Sim.Density.of_statevector psi in
+      let entry i = Sim.Density.get rho (i land ((1 lsl m) - 1)) (i lsr m) in
+      let amps =
+        Array.init (1 lsl (2 * m)) (fun i ->
+            let z = entry i in
+            (z.Complex.re, z.Complex.im))
+      in
+      let s = Sim.Channel.superoperator ch in
+      let prepared = Sim.State.prepare s in
+      Sim.Density.apply_superoperator rho prepared qubits;
+      kernel = kernel_of prepared
+      && matches_reference ~n_qubits:(2 * m) amps
+           (s, Array.append qubits (Array.map (fun q -> q + m) qubits))
+           entry)
+    channels
 
 let prop_kernels_match_reference =
   Proptest.test ~count:8 "kernels match the reference loop bit for bit"
@@ -580,7 +738,8 @@ let prop_kernels_match_reference =
       let rng = Rng.create seed in
       List.for_all
         (fun n -> List.for_all (kernel_matches rng ~n_qubits:n) (kernel_cases rng n))
-        [ 1; 2; 3; 4; 5; 6 ])
+        [ 1; 2; 3; 4; 5; 6 ]
+      && List.for_all (density_channels_match rng) [ 1; 2; 3 ])
 
 (* three simulators, one answer *)
 
@@ -637,6 +796,7 @@ let () =
           Alcotest.test_case "qubit out of range refused" `Quick test_state_qubit_out_of_range;
           Alcotest.test_case "repeated qubit refused" `Quick test_state_qubit_repeated;
           Alcotest.test_case "matrix size refused" `Quick test_state_matrix_size;
+          Alcotest.test_case "prepared matrix refused" `Quick test_state_prepared_refused;
         ] );
       ( "channel",
         [
@@ -645,6 +805,8 @@ let () =
           Alcotest.test_case "damping params" `Quick test_damping_params;
           Alcotest.test_case "readout" `Quick test_readout_error;
           Alcotest.test_case "readout total" `Quick test_readout_preserves_total;
+          Alcotest.test_case "superoperator summed in place" `Quick
+            test_superoperator_in_place;
         ] );
       ( "density",
         [
@@ -663,6 +825,8 @@ let () =
           Alcotest.test_case "trace one" `Quick test_noisy_trace_one;
           Alcotest.test_case "monotone in error" `Quick test_noisy_more_error_less_fidelity;
           prop_run_matches_reference;
+          Alcotest.test_case "channels prepared once per run" `Quick
+            test_channels_prepared_count;
           Alcotest.test_case "traced runs span and match" `Quick
             test_traced_runs_span_and_match;
         ] );
