@@ -53,10 +53,23 @@ type t = {
 
 let overall_fidelity d = d.fd *. d.fh
 
+(* Work counters, read by a trace or a test; each fit adds its BFGS
+   result's counts, so counting allocates nothing. *)
+let curves = Obs.Counter.create "decompose.nuop.curves"
+let fits = Obs.Counter.create "decompose.nuop.fits"
+let gradients = Obs.Counter.create "decompose.nuop.gradients"
+let bfgs_iterations = Obs.Counter.create "decompose.nuop.bfgs_iterations"
+
+let count_fit (r : Optimize.Bfgs.result) =
+  Obs.Counter.incr fits;
+  Obs.Counter.add gradients r.gradients;
+  Obs.Counter.add bfgs_iterations r.iterations
+
 (* Best F_d achievable with a fixed number of layers. *)
 let optimize_layers ?(options = default_options) gate_type ~layers ~target =
-  let dim = Template.param_count (Template.create gate_type ~layers) in
+  let dim = Template.dim gate_type ~layers in
   let rng = Rng.create (options.seed + (1000 * layers)) in
+  let bfgs = { options.bfgs with f_tol = 1.0 -. options.convergence_fd } in
   let run =
     (* near-zero first start: almost-identity single-qubit layers — the
        right basin for near-identity targets (small-angle QFT phases)
@@ -64,10 +77,11 @@ let optimize_layers ?(options = default_options) gate_type ~layers ~target =
        saddle of the template objective.
 
        The starts run on the Domain pool; each start allocates a
-       private template because the workspace scratch matrices are
-       reused across objective evaluations and must not be shared
-       between domains.  [rng] is private to this call, so the result
-       is identical at every pool size. *)
+       private template because the workspace matrices are reused
+       across objective evaluations and must not be shared between
+       domains.  [rng] is private to this call, so the result is
+       identical at every pool size.  The gradient is the template's
+       own central difference, bit for bit Grad.central's. *)
     Optimize.Multistart.run_parallel
       ~first_start:(Array.make dim 0.1)
       ~rng ~starts:options.starts ~dim ~lo:(-.Float.pi) ~hi:Float.pi
@@ -75,10 +89,13 @@ let optimize_layers ?(options = default_options) gate_type ~layers ~target =
       ~optimize:(fun x0 ->
         let template = Template.create gate_type ~layers in
         let objective params = Template.infidelity template params ~target in
-        Optimize.Bfgs.minimize
-          ~options:{ options.bfgs with f_tol = 1.0 -. options.convergence_fd }
-          objective x0)
-      ~value:(fun (r : Optimize.Bfgs.result) -> r.f)
+        let gradient x ~g = Template.gradient template ~h:bfgs.fd_step x ~target ~g in
+        Optimize.Bfgs.minimize ~options:bfgs ~gradient objective x0)
+      ~value:(fun (r : Optimize.Bfgs.result) ->
+        (* called once per start used, so the counters do not depend
+           on the pool size *)
+        count_fit r;
+        r.f)
       ()
   in
   (run.best.x, 1.0 -. run.best.f)
@@ -90,6 +107,7 @@ let optimize_layers ?(options = default_options) gate_type ~layers ~target =
    instruction sets share the optimization work. *)
 let fd_curve ?(options = default_options) gate_type ~target =
   assert (options.min_layers >= 0 && options.min_layers <= options.max_layers);
+  Obs.Counter.incr curves;
   let rec grow layers acc =
     if layers > options.max_layers then List.rev acc
     else begin
@@ -156,8 +174,7 @@ let select_best candidates =
    Instruction order matches the template product
    L_i G_i ... G_1 L_0 (L_0 executes first). *)
 let to_instrs d ~qubits:(qa, qb) =
-  let template = Template.create d.gate_type ~layers:d.layers in
-  ignore (Template.param_count template);
+  let angles k = Template.gate_angles d.gate_type ~layers:d.layers d.params k in
   let instrs = ref [] in
   let push i = instrs := i :: !instrs in
   let local_layer base =
@@ -172,14 +189,12 @@ let to_instrs d ~qubits:(qa, qb) =
       match d.gate_type with
       | Gates.Gate_type.Fixed { name; unitary } -> Gates.Gate.make name unitary
       | Gates.Gate_type.Fsim_family ->
-        let angles = Template.gate_angles template d.params k in
+        let angles = angles k in
         Gates.Gate.fsim angles.(0) angles.(1)
       | Gates.Gate_type.Xy_family ->
-        let angles = Template.gate_angles template d.params k in
-        Gates.Gate.xy angles.(0)
+        Gates.Gate.xy (angles k).(0)
       | Gates.Gate_type.Cphase_family ->
-        let angles = Template.gate_angles template d.params k in
-        Gates.Gate.cphase angles.(0)
+        Gates.Gate.cphase (angles k).(0)
     in
     push (Qcir.Instr.make gate [| qa; qb |]);
     local_layer (6 * k)

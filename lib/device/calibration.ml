@@ -34,7 +34,10 @@ type t = {
 
 let fail fmt = Printf.ksprintf invalid_arg fmt
 
-(* Each range refuses nan, which fails every comparison. *)
+(* Each range refuses nan, which fails every comparison.  Only T1 and
+   T2 may be infinite (an ideal qubit): every other value must also be
+   finite, so that each calibration [make] accepts dumps to a snapshot
+   that loads. *)
 let probability = ("in [0, 1)", fun v -> v >= 0.0 && v < 1.0)
 let positive = ("positive", fun v -> v > 0.0)
 
@@ -57,6 +60,8 @@ let table ~topology field (what, ok) key entries =
           (entry ());
       if not (ok v) then
         fail "Calibration.make: field %S: %s must be %s (got %g)" field (entry ()) what v;
+      if v = Float.infinity then
+        fail "Calibration.make: field %S: %s must be finite" field (entry ());
       let k = key (a, b) name in
       if Hashtbl.mem tbl k then
         fail "Calibration.make: field %S: %s appears twice" field (entry ());
@@ -68,7 +73,8 @@ let twoq_table ~topology field range entries =
   table ~topology field range (fun (a, b) name -> (a, b, name)) entries
 
 let check_scale fn scale =
-  if not (scale > 0.0) then fail "%s: field %S must be positive (got %g)" fn "scale" scale
+  if not (scale > 0.0) then fail "%s: field %S must be positive (got %g)" fn "scale" scale;
+  if scale = Float.infinity then fail "%s: field %S must be finite" fn "scale"
 
 let make ~topology ~oneq_error ~readout_error ~t1 ~t2 ~duration_1q ~duration_2q
     ~twoq_error ~twoq_duration ~family_base ?(family_error_scale = 1.0) () =
@@ -85,6 +91,7 @@ let make ~topology ~oneq_error ~readout_error ~t1 ~t2 ~duration_1q ~duration_2q
   in
   let duration field v =
     if not (v >= 0.0) then fail "Calibration.make: field %S must be non-negative (got %g)" field v;
+    if v = Float.infinity then fail "Calibration.make: field %S must be finite" field;
     v
   in
   check_scale "Calibration.make" family_error_scale;

@@ -147,11 +147,12 @@ let get_string field j =
   | Some s -> s
   | None -> fail "Device.of_json: field %S must be a string" field
 
-(* Every stored number must be finite: the JSON codec writes infinity
-   as 1e999, which would otherwise load as a T1 or an error rate. *)
-let number field v =
+(* Every stored number must be finite, except that T1 and T2 may be
+   +infinity (an ideal qubit), which the JSON codec writes as 1e999:
+   the values Calibration.make accepts. *)
+let number ?(infinite = false) field v =
   match Njson.to_float_value v with
-  | Some f when Float.is_finite f -> f
+  | Some f when Float.is_finite f || (infinite && f = Float.infinity) -> f
   | Some _ -> fail "Device.of_json: field %S must be finite" field
   | None -> fail "Device.of_json: field %S must be a number" field
 
@@ -178,21 +179,25 @@ let edge_of_json field j =
 let float_array_to_json arr =
   Njson.List (Array.to_list (Array.map (fun f -> Njson.Float f) arr))
 
-(* Error rates are probabilities below 1 and times are positive: values
-   outside these ranges load as numbers but zero every ESP or trip the
-   noise-channel constructors, so they are refused here. *)
+(* Error rates are probabilities below 1, coherence times are positive
+   and gate durations non-negative (an ideal device's gates take no
+   time), as in Calibration.make: values outside these ranges load as
+   numbers but zero every ESP or trip the noise-channel constructors, so
+   they are refused here. *)
 let probability = ("in [0, 1)", fun v -> v >= 0.0 && v < 1.0)
 let positive = ("positive", fun v -> v > 0.0)
+let non_negative = ("non-negative", fun v -> v >= 0.0)
 
 let in_range (what, ok) field v =
   if not (ok v) then fail "Device.of_json: field %S must be %s (got %g)" field what v;
   v
 
-let per_qubit_of_json ~n range field j =
+let per_qubit_of_json ?infinite ~n range field j =
   let values = get_list field j in
   if List.length values <> n then
     fail "Device.of_json: field %S needs %d values (got %d)" field n (List.length values);
-  Array.of_list (List.map (fun v -> in_range range field (number field v)) values)
+  Array.of_list
+    (List.map (fun v -> in_range range field (number ?infinite field v)) values)
 
 let entry_to_json value_key (edge, type_name, v) =
   Njson.Obj
@@ -302,10 +307,10 @@ let of_json j =
     Calibration.make ~topology
       ~oneq_error:(per_qubit_of_json ~n probability "oneq_error" j)
       ~readout_error:(per_qubit_of_json ~n probability "readout_error" j)
-      ~t1:(per_qubit_of_json ~n positive "t1" j)
-      ~t2:(per_qubit_of_json ~n positive "t2" j)
-      ~duration_1q:(in_range positive "duration_1q" (get_float "duration_1q" j))
-      ~duration_2q:(in_range positive "duration_2q" (get_float "duration_2q" j))
+      ~t1:(per_qubit_of_json ~infinite:true ~n positive "t1" j)
+      ~t2:(per_qubit_of_json ~infinite:true ~n positive "t2" j)
+      ~duration_1q:(in_range non_negative "duration_1q" (get_float "duration_1q" j))
+      ~duration_2q:(in_range non_negative "duration_2q" (get_float "duration_2q" j))
       ~twoq_error:(List.map (entry_of_json "error") (get_list "twoq_error" j))
       ~twoq_duration:(List.map (entry_of_json "duration") (get_list "twoq_duration" j))
       ~family_base

@@ -168,6 +168,63 @@ let mul4_into d a b =
       +. ((a3r *. b33i) +. (a3i *. b33r))
   done
 
+(* The fSim pattern: entries (0,0), (1,1), (1,2), (2,1), (2,2) and
+   (3,3) of a 4x4.  Every fSim, XY and CPHASE gate and every fixed
+   two-qubit gate of the paper's instruction sets (SWAP included) is
+   zero outside it. *)
+let in_fsim_pattern i j = i = j || (i = 1 && j = 2) || (i = 2 && j = 1)
+
+let has_fsim_pattern a =
+  a.rows = 4
+  && a.cols = 4
+  &&
+  let ok = ref true in
+  for i = 0 to 3 do
+    for j = 0 to 3 do
+      let k = 2 * ((4 * i) + j) in
+      if (not (in_fsim_pattern i j)) && (a.d.(k) <> 0.0 || a.d.(k + 1) <> 0.0) then
+        ok := false
+    done
+  done;
+  !ok
+
+(* The 4x4 product of an [a] zero outside the fSim pattern: each entry
+   sums only its pattern terms, in mul4_into's order from [0.0 +.].
+   Each term it skips is 0 times a finite entry of [b], a signed zero,
+   and adding a signed zero to an accumulator that started at +0.0
+   leaves it as it was (round-to-nearest addition yields -0.0 only from
+   two -0.0 operands, so the accumulator is never -0.0): for finite [b]
+   the result is mul4_into's, bit for bit. *)
+let mul_fsim4_into d a b =
+  let a00r = a.!(0) and a00i = a.!(1) in
+  let a11r = a.!(10) and a11i = a.!(11) and a12r = a.!(12) and a12i = a.!(13) in
+  let a21r = a.!(18) and a21i = a.!(19) and a22r = a.!(20) and a22i = a.!(21) in
+  let a33r = a.!(30) and a33i = a.!(31) in
+  for j = 0 to 3 do
+    let c = 2 * j in
+    let b0r = b.!(c) and b0i = b.!(c + 1) and b1r = b.!(c + 8) and b1i = b.!(c + 9) in
+    let b2r = b.!(c + 16) and b2i = b.!(c + 17) in
+    let b3r = b.!(c + 24) and b3i = b.!(c + 25) in
+    d.!(c) <- 0.0 +. ((a00r *. b0r) -. (a00i *. b0i));
+    d.!(c + 1) <- 0.0 +. ((a00r *. b0i) +. (a00i *. b0r));
+    d.!(c + 8) <-
+      0.0 +. ((a11r *. b1r) -. (a11i *. b1i)) +. ((a12r *. b2r) -. (a12i *. b2i));
+    d.!(c + 9) <-
+      0.0 +. ((a11r *. b1i) +. (a11i *. b1r)) +. ((a12r *. b2i) +. (a12i *. b2r));
+    d.!(c + 16) <-
+      0.0 +. ((a21r *. b1r) -. (a21i *. b1i)) +. ((a22r *. b2r) -. (a22i *. b2i));
+    d.!(c + 17) <-
+      0.0 +. ((a21r *. b1i) +. (a21i *. b1r)) +. ((a22r *. b2i) +. (a22i *. b2r));
+    d.!(c + 24) <- 0.0 +. ((a33r *. b3r) -. (a33i *. b3i));
+    d.!(c + 25) <- 0.0 +. ((a33r *. b3i) +. (a33i *. b3r))
+  done
+
+let mul_fsim_into ~dst a b =
+  assert (a.rows = 4 && a.cols = 4 && b.rows = 4 && b.cols = 4);
+  assert (dst.rows = 4 && dst.cols = 4);
+  assert (dst.d != a.d && dst.d != b.d);
+  mul_fsim4_into dst.d a.d b.d
+
 (* c <- a * b, writing into a caller-provided buffer (no allocation).
    4x4 operands take the unrolled path; any other shape the loop. *)
 let mul_into ~dst a b =

@@ -34,6 +34,18 @@ val mul_into : dst:t -> t -> t -> unit
 (** [mul_into ~dst a b] writes [a * b] into [dst] without allocating.
     [dst] must not alias [a] or [b]. *)
 
+val has_fsim_pattern : t -> bool
+(** [a] is 4x4 and zero (of either sign) outside the fSim pattern
+    (0,0), (1,1), (1,2), (2,1), (2,2), (3,3), as every fSim, XY and
+    CPHASE gate is. *)
+
+val mul_fsim_into : dst:t -> t -> t -> unit
+(** [mul_fsim_into ~dst a b] is [mul_into ~dst a b] for 4x4 operands
+    whose [a] satisfies {!has_fsim_pattern}, bit for bit when [b] is
+    finite, reading only [a]'s six pattern entries (24 complex products
+    where the dense kernel makes 64).  [dst] must not alias [a] or
+    [b]. *)
+
 val transpose : t -> t
 val conj : t -> t
 val dagger : t -> t

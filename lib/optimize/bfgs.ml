@@ -3,7 +3,8 @@
 
    This is the optimizer the paper uses (scipy's BFGS) for NuOp template
    fitting: dimensions are small (6..40 angles), objectives are smooth
-   infidelities, gradients come from {!Grad.central}. *)
+   infidelities, gradients are central differences: {!Grad.central} over
+   the objective, or a caller's equivalent that computes them faster. *)
 
 type options = {
   max_iter : int;
@@ -27,6 +28,7 @@ type result = {
   f : float;
   iterations : int;
   evaluations : int;
+  gradients : int;
   outcome : outcome;
 }
 
@@ -61,10 +63,10 @@ let update_inverse_hessian h s y ~hy n =
    an iteration allocates no arrays: only the line search's result record
    and the floats boxed across calls into Grad and Line_search, a fixed
    handful of words whatever the dimension. *)
-let minimize ?(options = default_options) f x0 =
+let minimize ?(options = default_options) ?gradient f x0 =
   let n = Array.length x0 in
   let x = Array.copy x0 in
-  let evals = ref 0 in
+  let evals = ref 0 and grads = ref 0 in
   let f_counted z =
     incr evals;
     f z
@@ -72,8 +74,18 @@ let minimize ?(options = default_options) f x0 =
   let h = options.fd_step in
   let g = Array.make n 0.0 and g_new = Array.make n 0.0 in
   let xp = Array.make n 0.0 and trial = Array.make n 0.0 and hy = Array.make n 0.0 in
+  (* a supplied gradient counts the 2n probes of the central difference
+     it stands for *)
+  let gradient_at x ~g =
+    incr grads;
+    match gradient with
+    | None -> Grad.central ~h f_counted x ~g ~xp
+    | Some grad ->
+      evals := !evals + (2 * n);
+      grad x ~g
+  in
   let fx = ref (f_counted x) in
-  Grad.central ~h f_counted x ~g ~xp;
+  gradient_at x ~g;
   (* inverse Hessian approximation, initialized to the identity *)
   let hinv = Array.make (n * n) 0.0 in
   for i = 0 to n - 1 do
@@ -142,7 +154,7 @@ let minimize ?(options = default_options) f x0 =
          outcome := Stagnated;
          raise Exit
        end;
-       Grad.central ~h f_counted x ~g:g_new ~xp;
+       gradient_at x ~g:g_new;
        for i = 0 to n - 1 do
          y.(i) <- g_new.(i) -. g.(i);
          g.(i) <- g_new.(i)
@@ -150,4 +162,11 @@ let minimize ?(options = default_options) f x0 =
        update_inverse_hessian hinv s y ~hy n
      done
    with Exit -> ());
-  { x; f = !fx; iterations = !iter; evaluations = !evals; outcome = !outcome }
+  {
+    x;
+    f = !fx;
+    iterations = !iter;
+    evaluations = !evals;
+    gradients = !grads;
+    outcome = !outcome;
+  }

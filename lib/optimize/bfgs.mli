@@ -21,11 +21,23 @@ type result = {
   x : float array;
   f : float;
   iterations : int;
-  evaluations : int;  (** total objective evaluations, gradients included *)
+  evaluations : int;
+      (** total objective evaluations, gradients included: each gradient
+          counts the 2n probes of its central difference *)
+  gradients : int;  (** gradient evaluations *)
   outcome : outcome;
 }
 
-val minimize : ?options:options -> (float array -> float) -> float array -> result
+val minimize :
+  ?options:options ->
+  ?gradient:(float array -> g:float array -> unit) ->
+  (float array -> float) ->
+  float array ->
+  result
 (** [minimize f x0] minimizes [f] starting from [x0]. [x0] is not
-    mutated.  Gradient, probe, trial and scratch buffers are allocated
-    once per call; iterations allocate no arrays. *)
+    mutated.  [gradient x ~g] writes the gradient of [f] at [x] into
+    [g] (default: {!Grad.central} over [f] with step
+    [options.fd_step]); a supplied one stands for that central
+    difference, so [evaluations] counts 2n per call whatever it costs.
+    Gradient, probe, trial and scratch buffers are allocated once per
+    call; iterations allocate no arrays. *)

@@ -25,6 +25,8 @@ val run_parallel :
     stops at the first start whose value reaches [target].
     [first_start] overrides the first point (NuOp seeds it with a
     near-zero template, which is exact for near-identity targets).
+    [value] is called on the calling domain once per start used, in
+    start order, so a caller may count the used starts' work there.
 
     The starts are optimized on the Domain pool ([domains] defaults to
     {!Concurrent.Domain_pool.default_domains}).  All start points are

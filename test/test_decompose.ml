@@ -54,14 +54,17 @@ let test_template_fidelity_self () =
   Alcotest.(check (float 1e-9)) "fd = 1" 1.0 (Decompose.Template.fidelity t params ~target)
 
 let test_template_family_gate_angles () =
-  let t = Decompose.Template.create Gates.Gate_type.Fsim_family ~layers:2 in
-  let n = Decompose.Template.param_count t in
+  let ty = Gates.Gate_type.Fsim_family in
+  let n = Decompose.Template.dim ty ~layers:2 in
+  check_int "dim = param_count"
+    (Decompose.Template.param_count (Decompose.Template.create ty ~layers:2))
+    n;
   let params = Array.init n float_of_int in
   (* gate angles sit after the 18 single-qubit angles *)
   Alcotest.(check (array (float 0.0))) "layer 1" [| 18.0; 19.0 |]
-    (Decompose.Template.gate_angles t params 1);
+    (Decompose.Template.gate_angles ty ~layers:2 params 1);
   Alcotest.(check (array (float 0.0))) "layer 2" [| 20.0; 21.0 |]
-    (Decompose.Template.gate_angles t params 2)
+    (Decompose.Template.gate_angles ty ~layers:2 params 2)
 
 (* minor words per call of [f], after one warm-up call *)
 let minor_words_per_call ~n f =
@@ -104,6 +107,55 @@ let test_template_fidelity_allocation () =
   Alcotest.(check (float 0.0))
     "4x4 mul_into words per call" 0.0
     (minor_words_per_call ~n:1000 (fun () -> Mat.mul_into ~dst a b))
+
+let bits = Int64.bits_of_float
+
+(* Every fixed type of the paper's sets is zero outside the fSim
+   pattern and takes the pattern kernel; CNOT is not, and takes the
+   dense one (the gradient property below runs both). *)
+let test_template_gate_kernels () =
+  List.iter
+    (fun ty ->
+      check_bool (Gates.Gate_type.name ty ^ " has the fSim pattern") true
+        (Mat.has_fsim_pattern (Gates.Gate_type.instantiate ty [||])))
+    Gates.Gate_type.[ s1; s2; s3; s4; s5; s6; s7; swap_type; xy_pi ];
+  check_bool "CNOT has not" false
+    (Mat.has_fsim_pattern (Gates.Gate_type.instantiate Gates.Gate_type.cnot_type [||]))
+
+(* The template's gradient is Grad.central over [infidelity], bit for
+   bit, whatever point the workspace last evaluated: on random and on
+   converged parameters, at 0 to 6 layers, for pattern-kernel fixed
+   types, a dense-kernel type and the three families. *)
+let test_template_gradient_bits () =
+  let rng = Rng.create 25 in
+  let h = Decompose.Nuop.default_options.bfgs.fd_step in
+  List.iter
+    (fun ty ->
+      for layers = 0 to 6 do
+        let t = Decompose.Template.create ty ~layers in
+        let n = Decompose.Template.param_count t in
+        let xp = Array.make n 0.0 and want = Array.make n 0.0 in
+        let got = Array.make n 0.0 in
+        for case = 0 to 2 do
+          let x = Array.init n (fun _ -> Rng.uniform rng (-.Float.pi) Float.pi) in
+          let target =
+            if case = 2 then Mat.copy (Decompose.Template.evaluate t x)
+            else Qr.haar_special_unitary rng 4
+          in
+          let f p = Decompose.Template.infidelity t p ~target in
+          Optimize.Grad.central ~h f x ~g:want ~xp;
+          Decompose.Template.gradient t ~h x ~target ~g:got;
+          Array.iteri
+            (fun i w ->
+              if bits w <> bits got.(i) then
+                Alcotest.failf
+                  "%s, %d layers, case %d: gradient entry %d is %h, Grad.central's %h"
+                  (Gates.Gate_type.name ty) layers case i got.(i) w)
+            want
+        done
+      done)
+    Gates.Gate_type.
+      [ s1; s3; s7; swap_type; cnot_type; Fsim_family; Xy_family; Cphase_family ]
 
 (* ---------- Weyl ---------- *)
 
@@ -321,6 +373,100 @@ let test_fd_curve_monotone () =
     check_bool "non-decreasing (within tolerance)" true (fds.(i) >= fds.(i - 1) -. 0.02)
   done;
   check_bool "converges" true (fds.(Array.length fds - 1) > 1.0 -. 1e-6)
+
+(* NuOp's fit without the template gradient: the same multistart over
+   Bfgs.minimize with its default Grad.central over Template.infidelity.
+   Returns the curve and the BFGS result of every start its scans used. *)
+let reference_fd_curve (options : Decompose.Nuop.options) ty ~target =
+  let used = ref [] in
+  let fit layers =
+    let dim = Decompose.Template.dim ty ~layers in
+    let bfgs = { options.bfgs with f_tol = 1.0 -. options.convergence_fd } in
+    let run =
+      Optimize.Multistart.run_parallel ~first_start:(Array.make dim 0.1)
+        ~rng:(Rng.create (options.seed + (1000 * layers)))
+        ~starts:options.starts ~dim ~lo:(-.Float.pi) ~hi:Float.pi
+        ~target:(1.0 -. options.convergence_fd)
+        ~optimize:(fun x0 ->
+          let t = Decompose.Template.create ty ~layers in
+          Optimize.Bfgs.minimize ~options:bfgs
+            (fun p -> Decompose.Template.infidelity t p ~target)
+            x0)
+        ~value:(fun (r : Optimize.Bfgs.result) ->
+          used := r :: !used;
+          r.f)
+        ()
+    in
+    (run.best.x, 1.0 -. run.best.f)
+  in
+  let rec grow layers acc =
+    if layers > options.max_layers then List.rev acc
+    else begin
+      let params, fd = fit layers in
+      let acc = (layers, params, fd) :: acc in
+      if fd >= options.convergence_fd then List.rev acc else grow (layers + 1) acc
+    end
+  in
+  let curve = Array.of_list (grow options.min_layers []) in
+  (curve, List.rev !used)
+
+let same_curve a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun (la, pa, fa) (lb, pb, fb) ->
+         la = lb && Array.map bits pa = Array.map bits pb && bits fa = bits fb)
+       a b
+
+let seeded_targets () =
+  let rng = Rng.create 41 in
+  [
+    ("QV", List.hd (Apps.Su4_unitaries.qv_set rng ~count:1));
+    ("QAOA", List.hd (Apps.Su4_unitaries.qaoa_set rng ~count:1));
+    ("SWAP", List.hd (Apps.Su4_unitaries.swap_set ()));
+  ]
+
+(* NuOp's curves are the reference's bit for bit with the quick-scale
+   options, for converging, capped and family types. *)
+let test_fd_curve_matches_reference () =
+  let options = Core.Config.quick.Core.Config.nuop in
+  List.iter
+    (fun (app, target) ->
+      List.iter
+        (fun ty ->
+          let want, _ = reference_fd_curve options ty ~target in
+          check_bool
+            (Printf.sprintf "%s on %s" (Gates.Gate_type.name ty) app)
+            true
+            (same_curve want (Decompose.Nuop.fd_curve ~options ty ~target)))
+        Gates.Gate_type.[ s1; s3; swap_type; Fsim_family; Xy_family; Cphase_family ])
+    (seeded_targets ())
+
+(* One cold curve moves the NuOp work counters by the counts of the
+   BFGS results its scans used. *)
+let test_nuop_counters () =
+  let options = Core.Config.quick.Core.Config.nuop in
+  let _, target = List.hd (seeded_targets ()) in
+  let ty = Gates.Gate_type.s3 in
+  let _, used = reference_fd_curve options ty ~target in
+  let names =
+    [ "decompose.nuop.curves"; "decompose.nuop.fits"; "decompose.nuop.gradients";
+      "decompose.nuop.bfgs_iterations" ]
+  in
+  let read () = List.map (fun name -> Obs.Counter.get (Obs.Counter.create name)) names in
+  let before = read () in
+  ignore (Decompose.Nuop.fd_curve ~options ty ~target);
+  let moved = List.map2 ( - ) (read ()) before in
+  let sum field = List.fold_left (fun acc r -> acc + field r) 0 used in
+  Alcotest.(check (list int))
+    "curves, fits, gradients, iterations"
+    [
+      1;
+      List.length used;
+      sum (fun (r : Optimize.Bfgs.result) -> r.gradients);
+      sum (fun (r : Optimize.Bfgs.result) -> r.iterations);
+    ]
+    moved;
+  check_bool "several fits" true (List.length used > 1)
 
 let test_cache_hit () =
   Decompose.Cache.clear ();
@@ -984,6 +1130,9 @@ let () =
           Alcotest.test_case "self fidelity" `Quick test_template_fidelity_self;
           Alcotest.test_case "family angles" `Quick test_template_family_gate_angles;
           Alcotest.test_case "fidelity allocation" `Quick test_template_fidelity_allocation;
+          Alcotest.test_case "gate kernels by shape" `Quick test_template_gate_kernels;
+          Alcotest.test_case "gradient is Grad.central bit for bit" `Quick
+            test_template_gradient_bits;
         ] );
       ( "weyl",
         [
@@ -1025,6 +1174,9 @@ let () =
       ( "curves_cache",
         [
           Alcotest.test_case "curve monotone" `Quick test_fd_curve_monotone;
+          Alcotest.test_case "curves match the Grad.central reference" `Quick
+            test_fd_curve_matches_reference;
+          Alcotest.test_case "work counters" `Quick test_nuop_counters;
           Alcotest.test_case "cache hit" `Quick test_cache_hit;
           Alcotest.test_case "key pinned" `Quick test_cache_key_pinned;
           Alcotest.test_case "key parts" `Quick test_cache_key_parts;

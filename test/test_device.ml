@@ -194,7 +194,11 @@ let test_calibration_make_checks_qubits () =
       ~duration_1q:0.0 ~duration_2q:0.0 ()
   in
   check_float "ideal t1" infinity (Device.Calibration.t1 ideal 2);
-  check_float "ideal duration" 0.0 (Device.Calibration.duration_1q ideal)
+  check_float "ideal duration" 0.0 (Device.Calibration.duration_1q ideal);
+  (* only T1 and T2 may be infinite, so every calibration dumps to a
+     snapshot that loads *)
+  refused "infinite 2q duration" "field \"duration_2q\" must be finite" (fun () ->
+      make_cal ~duration_2q:infinity ())
 
 let test_calibration_family () =
   let cal = make_cal () in
@@ -525,8 +529,8 @@ let test_snapshot_values_validated () =
       ("t1", set "t1" (every (-5e-5)));
       ("t1", set "t1" drop_one);
       ("t2", set "t2" (first 0.0));
-      ("t2", set "t2" (first infinity));
-      ("duration_1q", set "duration_1q" (value 0.0));
+      ("t2", set "t2" (first neg_infinity));
+      ("duration_1q", set "duration_1q" (value infinity));
       ("duration_2q", set "duration_2q" (value (-1e-9)));
       ("drifted_hours", set "provenance" (set "drifted_hours" (value infinity)));
       ("n_qubits", set "topology" (set "n_qubits" (value 8.7)));
@@ -541,6 +545,41 @@ let test_snapshot_values_validated () =
       ("twoq_error", set "twoq_error" repeat_first);
       ("twoq_duration", set "twoq_duration" repeat_first);
     ]
+
+(* test_core's noiseless line, an ideal device (no decay, instantaneous
+   gates), dumps to a snapshot that loads: infinite T1 and T2 travel as
+   1e999 and zero durations as 0 *)
+let test_snapshot_ideal_round_trip () =
+  let topology = Device.Topology.line 3 in
+  let edges = Device.Topology.edges topology in
+  let cal =
+    Device.Calibration.make ~topology ~oneq_error:[| 0.0; 0.0; 0.0 |]
+      ~readout_error:[| 0.0; 0.0; 0.0 |]
+      ~t1:[| infinity; infinity; infinity |]
+      ~t2:[| infinity; infinity; infinity |]
+      ~duration_1q:0.0 ~duration_2q:0.0
+      ~twoq_error:
+        (List.concat_map
+           (fun e ->
+             List.map
+               (fun ty -> (e, Gates.Gate_type.name ty, 1e-6))
+               (Isa.Set.gate_types Isa.Set.g2))
+           edges)
+      ~twoq_duration:[]
+      ~family_base:(List.map (fun e -> (e, 1e-6)) edges)
+      ()
+  in
+  let d =
+    Device.v ~name:"ideal-line3" ~description:"noiseless 3-qubit line" ~calibration:cal
+  in
+  let text = Device.to_string d in
+  check_bool "infinity written as 1e999" true
+    (Astring.String.is_infix ~affix:"1e999" text);
+  let loaded = Device.calibration (Device.of_string text) in
+  check_float "t2" infinity (Device.Calibration.t2 loaded 1);
+  check_float "duration_2q" 0.0 (Device.Calibration.duration_2q loaded);
+  Alcotest.(check string) "dumps again byte for byte" text
+    (Device.to_string (Device.of_string text))
 
 let test_device_registry_lookup () =
   check_bool "case-insensitive" true
@@ -694,6 +733,8 @@ let () =
           Alcotest.test_case "golden snapshot" `Quick test_golden_snapshot_matches_builder;
           Alcotest.test_case "snapshot values validated" `Quick
             test_snapshot_values_validated;
+          Alcotest.test_case "ideal snapshot round-trips" `Quick
+            test_snapshot_ideal_round_trip;
           Alcotest.test_case "old snapshot schema refused" `Quick
             test_snapshot_old_schema_refused;
           Alcotest.test_case "registry lookup" `Quick test_device_registry_lookup;

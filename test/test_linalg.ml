@@ -400,6 +400,21 @@ let signed_zero_pair rng =
 
 let same_bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
 
+let in_fsim_pattern i j = i = j || (i = 1 && j = 2) || (i = 2 && j = 1)
+
+(* A [signed_zero_pair] whose left factor is then zeroed, with random
+   signs, outside the fSim pattern: -0.0 entries inside and outside it,
+   and in half the pairs a row whose terms of one part are all -0.0. *)
+let fsim_pattern_pair rng =
+  let a, b = signed_zero_pair rng in
+  for i = 0 to 3 do
+    for j = 0 to 3 do
+      if not (in_fsim_pattern i j) then
+        Mat.set a i j { Complex.re = signed_zero rng; im = signed_zero rng }
+    done
+  done;
+  (a, b)
+
 let bit_identical a b =
   List.for_all2
     (List.for_all2 (fun (x : Complex.t) (y : Complex.t) ->
@@ -444,6 +459,19 @@ let mat_properties =
         let dst = Mat.create 4 4 in
         Mat.mul_into ~dst a b;
         bit_identical (Mat.mul a b) reference && bit_identical dst reference);
+    Proptest.test "fSim-pattern kernel equals mul_into bit for bit" ~count:200
+      (arb ~print:pm2 fsim_pattern_pair)
+      (fun (a, b) ->
+        let dense = Mat.create 4 4 and pattern = Mat.create 4 4 in
+        Mat.mul_into ~dst:dense a b;
+        Mat.mul_fsim_into ~dst:pattern a b;
+        (* one nonzero entry outside the pattern breaks it *)
+        let broken = Mat.copy a in
+        Mat.set broken 2 3 { Complex.re = 0.0; im = 1e-300 };
+        Mat.has_fsim_pattern a
+        && (not (Mat.has_fsim_pattern broken))
+        && bit_identical pattern dense
+        && bit_identical pattern (mul_reference a b));
     Proptest.test "hs_inner is trace(A^dag B)" ~count:25
       (arb ~print:pm2 mat_pair)
       (fun (a, b) ->

@@ -2,6 +2,7 @@
    on random convex quadratics. *)
 
 let check_bool = Alcotest.(check bool)
+let check_int = Alcotest.(check int)
 let check_float = Alcotest.(check (float 1e-6))
 
 let quadratic x =
@@ -112,6 +113,31 @@ let test_bfgs_iterations_allocate_no_arrays () =
   check_bool
     (Printf.sprintf "%.1f words per iteration < 41" per_iter)
     true (per_iter < 41.0)
+
+(* A supplied gradient replaces Grad.central and nothing else: with
+   Grad.central itself supplied, the run is the default run bit for bit,
+   and its [evaluations] still count the 2n probes of every gradient. *)
+let test_bfgs_supplied_gradient () =
+  let options = { Optimize.Bfgs.default_options with max_iter = 40 } in
+  let x0 = [| -1.2; 1.0 |] in
+  let calls = ref 0 in
+  let gradient x ~g =
+    incr calls;
+    Optimize.Grad.central ~h:options.fd_step rosenbrock x ~g ~xp:(Array.make 2 0.0)
+  in
+  let (a : Optimize.Bfgs.result) = Optimize.Bfgs.minimize ~options rosenbrock x0 in
+  let (b : Optimize.Bfgs.result) =
+    Optimize.Bfgs.minimize ~options ~gradient rosenbrock x0
+  in
+  let bits = Array.map Int64.bits_of_float in
+  check_bool "same x" true (bits a.x = bits b.x);
+  check_bool "same f" true (Int64.bits_of_float a.f = Int64.bits_of_float b.f);
+  check_int "same iterations" a.iterations b.iterations;
+  check_int "same evaluations" a.evaluations b.evaluations;
+  check_int "gradients counted" !calls b.gradients;
+  check_int "same gradients" a.gradients b.gradients;
+  (* the run stopped inside the loop, before its next gradient *)
+  check_int "one gradient per iteration" a.iterations a.gradients
 
 (* ---------- Nelder-Mead ---------- *)
 
@@ -260,6 +286,7 @@ let () =
           Alcotest.test_case "pure in x0" `Quick test_bfgs_does_not_mutate_start;
           Alcotest.test_case "iterations allocate no arrays" `Quick
             test_bfgs_iterations_allocate_no_arrays;
+          Alcotest.test_case "supplied gradient" `Quick test_bfgs_supplied_gradient;
         ] );
       ( "nelder_mead",
         [
