@@ -7,13 +7,15 @@ let make gate qubits =
     invalid_arg
       (Printf.sprintf "Instr.make: gate %s has arity %d but got %d qubits"
          (Gates.Gate.name gate) (Gates.Gate.arity gate) (Array.length qubits));
-  let seen = Hashtbl.create 4 in
-  Array.iter
-    (fun q ->
-      if q < 0 then invalid_arg "Instr.make: negative qubit index";
-      if Hashtbl.mem seen q then invalid_arg "Instr.make: duplicate qubit";
-      Hashtbl.add seen q ())
-    qubits;
+  (* a pairwise scan: gates act on one or two qubits, and a table would
+     allocate several times the instruction itself *)
+  for i = 0 to Array.length qubits - 1 do
+    let q = qubits.(i) in
+    if q < 0 then invalid_arg "Instr.make: negative qubit index";
+    for j = 0 to i - 1 do
+      if qubits.(j) = q then invalid_arg "Instr.make: duplicate qubit"
+    done
+  done;
   { gate; qubits = Array.copy qubits }
 
 let gate t = t.gate

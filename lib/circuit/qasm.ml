@@ -57,83 +57,62 @@ gate sqrt_iswap a, b { xxyy(pi/4) a, b; }
 
 let float_to_qasm v = Printf.sprintf "%.12g" v
 
-(* Map a gate (by name and matrix) to a QASM statement. *)
+(* The angles of a parameterless two-qubit gate that is exactly an fSim
+   point, read off its matrix: fixed types such as fsim(pi/3,0) carry no
+   params, and XY(pi) is fSim(-pi/2, 0).  theta comes from the (1,1) and
+   (1,2) entries and phi from (3,3); [None] unless fSim(theta, phi)
+   reproduces the matrix within 1e-12. *)
+let fsim_angles m =
+  let get = Linalg.Mat.get m in
+  let theta = Float.atan2 (-.(get 1 2).Complex.im) (get 1 1).Complex.re in
+  (* [0.0 -.] rather than negation, so that phi = 0 prints as 0, not -0 *)
+  let phi = 0.0 -. Complex.arg (get 3 3) in
+  if Linalg.Mat.equal ~eps:1e-12 (Gates.Twoq.fsim theta phi) m then Some (theta, phi)
+  else None
+
+(* Map a gate to a QASM statement: fixed gates by name, parameterized
+   ones by their name's head and full-precision params, and any other
+   fSim point by its matrix. *)
 let gate_to_qasm gate qubits =
   let name = Gates.Gate.name gate in
   let q = Array.map (Printf.sprintf "q[%d]") qubits in
-  let parse_params prefix =
-    (* full-precision structured parameters when the gate carries them;
-       fall back to the display name ("fsim(0.1234,0.5678)") otherwise *)
-    match Array.to_list (Gates.Gate.params gate) with
-    | _ :: _ as ps -> ps
-    | [] ->
-      let inner =
-        String.sub name (String.length prefix + 1)
-          (String.length name - String.length prefix - 2)
-      in
-      List.map float_of_string (String.split_on_char ',' inner)
+  let two op = Printf.sprintf "%s %s, %s;" op q.(0) q.(1) in
+  let fsim theta phi =
+    Printf.sprintf "fsim(%s,%s) %s, %s;" (float_to_qasm theta) (float_to_qasm phi) q.(0) q.(1)
   in
-  let starts_with p = String.length name >= String.length p && String.sub name 0 (String.length p) = p in
   match name with
   | "h" -> Printf.sprintf "h %s;" q.(0)
   | "x" -> Printf.sprintf "x %s;" q.(0)
-  | "cz" | "CZ" -> Printf.sprintf "cz %s, %s;" q.(0) q.(1)
-  | "CNOT" -> Printf.sprintf "cx %s, %s;" q.(0) q.(1)
-  | "swap" | "SWAP" -> Printf.sprintf "swap %s, %s;" q.(0) q.(1)
-  | "SYC" -> Printf.sprintf "syc %s, %s;" q.(0) q.(1)
-  | "iSWAP" -> Printf.sprintf "iswap_n %s, %s;" q.(0) q.(1)
-  | "sqrt_iSWAP" -> Printf.sprintf "sqrt_iswap %s, %s;" q.(0) q.(1)
-  | _ when starts_with "u3" -> begin
-    match parse_params "u3" with
-    | [ a; b; l ] ->
-      Printf.sprintf "u3(%s,%s,%s) %s;" (float_to_qasm a) (float_to_qasm b)
-        (float_to_qasm l) q.(0)
-    | _ -> raise (Unsupported_gate name)
-  end
-  | _ when starts_with "rx" -> begin
-    match parse_params "rx" with
-    | [ t ] -> Printf.sprintf "rx(%s) %s;" (float_to_qasm t) q.(0)
-    | _ -> raise (Unsupported_gate name)
-  end
-  | _ when starts_with "rz" -> begin
-    match parse_params "rz" with
-    | [ t ] -> Printf.sprintf "rz(%s) %s;" (float_to_qasm t) q.(0)
-    | _ -> raise (Unsupported_gate name)
-  end
-  | _ when starts_with "fsim" -> begin
-    match parse_params "fsim" with
-    | [ theta; phi ] ->
-      Printf.sprintf "fsim(%s,%s) %s, %s;" (float_to_qasm theta) (float_to_qasm phi)
-        q.(0) q.(1)
-    | _ -> raise (Unsupported_gate name)
-  end
-  | _ when starts_with "xy" -> begin
-    match parse_params "xy" with
-    | [ theta ] -> Printf.sprintf "xy(%s) %s, %s;" (float_to_qasm theta) q.(0) q.(1)
-    | _ -> raise (Unsupported_gate name)
-  end
-  | _ when starts_with "cphase" -> begin
-    match parse_params "cphase" with
+  | "cz" | "CZ" -> two "cz"
+  | "CNOT" -> two "cx"
+  | "swap" | "SWAP" -> two "swap"
+  | "SYC" -> two "syc"
+  | "iSWAP" -> two "iswap_n"
+  | "sqrt_iSWAP" -> two "sqrt_iswap"
+  | _ -> (
+    let head = match String.index_opt name '(' with Some k -> String.sub name 0 k | None -> name in
+    match (head, Array.to_list (Gates.Gate.params gate)) with
+    | "u3", [ a; b; l ] ->
+      Printf.sprintf "u3(%s,%s,%s) %s;" (float_to_qasm a) (float_to_qasm b) (float_to_qasm l)
+        q.(0)
+    | "rx", [ t ] -> Printf.sprintf "rx(%s) %s;" (float_to_qasm t) q.(0)
+    | "rz", [ t ] -> Printf.sprintf "rz(%s) %s;" (float_to_qasm t) q.(0)
+    | "fsim", [ theta; phi ] -> fsim theta phi
+    | "xy", [ theta ] -> Printf.sprintf "xy(%s) %s, %s;" (float_to_qasm theta) q.(0) q.(1)
     (* our cphase(phi) = diag(1,1,1,e^{-i phi}) = qasm cu1(-phi) *)
-    | [ phi ] -> Printf.sprintf "cu1(%s) %s, %s;" (float_to_qasm (-.phi)) q.(0) q.(1)
-    | _ -> raise (Unsupported_gate name)
-  end
-  | _ when starts_with "zz" -> begin
-    match parse_params "zz" with
+    | "cphase", [ phi ] -> Printf.sprintf "cu1(%s) %s, %s;" (float_to_qasm (-.phi)) q.(0) q.(1)
     (* exp(-i b ZZ) = rzz(2b) up to global phase; qelib1 has no rzz, use
        the cx-rz-cx identity *)
-    | [ b ] ->
+    | "zz", [ b ] ->
       Printf.sprintf "cx %s, %s; rz(%s) %s; cx %s, %s;" q.(0) q.(1)
         (float_to_qasm (2.0 *. b))
         q.(1) q.(0) q.(1)
-    | _ -> raise (Unsupported_gate name)
-  end
-  | _ when starts_with "hop" -> begin
-    match parse_params "hop" with
-    | [ t ] -> Printf.sprintf "xxyy(%s) %s, %s;" (float_to_qasm t) q.(0) q.(1)
-    | _ -> raise (Unsupported_gate name)
-  end
-  | other -> raise (Unsupported_gate other)
+    | "hop", [ t ] -> Printf.sprintf "xxyy(%s) %s, %s;" (float_to_qasm t) q.(0) q.(1)
+    | _, [] when Gates.Gate.arity gate = 2 -> (
+      match fsim_angles (Gates.Gate.matrix gate) with
+      | Some (theta, phi) -> fsim theta phi
+      | None -> raise (Unsupported_gate name))
+    | _ -> raise (Unsupported_gate name))
 
 let to_string circuit =
   let buf = Buffer.create 1024 in

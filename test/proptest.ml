@@ -330,6 +330,14 @@ let fast_nuop =
     bfgs = { Optimize.Bfgs.default_options with max_iter = 100 };
   }
 
+let minor_words_per_call ~n f =
+  f ();
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
 let with_temp_file f =
   let file = Filename.temp_file "nuop-test" ".tmp" in
   Fun.protect

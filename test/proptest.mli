@@ -130,5 +130,9 @@ val fast_nuop : Decompose.Nuop.options
 (** NuOp cut down for property budgets: 3 starts, at most 3 layers,
     100 BFGS iterations. *)
 
+val minor_words_per_call : n:int -> (unit -> unit) -> float
+(** Minor-heap words [f] allocates per call, averaged over [n] calls
+    after one warm-up call. *)
+
 val with_temp_file : (string -> 'a) -> 'a
 (** Run with the path of a fresh temporary file, removed afterwards. *)

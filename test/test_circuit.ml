@@ -23,6 +23,19 @@ let test_instr_validation () =
   Alcotest.check_raises "negative" (Invalid_argument "Instr.make: negative qubit index")
     (fun () -> ignore (Qcir.Instr.make Gates.Gate.h [| -1 |]))
 
+(* Checking one or two qubits allocates nothing beyond the instruction
+   and its qubit copy (a per-instruction hash table once cost 37 words
+   here). *)
+let test_instr_allocation () =
+  List.iter
+    (fun (gate, qubits) ->
+      let words =
+        Proptest.minor_words_per_call ~n:1000 (fun () ->
+            ignore (Sys.opaque_identity (Qcir.Instr.make gate qubits)))
+      in
+      check_bool (Printf.sprintf "%.1f words per make <= 16" words) true (words <= 16.0))
+    [ (Gates.Gate.h, [| 3 |]); (Gates.Gate.cz, [| 2; 0 |]) ]
+
 let test_instr_accessors () =
   let i = Qcir.Instr.make Gates.Gate.cz [| 2; 0 |] in
   check_int "arity" 2 (Qcir.Instr.arity i);
@@ -160,6 +173,7 @@ let () =
       ( "instr",
         [
           Alcotest.test_case "validation" `Quick test_instr_validation;
+          Alcotest.test_case "allocation" `Quick test_instr_allocation;
           Alcotest.test_case "accessors" `Quick test_instr_accessors;
           Alcotest.test_case "map_qubits" `Quick test_instr_map_qubits;
           Alcotest.test_case "qubits copy" `Quick test_instr_qubits_copy;

@@ -66,15 +66,6 @@ let test_template_family_gate_angles () =
   Alcotest.(check (array (float 0.0))) "layer 2" [| 20.0; 21.0 |]
     (Decompose.Template.gate_angles ty ~layers:2 params 2)
 
-(* minor words per call of [f], after one warm-up call *)
-let minor_words_per_call ~n f =
-  f ();
-  let w0 = Gc.minor_words () in
-  for _ = 1 to n do
-    f ()
-  done;
-  (Gc.minor_words () -. w0) /. float_of_int n
-
 (* The objective BFGS calls tens of thousands of times per decomposition
    must not allocate: [evaluate] and a 4x4 product allocate nothing, and
    [fidelity] may box only its result and the Hilbert-Schmidt sum (a
@@ -93,10 +84,10 @@ let test_template_fidelity_allocation () =
       Alcotest.(check (float 0.0))
         (name ^ ": words per evaluate call")
         0.0
-        (minor_words_per_call ~n:1000 (fun () ->
+        (Proptest.minor_words_per_call ~n:1000 (fun () ->
              ignore (Sys.opaque_identity (Decompose.Template.evaluate t params))));
       let words =
-        minor_words_per_call ~n:1000 (fun () ->
+        Proptest.minor_words_per_call ~n:1000 (fun () ->
             ignore (Sys.opaque_identity (Decompose.Template.fidelity t params ~target)))
       in
       check_bool (Printf.sprintf "%s: %.1f words per fidelity call <= 8" name words) true
@@ -106,7 +97,7 @@ let test_template_fidelity_allocation () =
   let dst = Mat.create 4 4 in
   Alcotest.(check (float 0.0))
     "4x4 mul_into words per call" 0.0
-    (minor_words_per_call ~n:1000 (fun () -> Mat.mul_into ~dst a b))
+    (Proptest.minor_words_per_call ~n:1000 (fun () -> Mat.mul_into ~dst a b))
 
 let bits = Int64.bits_of_float
 

@@ -85,6 +85,33 @@ let test_qasm_unsupported () =
        false
      with Qcir.Qasm.Unsupported_gate "mystery" -> true)
 
+(* Every (set, device) pair of Figs 9 and 10 compiles a 3-qubit QV
+   circuit whose QASM re-imports gate for gate.  The fixed fSim points
+   (S5-S7) and XY(pi) carry no params: they are written as
+   fsim(theta,phi) read off their matrix, at full precision. *)
+let test_qasm_roundtrip_fig9_fig10 () =
+  let options = { Compiler.Pipeline.default_options with nuop = Proptest.fast_nuop } in
+  let circuit = Apps.Qv.circuit (Rng.create 26) 3 in
+  let pairs device sets = List.map (fun isa -> (device, isa)) sets in
+  List.iter
+    (fun (device, isa) ->
+      let label = Isa.Set.name isa ^ " on " ^ Device.name device in
+      let compiled = (Compiler.Pipeline.compile ~options ~device ~isa circuit).circuit in
+      let parsed = Qcir.Qasm.of_string (Qcir.Qasm.to_string compiled) in
+      check_int (label ^ ": instructions") (Qcir.Circuit.length compiled)
+        (Qcir.Circuit.length parsed);
+      List.iter2
+        (fun a b ->
+          let ga = Qcir.Instr.gate a in
+          check_bool (label ^ ": qubits") true (Qcir.Instr.qubits a = Qcir.Instr.qubits b);
+          check_bool
+            (label ^ ": " ^ Gates.Gate.name ga)
+            true
+            (Mat.equal ~eps:1e-10 (Gates.Gate.matrix ga) (Gates.Gate.matrix (Qcir.Instr.gate b))))
+        (Qcir.Circuit.instrs compiled) (Qcir.Circuit.instrs parsed))
+    (pairs (Device.aspen8 ()) Isa.Set.(rigetti_singles @ rigetti_multis @ [ full_xy ])
+    @ pairs (Device.sycamore_line 6) Isa.Set.(google_singles @ google_multis @ [ full_fsim ]))
+
 let test_qasm_parse_errors () =
   check_bool "missing qreg" true
     (try
@@ -278,6 +305,7 @@ let () =
           Alcotest.test_case "zz roundtrip" `Quick test_qasm_zz_roundtrip;
           Alcotest.test_case "prelude xxyy identity" `Quick test_qasm_prelude_xxyy_identity;
           Alcotest.test_case "unsupported gate" `Quick test_qasm_unsupported;
+          Alcotest.test_case "fig9/fig10 compiles roundtrip" `Quick test_qasm_roundtrip_fig9_fig10;
           Alcotest.test_case "parse errors" `Quick test_qasm_parse_errors;
           Alcotest.test_case "angle expressions" `Quick test_qasm_angle_expressions;
           Alcotest.test_case "file roundtrip" `Quick test_qasm_file_roundtrip;

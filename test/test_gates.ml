@@ -170,6 +170,23 @@ let test_gate_su4_validation () =
   Alcotest.check_raises "wrong dims" (Invalid_argument "Gate.su4: expected a 4x4 matrix")
     (fun () -> ignore (Gates.Gate.su4 (Mat.identity 2)))
 
+(* Building a U3 formats nothing: it allocates its matrix plus the gate
+   record and its params (a per-gate sprintf once cost 223 words here,
+   against Oneq.u3's 79). *)
+let test_gate_u3_allocation () =
+  let matrix_words =
+    Proptest.minor_words_per_call ~n:1000 (fun () ->
+        ignore (Sys.opaque_identity (Gates.Oneq.u3 0.3 (-1.2) 2.0)))
+  in
+  let gate_words =
+    Proptest.minor_words_per_call ~n:1000 (fun () ->
+        ignore (Sys.opaque_identity (Gates.Gate.u3 0.3 (-1.2) 2.0)))
+  in
+  check_bool
+    (Printf.sprintf "Gate.u3 %.1f words <= Oneq.u3 %.1f + 16" gate_words matrix_words)
+    true
+    (gate_words <= matrix_words +. 16.0)
+
 (* ---------- Gate_type ---------- *)
 
 let test_gate_type_instantiate () =
@@ -227,6 +244,43 @@ let prop_fsim_excitation_preserving =
       && Cplx.equal (Mat.get m 0 1) Cplx.zero
       && Cplx.equal (Mat.get m 1 0) Cplx.zero
       && Cplx.equal (Mat.get m 3 1) Cplx.zero)
+
+(* Names are rendered on read: every parameterized constructor's name is
+   the "%.4f" format it once built eagerly (-1e-5 prints -0.0000), and
+   its params are the angles bit for bit. *)
+let name_angle =
+  G.choose
+    [
+      G.float_range (-7.0) 7.0;
+      G.choosel [ 0.0; -0.0; -1e-5; 1e6; -1e6 ];
+      G.map (fun k -> float_of_int k *. Float.pi) (G.int_range (-4) 4);
+      G.map (fun k -> Float.pi /. float_of_int k) (G.int_range 2 8);
+    ]
+
+let prop_gate_names =
+  Proptest.test ~count:200 "names render the eager format"
+    (Proptest.arbitrary
+       ~print:(fun (a, b, l) -> Printf.sprintf "%.17g, %.17g, %.17g" a b l)
+       (G.triple name_angle name_angle name_angle))
+    (fun (a, b, l) ->
+      let same_bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+      List.for_all
+        (fun (gate, name, params) ->
+          let got = Gates.Gate.params gate in
+          String.equal (Gates.Gate.name gate) name
+          && Array.length got = Array.length params
+          && Array.for_all2 same_bits got params)
+        Gates.Gate.
+          [
+            (u3 a b l, Printf.sprintf "u3(%.4f,%.4f,%.4f)" a b l, [| a; b; l |]);
+            (rx a, Printf.sprintf "rx(%.4f)" a, [| a |]);
+            (rz b, Printf.sprintf "rz(%.4f)" b, [| b |]);
+            (cphase l, Printf.sprintf "cphase(%.4f)" l, [| l |]);
+            (fsim a b, Printf.sprintf "fsim(%.4f,%.4f)" a b, [| a; b |]);
+            (xy b, Printf.sprintf "xy(%.4f)" b, [| b |]);
+            (zz l, Printf.sprintf "zz(%.4f)" l, [| l |]);
+            (hopping a, Printf.sprintf "hop(%.4f)" a, [| a |]);
+          ])
 
 let prop_u3_unitary =
   let angle = G.float_range (-6.3) 6.3 in
@@ -292,6 +346,7 @@ let () =
           Alcotest.test_case "arity" `Quick test_gate_arity;
           Alcotest.test_case "validation" `Quick test_gate_validation;
           Alcotest.test_case "su4 validation" `Quick test_gate_su4_validation;
+          Alcotest.test_case "u3 allocation" `Quick test_gate_u3_allocation;
         ] );
       ( "gate_type",
         [
@@ -303,6 +358,7 @@ let () =
         [
           prop_fsim_unitary;
           prop_fsim_excitation_preserving;
+          prop_gate_names;
           prop_u3_unitary;
           prop_zyz_roundtrip;
           prop_zyz_degenerate;
